@@ -213,13 +213,6 @@ def _build_parser() -> _Parser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
-        p.add_argument(
-            "--jobs",
-            metavar="N",
-            type=_positive,
-            default=1,
-            help="worker budget; accepted for interface stability, execution is sequential",
-        )
 
     p = sub.add_parser("halphen-table", help="twist degrees vs the closed form")
     p.add_argument("--nmax", metavar="N", type=_positive, required=True)

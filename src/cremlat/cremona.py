@@ -128,6 +128,9 @@ class NoetherViolation:
     side: str  # base | inverse
     detail: str
 
+    def __str__(self) -> str:
+        return f"{self.identity}/{self.side}: {self.detail}"
+
 
 @dataclass(frozen=True)
 class CharacteristicReport:
@@ -135,39 +138,44 @@ class CharacteristicReport:
     violations: Tuple[NoetherViolation, ...]
 
 
+def side_violations(d: int, side: str, mults: Sequence[int]) -> Tuple[NoetherViolation, ...]:
+    """Check both identities and the multiplicity bounds on one side of degree d."""
+    violations = []
+    linear = sum(mults)
+    if linear != 3 * (d - 1):
+        violations.append(
+            NoetherViolation("linear", side, f"sum {linear} != 3(d-1) = {3 * (d - 1)}")
+        )
+    quadratic = sum(m * m for m in mults)
+    if quadratic != d * d - 1:
+        violations.append(
+            NoetherViolation("quadratic", side, f"sum of squares {quadratic} != d^2-1 = {d * d - 1}")
+        )
+    if d == 1:
+        if mults:
+            violations.append(NoetherViolation("bounds", side, "degree 1 must have no base points"))
+    else:
+        bad = [m for m in mults if not 1 <= m <= d - 1]
+        if bad:
+            violations.append(
+                NoetherViolation("bounds", side, f"multiplicities {bad} outside [1, {d - 1}]")
+            )
+    return tuple(violations)
+
+
 def validate(char: Characteristic) -> CharacteristicReport:
     """Check both identities and the multiplicity bounds on each side."""
     d = char.degree
-    violations = []
-    for side, entries in (("base", char.base), ("inverse", char.inverse_base)):
-        mults = [m for _, m in entries]
-        linear = sum(mults)
-        if linear != 3 * (d - 1):
-            violations.append(
-                NoetherViolation("linear", side, f"sum {linear} != 3(d-1) = {3 * (d - 1)}")
-            )
-        quadratic = sum(m * m for m in mults)
-        if quadratic != d * d - 1:
-            violations.append(
-                NoetherViolation("quadratic", side, f"sum of squares {quadratic} != d^2-1 = {d * d - 1}")
-            )
-        if d == 1:
-            if mults:
-                violations.append(NoetherViolation("bounds", side, "degree 1 must have no base points"))
-        else:
-            bad = [m for m in mults if not 1 <= m <= d - 1]
-            if bad:
-                violations.append(
-                    NoetherViolation("bounds", side, f"multiplicities {bad} outside [1, {d - 1}]")
-                )
-    return CharacteristicReport(ok=not violations, violations=tuple(violations))
+    violations = side_violations(d, "base", [m for _, m in char.base]) + side_violations(
+        d, "inverse", [m for _, m in char.inverse_base]
+    )
+    return CharacteristicReport(ok=not violations, violations=violations)
 
 
 def require_valid(char: Characteristic) -> None:
     report = validate(char)
     if not report.ok:
-        details = "; ".join(f"{v.identity}/{v.side}: {v.detail}" for v in report.violations)
-        raise InvalidCharacteristic(details)
+        raise InvalidCharacteristic("; ".join(map(str, report.violations)))
 
 
 def is_jonquieres(char: Characteristic) -> bool:

@@ -3,34 +3,45 @@
 The number of pencil-preserving factors needed to write a map is bounded
 below by two proven quantities (one from the count of distinct base
 multiplicities, one from the degree when there are at most nine base
-points) and above by running a greedy predecessor search.  The greedy
-model assumes generic positions: any center plus small-point choice is
-deemed feasible.  Its step count is a true upper bound in that model and
-a heuristic otherwise.
+points) and above by a greedy search.  Each greedy step reads only the
+degree and the base multiset: it divides out the pencil-preserving factor
+that minimizes the composed degree and revalidates the leftover base side.
+The greedy model assumes generic positions: any center plus small-point
+choice is deemed feasible.  Its step count is a true upper bound in that
+model and a heuristic otherwise.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .cremona import (
     Characteristic,
-    is_jonquieres,
+    Weighted,
     jonquieres_characteristic,
     md,
     require_valid,
+    side_violations,
 )
-from .errors import NoDecrease, TooManyBasePoints
+from .errors import InvalidCharacteristic, NoDecrease, TooManyBasePoints
 
 
 @dataclass(frozen=True)
 class LengthBounds:
+    """Two lower bounds and the greedy upper bound on the length.
+
+    ``lower_deg`` is None past nine base points.  ``decomposition`` lists
+    the greedy factors in the order they are divided out, each as
+    (k, degree after it), where k is the degree of the pencil-preserving
+    factor; ``upper_greedy`` is its length.
+    """
+
     lower_md: int
     lower_deg: Optional[int]
     upper_greedy: int
-    decomposition: Tuple[Tuple[Characteristic, int], ...]
+    decomposition: Tuple[Tuple[int, int], ...]
 
     @property
     def lower(self) -> int:
@@ -69,107 +80,88 @@ def length_lower_deg(char: Characteristic) -> int:
 
 @dataclass(frozen=True)
 class GreedyStep:
-    """One greedy factor and the characteristic left after dividing it out.
+    """One greedy factor and the base side left after dividing it out.
 
-    The leftover's base side is exact; its inverse side is a synthesized
-    mirror multiset (see greedy_predecessor) used only for validation.
+    ``base`` is the exact base side of the leftover map, of degree
+    ``degree``: untouched base points keep their ids and the factor's
+    inverse points carry fresh ones.  The leftover's inverse side is not
+    determined by the record alone and is not modelled.
     """
 
     jonquieres: Characteristic
-    result: Characteristic
+    degree: int
+    base: Tuple[Weighted, ...]
 
-    @property
-    def degree(self) -> int:
-        return self.result.degree
+
+def _greedy_step(d: int, mults: Sequence[int]) -> Tuple[int, int, Tuple[int, ...]]:
+    """One greedy factor on a base multiset listed in descending order.
+
+    The center is mults[0]; for each k from 2 to 1 + floor((#mults - 1) / 2)
+    the 2k - 2 small points are the next largest, and k minimizes the
+    composed degree d*k - (k-1)*m0 - sum(smalls), ties to the smaller k.
+    Returns (k, new degree, leftover) with leftover aligned to mults: slot
+    i < 2k - 1 holds the multiplicity at the factor's i-th inverse point
+    (zero when it is not a base point of the leftover), later slots keep
+    mults[i].  The leftover side is checked against both identities and
+    the bounds.
+    """
+    if d < 2:
+        raise NoDecrease("degree 1 has no predecessor")
+    center, rest = mults[0], mults[1:]
+    best = None
+    for k in range(2, 2 + (len(mults) - 1) // 2):
+        new_degree = d * k - (k - 1) * center - sum(rest[: 2 * k - 2])
+        if best is None or new_degree < best[1]:
+            best = (k, new_degree)
+    if best is None or best[1] >= d:
+        raise NoDecrease(f"no factor drops the degree below {d}")
+    k, new_degree = best
+    smalls = rest[: 2 * k - 2]
+    leftover = (
+        (d * (k - 1) - (k - 2) * center - sum(smalls),)
+        + tuple(d - center - m for m in smalls)
+        + tuple(rest[2 * k - 2 :])
+    )
+    violations = side_violations(new_degree, "base", [m for m in leftover if m])
+    if violations:
+        raise InvalidCharacteristic("; ".join(map(str, violations)))
+    return k, new_degree, leftover
 
 
 def greedy_predecessor(char: Characteristic) -> GreedyStep:
     """Best single pencil-preserving factor under the generic-position model.
 
     The center sits at a base point of maximal multiplicity (smallest id on
-    ties).  For each degree k from 2 to 1 + floor((#base - 1) / 2) the
-    2k - 2 small points take the largest remaining multiplicities, and the
-    composed degree d*k - (k-1)*m0 - sum(smalls) is minimized; ties prefer
-    smaller k.  The leftover characteristic is recomputed from the lattice
-    action and revalidated.
+    ties) and the small points are the next largest, again by id on ties;
+    k follows the greedy rule.  The factor's inverse points take fresh ids
+    above every id of the characteristic.
     """
     require_valid(char)
-    d = char.degree
-    if d < 2:
-        raise NoDecrease("degree 1 has no predecessor")
     entries = sorted(char.base, key=lambda pm: (-pm[1], pm[0]))
-    center_id, center_mult = entries[0]
-    rest = entries[1:]
-    k_max = 1 + (len(entries) - 1) // 2
-
-    best = None
-    for k in range(2, k_max + 1):
-        smalls = rest[: 2 * k - 2]
-        new_degree = d * k - (k - 1) * center_mult - sum(m for _, m in smalls)
-        if best is None or new_degree < best[0]:
-            best = (new_degree, k, smalls)
-    if best is None or best[0] >= d:
-        raise NoDecrease(f"no factor drops the degree below {d}")
-    new_degree, k, smalls = best
-
-    # fresh ids for the inverse side of the factor
+    k, new_degree, leftover = _greedy_step(char.degree, [m for _, m in entries])
     used = {p for p, _ in char.base} | {q for q, _ in char.inverse_base}
-    fresh = max(used, default=-1) + 1
+    fresh = max(used) + 1
     inverse_ids = tuple(range(fresh, fresh + 2 * k - 1))
     factor = jonquieres_characteristic(
         k,
-        base_ids=(center_id,) + tuple(p for p, _ in smalls),
+        base_ids=[p for p, _ in entries[: 2 * k - 1]],
         inverse_ids=inverse_ids,
     )
-
-    # leftover multiplicities from the lattice action of the factor
-    new_mults: List[Tuple[int, int]] = []
-    center_image = d * (k - 1) - (k - 2) * center_mult - sum(m for _, m in smalls)
-    if center_image != 0:
-        new_mults.append((inverse_ids[0], center_image))
-    for slot, (_, m) in enumerate(smalls, start=1):
-        image = d - center_mult - m
-        if image != 0:
-            new_mults.append((inverse_ids[slot], image))
-    for p, m in rest[2 * k - 2 :]:
-        new_mults.append((p, m))
-
-    # The record alone does not determine the leftover's inverse side (that
-    # would need the full resolution data), and no consumer reads it: later
-    # greedy steps and the bounds use the base side only.  Synthesize an
-    # inverse side with the same multiset at fresh ids; the base multiset
-    # already satisfies both identities (the step is an isometry image), so
-    # the mirrored side does too and revalidation stays meaningful.
-    result = Characteristic(
-        new_degree,
-        base=new_mults,
-        inverse_base=_mirror_side(new_degree, new_mults),
-    )
-    require_valid(result)
-    return GreedyStep(jonquieres=factor, result=result)
-
-
-def _mirror_side(degree: int, side: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
-    """Inverse-side placeholder with the same multiset at fresh ids."""
-    fresh = max((p for p, _ in side), default=-1) + 1
-    return [(fresh + i, m) for i, (_, m) in enumerate(side)]
+    ids = inverse_ids + tuple(p for p, _ in entries[2 * k - 1 :])
+    base = tuple((p, m) for p, m in zip(ids, leftover) if m)
+    return GreedyStep(jonquieres=factor, degree=new_degree, base=base)
 
 
 def greedy_length(char: Characteristic) -> LengthBounds:
-    """Iterate greedy_predecessor to degree 1 and package all three bounds."""
-    require_valid(char)
-    lower_md = length_lower_md(char)
+    """Iterate the greedy step to degree 1 and package all three bounds."""
+    lower_md = length_lower_md(char)  # validates char
     lower_deg = length_lower_deg(char) if len(char.base) <= 9 else None
-    steps: List[Tuple[Characteristic, int]] = []
-    current = char
-    while current.degree > 1:
-        step = greedy_predecessor(current)
-        if step.degree >= current.degree:
-            raise NoDecrease(
-                f"greedy step failed to decrease degree {current.degree}"
-            )
-        steps.append((step.jonquieres, step.degree))
-        current = step.result
+    steps: List[Tuple[int, int]] = []
+    degree, mults = char.degree, char.base_multiplicities()
+    while degree > 1:
+        k, degree, leftover = _greedy_step(degree, mults)
+        steps.append((k, degree))
+        mults = sorted((m for m in leftover if m), reverse=True)
     return LengthBounds(
         lower_md=lower_md,
         lower_deg=lower_deg,

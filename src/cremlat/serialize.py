@@ -10,9 +10,9 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .bubble import Configuration
 from .cremona import Characteristic
@@ -119,12 +119,11 @@ def germset_from_record(record: dict) -> GermSet:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Parsed run configuration: points, maps, germ sets, parameters."""
+    """Parsed run configuration: points, maps, germ sets."""
 
     configuration: Optional[Configuration] = None
     characteristics: Tuple[Tuple[str, Characteristic], ...] = ()
     germ_sets: Tuple[Tuple[str, GermSet], ...] = ()
-    parameters: Dict[str, object] = field(default_factory=dict)
 
     def characteristic(self, label: str) -> Characteristic:
         for name, char in self.characteristics:
@@ -144,15 +143,10 @@ def runconfig_from_record(record: dict) -> RunConfig:
     germ_sets = []
     for label, entry in sorted(record.get("germ_sets", {}).items()):
         germ_sets.append((label, germset_from_record(entry)))
-    parameters = dict(record.get("parameters", {}))
-    for key, value in parameters.items():
-        if key in ("k_max", "n_max", "jobs") and (not isinstance(value, int) or value < 1):
-            raise ValueError(f"parameter {key} must be a positive integer, got {value!r}")
     return RunConfig(
         configuration=configuration,
         characteristics=tuple(characteristics),
         germ_sets=tuple(germ_sets),
-        parameters=parameters,
     )
 
 

@@ -117,9 +117,10 @@ class TestUsage:
         code, out, _ = run(capsys, ["--help"])
         assert code == 0 and "halphen-table" in out
 
-    def test_bad_jobs_value(self, capsys):
-        code, _, _ = run(capsys, ["flat-growth", "--kmax", "1", "--jobs", "zero"])
-        assert code == 1
+    def test_jobs_is_unknown(self, capsys):
+        code, out, err = run(capsys, ["flat-growth", "--kmax", "1", "--jobs", "1"])
+        assert code == 1 and out == ""
+        assert "unrecognized arguments: --jobs 1" in err
 
 
 class TestHalphenTable:
@@ -199,6 +200,18 @@ class TestLength:
         }
         code, _, err = run(capsys, ["length", write_json(tmp_path, "bad.json", payload)])
         assert code == 2 and "length:" in err
+
+    def test_greedy_leftover_outside_bounds(self, capsys, tmp_path):
+        # both identities hold, but the greedy quadratic step leaves a -1
+        mults = (3, 3, 1, 1, 1, 1, 1, 1)
+        payload = {
+            "degree": 5,
+            "base": [{"point": i, "mult": m} for i, m in enumerate(mults)],
+            "inverse_base": [{"point": 10 + i, "mult": m} for i, m in enumerate(mults)],
+        }
+        code, out, err = run(capsys, ["length", write_json(tmp_path, "fake.json", payload)])
+        assert code == 2 and out == ""
+        assert err == "length: bounds/base: multiplicities [-1] outside [1, 2]\n"
 
     def test_unparseable_json(self, capsys, tmp_path):
         path = tmp_path / "broken.json"

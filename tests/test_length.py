@@ -7,6 +7,7 @@ from cremlat.cremona import (
     identity_characteristic,
     is_jonquieres,
     jonquieres_characteristic,
+    side_violations,
     standard_quadratic,
     validate,
 )
@@ -72,7 +73,7 @@ class TestGreedyPredecessor:
     def test_jonquieres_collapses_in_one_step(self):
         j = jonquieres_characteristic(5)
         step = greedy_predecessor(j)
-        assert step.result.degree == 1
+        assert step.degree == 1 and step.base == ()
         assert step.jonquieres.degree == 5
         assert step.jonquieres.base == j.base
 
@@ -81,17 +82,20 @@ class TestGreedyPredecessor:
         # quadratic on the three multiplicity-2 points, 8 - 2 - 4 = 2
         assert step.jonquieres.degree == 2
         assert step.jonquieres.base_ids() == (0, 1, 2)
-        assert step.result.degree == 2
-        assert step.result.base_multiplicities() == (1, 1, 1)
+        assert step.degree == 2
+        # the factor's inverse points vanish; the untouched points keep their ids
+        assert step.base == ((3, 1), (4, 1), (5, 1))
 
     def test_twist_1_0(self):
         step = greedy_predecessor(char(10, (6, 3, 3, 3, 3, 3, 3, 3)))
         # k = 4 centered on the 6: 40 - 18 - 18 = 4
         assert step.jonquieres.degree == 4
         assert step.jonquieres.base_ids()[0] == 0
-        assert step.result.degree == 4
-        assert step.result.base_multiplicities() == (3, 1, 1, 1, 1, 1, 1)
-        assert is_jonquieres(step.result)
+        assert step.degree == 4
+        # center image 10*3 - 2*6 - 18 = 0 and six small images 10 - 6 - 3 = 1
+        # at the factor's fresh inverse ids; point 7 keeps its 3
+        assert step.jonquieres.inverse_ids() == tuple(range(108, 115))
+        assert step.base == tuple((q, 1) for q in range(109, 115)) + ((7, 3),)
 
     def test_degree_one_has_no_predecessor(self):
         with pytest.raises(NoDecrease):
@@ -100,8 +104,8 @@ class TestGreedyPredecessor:
     def test_factor_and_leftover_are_valid(self):
         step = greedy_predecessor(twist_characteristic(2, 1))
         assert validate(step.jonquieres).ok
-        assert validate(step.result).ok
         assert is_jonquieres(step.jonquieres)
+        assert side_violations(step.degree, "base", [m for _, m in step.base]) == ()
 
 
 class TestGreedyLength:
@@ -143,8 +147,7 @@ class TestGreedyLength:
         degrees = [d for _, d in bounds.decomposition]
         assert degrees[-1] == 1
         assert all(a > b for a, b in zip(degrees, degrees[1:]))
-        for factor, _ in bounds.decomposition:
-            assert is_jonquieres(factor)
+        assert all(k >= 2 for k, _ in bounds.decomposition)
 
     @given(st.integers(1, 8))
     def test_towers_decrease(self, n):

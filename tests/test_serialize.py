@@ -162,7 +162,6 @@ class TestRunConfig:
             "germ_sets": {
                 "cells": {"germs": [{"label": "identity", "class": {"degree": "1/1", "mults": []}}]},
             },
-            "parameters": {"k_max": 3, "note": "free-form"},
         }
 
     def test_parse(self):
@@ -174,17 +173,10 @@ class TestRunConfig:
         with pytest.raises(KeyError):
             run.characteristic("missing")
         assert run.germ_sets[0][0] == "cells"
-        assert run.parameters["k_max"] == 3
 
     def test_defaults(self):
         run = runconfig_from_record({})
         assert run == RunConfig()
-
-    def test_parameter_validation(self):
-        for bad in (0, -2, "3", 2.5):
-            record = {"parameters": {"k_max": bad}}
-            with pytest.raises(ValueError):
-                runconfig_from_record(record)
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "run.json"
