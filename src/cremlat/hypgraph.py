@@ -2,12 +2,12 @@
 
 Three instruments:
 
-* four_point_delta: the exact four-point constant of a finite metric,
-  computed by a full quadruple scan.  Distances are scaled to integers by
-  the common denominator, the scan runs in the compiled kernel when the
-  extension is importable and the values fit 64 bits, and the result comes
-  back as an exact Fraction.  Trees give 0; an N x N grid gives at least
-  N - 1, which is the finite shadow of a quasi-flat.
+* four_point_delta: the exact four-point constant of a FiniteMetric,
+  computed by a full quadruple scan of the integers the metric stores (its
+  distances times their common denominator).  The scan runs in the compiled
+  kernel when the extension is importable and the values fit 64 bits, and
+  the result comes back as an exact Fraction.  Trees give 0; an N x N grid
+  gives at least N - 1, which is the finite shadow of a quasi-flat.
 
 * bowditch_check: a thin-triangles criterion over an explicit family of
   connected subgraphs Gamma(x, y), one per vertex pair.
@@ -155,9 +155,13 @@ def grid_graph(rows: int, cols: int) -> Graph:
 
 
 class FiniteMetric:
-    """Symmetric rational distance matrix with the metric axioms enforced."""
+    """Rational metric with the axioms enforced, stored once as scaled integers.
 
-    __slots__ = ("_labels", "_matrix")
+    Invariant: d(i, j) == Fraction(_ints[i][j], _scale), where _scale is the
+    least common denominator of the entries; ``matrix`` is a derived view.
+    """
+
+    __slots__ = ("_labels", "_index", "_ints", "_scale")
 
     def __init__(self, matrix: Sequence[Sequence], labels: Optional[Sequence] = None) -> None:
         rows = [tuple(Q(x) for x in row) for row in matrix]
@@ -170,41 +174,20 @@ class FiniteMetric:
             labels = tuple(labels)
             if len(labels) != n or len(set(labels)) != n:
                 raise ValueError("labels must be distinct and match the size")
+        ints, scale = _scaled_int_matrix(rows)
         for i in range(n):
-            if rows[i][i] != 0:
+            if ints[i][i] != 0:
                 raise ValueError(f"diagonal entry at {labels[i]!r} is nonzero")
             for j in range(i + 1, n):
-                if rows[i][j] != rows[j][i]:
+                if ints[i][j] != ints[j][i]:
                     raise ValueError(f"asymmetry at ({labels[i]!r}, {labels[j]!r})")
-                if rows[i][j] <= 0:
+                if ints[i][j] <= 0:
                     raise ValueError(f"nonpositive distance at ({labels[i]!r}, {labels[j]!r})")
-        self._check_triangle(rows, labels)
+        _check_triangle(ints, labels)
         self._labels = labels
-        self._matrix = tuple(rows)
-
-    @staticmethod
-    def _check_triangle(rows, labels) -> None:
-        ints, _ = _scaled_int_matrix(rows)
-        n = len(rows)
-        if n <= 2:
-            return
-        if max((abs(x) for row in ints for x in row), default=0) < _INT64_SAFE:
-            arr = np.array(ints, dtype=np.int64)
-            through = arr[:, :, None] + arr[None, :, :]  # [i, k, j]
-            slack = through.min(axis=1) - arr
-            if slack.min() < 0:
-                i, j = map(int, np.unravel_index(int(np.argmin(slack)), slack.shape))
-                raise ValueError(
-                    f"triangle inequality fails between {labels[i]!r} and {labels[j]!r}"
-                )
-            return
-        for i in range(n):  # arbitrary-precision fallback
-            for j in range(n):
-                best = min(rows[i][k] + rows[k][j] for k in range(n))
-                if rows[i][j] > best:
-                    raise ValueError(
-                        f"triangle inequality fails between {labels[i]!r} and {labels[j]!r}"
-                    )
+        self._index = {label: i for i, label in enumerate(labels)}
+        self._ints = ints
+        self._scale = scale
 
     @classmethod
     def from_graph(cls, graph: Graph) -> "FiniteMetric":
@@ -225,22 +208,37 @@ class FiniteMetric:
 
     @property
     def matrix(self) -> Tuple[Tuple[Q, ...], ...]:
-        return self._matrix
+        scale = self._scale
+        return tuple(tuple(Q(x, scale) for x in row) for row in self._ints)
 
     def distance(self, a, b) -> Q:
-        i = self._labels.index(a)
-        j = self._labels.index(b)
-        return self._matrix[i][j]
+        return Q(self._ints[self._index[a]][self._index[b]], self._scale)
 
 
 def _scaled_int_matrix(rows) -> Tuple[List[List[int]], int]:
     """Clear denominators: integer matrix plus the common scale factor."""
-    scale = 1
-    for row in rows:
-        for x in row:
-            scale = scale * x.denominator // math.gcd(scale, x.denominator)
-    ints = [[int(x * scale) for x in row] for row in rows]
+    scale = math.lcm(*{x.denominator for row in rows for x in row})
+    ints = [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
     return ints, scale
+
+
+def _check_triangle(ints: Sequence[Sequence[int]], labels: Sequence) -> None:
+    """Reject the first (i, j), row-major, with d(i, j) > min_k d(i, k) + d(k, j).
+
+    One row of min-plus sums at a time keeps memory O(n^2); entries past the
+    int64 window run the same code on Python ints (object dtype).
+    """
+    n = len(ints)
+    if n <= 2:
+        return
+    peak = max(map(max, ints))
+    arr = np.array(ints, dtype=np.int64 if peak < _INT64_SAFE else object)
+    for i in range(n):
+        bad = np.flatnonzero((arr[i][:, None] + arr).min(axis=0) < arr[i])
+        if bad.size:
+            raise ValueError(
+                f"triangle inequality fails between {labels[i]!r} and {labels[int(bad[0])]!r}"
+            )
 
 
 def four_point_delta(metric: FiniteMetric) -> Q:
@@ -249,17 +247,12 @@ def four_point_delta(metric: FiniteMetric) -> Q:
     S1 >= S2 >= S3 are the three pair-sums of the quadruple.  0 on any
     tree metric; positive curvature-scale defects otherwise.
     """
-    ints, scale = _scaled_int_matrix(metric.matrix)
-    if (
-        COMPILED_DELTA
-        and metric.size >= 4
-        and max((abs(x) for row in ints for x in row), default=0) < _INT64_SAFE // 2
-    ):
-        arr = np.array(ints, dtype=np.int64)
-        defect = int(_delta_cy.max_defect(arr))
+    ints = metric._ints
+    if COMPILED_DELTA and metric.size >= 4 and max(map(max, ints)) < _INT64_SAFE // 2:
+        defect = int(_delta_cy.max_defect(np.array(ints, dtype=np.int64)))
     else:
         defect = _delta_py.max_defect(ints)
-    return Q(defect, 2 * scale)
+    return Q(defect, 2 * metric._scale)
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,10 @@ def rational_from(value) -> Q:
     if isinstance(value, int):
         return Q(value)
     if isinstance(value, str):
-        return Q(value)
+        try:
+            return Q(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator: {value!r}") from None
     raise ValueError(f"not a rational: {value!r}")
 
 
@@ -91,11 +94,15 @@ def characteristic_to_record(char: Characteristic) -> dict:
 
 
 def characteristic_from_record(record: dict) -> Characteristic:
+    degree = record["degree"]
+    # no floats: int() would truncate 5.5 and overflow on 1e999
+    if isinstance(degree, bool) or not isinstance(degree, (int, str)):
+        raise ValueError(f"degree must be an integer, got {degree!r}")
     resolution = record.get("resolution")
     if resolution is not None:
         resolution = [[rational_from(x) for x in row] for row in resolution]
     return Characteristic(
-        int(record["degree"]),
+        int(degree),
         base=[(e["point"], e["mult"]) for e in record.get("base", [])],
         inverse_base=[(e["point"], e["mult"]) for e in record.get("inverse_base", [])],
         resolution=resolution,
@@ -119,11 +126,10 @@ def germset_from_record(record: dict) -> GermSet:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Parsed run configuration: points, maps, germ sets."""
+    """Parsed run configuration: points and maps."""
 
     configuration: Optional[Configuration] = None
     characteristics: Tuple[Tuple[str, Characteristic], ...] = ()
-    germ_sets: Tuple[Tuple[str, GermSet], ...] = ()
 
     def characteristic(self, label: str) -> Characteristic:
         for name, char in self.characteristics:
@@ -140,19 +146,15 @@ def runconfig_from_record(record: dict) -> RunConfig:
     for entry in record.get("characteristics", []):
         label = str(entry.get("label", f"map{len(characteristics)}"))
         characteristics.append((label, characteristic_from_record(entry)))
-    germ_sets = []
-    for label, entry in sorted(record.get("germ_sets", {}).items()):
-        germ_sets.append((label, germset_from_record(entry)))
-    return RunConfig(
-        configuration=configuration,
-        characteristics=tuple(characteristics),
-        germ_sets=tuple(germ_sets),
-    )
+    return RunConfig(configuration=configuration, characteristics=tuple(characteristics))
 
 
 def load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        record = json.load(handle)
+    if not isinstance(record, dict):
+        raise ValueError(f"{path}: top level must be a JSON object, found {type(record).__name__}")
+    return record
 
 
 def load_runconfig(path: str) -> RunConfig:

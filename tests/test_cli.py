@@ -181,6 +181,13 @@ class TestDelta:
         code, _, _ = run(capsys, ["delta", str(metric)])
         assert code == 1
 
+    def test_zero_denominator(self, capsys, tmp_path):
+        metric = tmp_path / "div0.csv"
+        metric.write_text("a,b\n0,1/0\n1/0,0\n", encoding="utf-8")
+        code, out, err = run(capsys, ["delta", str(metric)])
+        assert code == 1 and out == ""
+        assert err == "delta: bad input: zero denominator: '1/0'\n"
+
 
 class TestLength:
     def test_two_step_tower(self, capsys, tmp_path):
@@ -212,6 +219,17 @@ class TestLength:
         code, out, err = run(capsys, ["length", write_json(tmp_path, "fake.json", payload)])
         assert code == 2 and out == ""
         assert err == "length: bounds/base: multiplicities [-1] outside [1, 2]\n"
+
+    @pytest.mark.parametrize("degree", ["1e999", "5.5"])
+    def test_float_degree(self, capsys, tmp_path, degree):
+        # 1e999 overflowed int() and 5.5 was truncated to 5; both are refused
+        text = json.dumps(TOWER2_CHAR).replace('"degree": 4', f'"degree": {degree}')
+        path = tmp_path / "float.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, ["length", str(path)])
+        assert code == 1 and out == ""
+        assert err.startswith("length: bad input: degree must be an integer")
+        assert "Traceback" not in err
 
     def test_unparseable_json(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
@@ -270,6 +288,14 @@ class TestInE:
         cfg = write_json(tmp_path, "empty.json", {})
         code, _, err = run(capsys, ["in-e", cls, "--config", cfg])
         assert code == 1 and "configuration section" in err
+
+
+@pytest.mark.parametrize("prefix", [["in-e"], ["length"], ["classify", "--config"]])
+def test_top_level_list_is_bad_input(capsys, tmp_path, prefix):
+    path = write_json(tmp_path, "list.json", [{"degree": "1/1", "mults": []}])
+    code, out, err = run(capsys, prefix + [path])
+    assert code == 1 and out == ""
+    assert err == f"{prefix[0]}: bad input: {path}: top level must be a JSON object, found list\n"
 
 
 class TestOutFlag:

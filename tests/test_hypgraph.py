@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction as Q
 
 import pytest
@@ -27,7 +28,7 @@ from cremlat.hypgraph import (
 )
 
 
-def star_metric(n, rng, denominator=1):
+def star_matrix(n, rng, denominator=1):
     """Perturbed star distances: a guaranteed metric with rational entries."""
     weights = [rng.randint(50, 100) for _ in range(n)]
     matrix = [[Q(0)] * n for _ in range(n)]
@@ -35,7 +36,21 @@ def star_metric(n, rng, denominator=1):
         for j in range(i + 1, n):
             d = Q(weights[i] + weights[j] - rng.randint(0, 40), denominator)
             matrix[i][j] = matrix[j][i] = d
-    return FiniteMetric(matrix)
+    return matrix
+
+
+def star_metric(n, rng, denominator=1):
+    return FiniteMetric(star_matrix(n, rng, denominator))
+
+
+def first_triangle_violation(matrix):
+    """Brute-force restatement over Fractions: the first bad (i, j), row-major."""
+    n = len(matrix)
+    for i in range(n):
+        for j in range(n):
+            if any(matrix[i][j] > matrix[i][k] + matrix[k][j] for k in range(n)):
+                return i, j
+    return None
 
 
 class TestGraph:
@@ -90,9 +105,45 @@ class TestFiniteMetric:
             FiniteMetric([[0, big, 1], [big, 0, big - 2], [1, big - 2, 0]])
         FiniteMetric([[0, big, 1], [big, 0, big], [1, big, 0]])
 
+    @pytest.mark.parametrize("factor", [1, 2**62])  # int64, then object dtype
+    def test_triangle_check_matches_brute_force(self, factor):
+        rng = random.Random(f"triangle:{factor}")
+        accepted = rejected = 0
+        for _ in range(300):
+            n = rng.randint(1, 7)
+            low = rng.randint(1, 6)  # entries in [6, 12] always satisfy the law
+            matrix = [[Q(0)] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    d = Q(rng.randint(low, 12), rng.choice((1, 1, 2, 3))) * factor
+                    matrix[i][j] = matrix[j][i] = d
+            bad = first_triangle_violation(matrix)
+            if bad is None:
+                assert FiniteMetric(matrix).matrix == tuple(map(tuple, matrix))
+                accepted += 1
+            else:
+                message = "^triangle inequality fails between %d and %d$" % bad
+                with pytest.raises(ValueError, match=message):
+                    FiniteMetric(matrix)
+                rejected += 1
+        assert accepted >= 50 and rejected >= 50
+
+    def test_triangle_check_memory_is_quadratic(self):
+        # the n^3 int64 cube this check replaced needed over 1.7 GB here
+        matrix = star_matrix(600, random.Random(600))
+        tracemalloc.start()
+        try:
+            FiniteMetric(matrix)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
     def test_labels(self):
         m = FiniteMetric([[0, 1], [1, 0]], labels=["a", "b"])
         assert m.distance("a", "b") == 1
+        with pytest.raises(KeyError):
+            m.distance("a", "z")
         with pytest.raises(ValueError):
             FiniteMetric([[0, 1], [1, 0]], labels=["a", "a"])
 

@@ -172,7 +172,6 @@ class TestRunConfig:
         assert run.characteristic("q").degree == 2
         with pytest.raises(KeyError):
             run.characteristic("missing")
-        assert run.germ_sets[0][0] == "cells"
 
     def test_defaults(self):
         run = runconfig_from_record({})
