@@ -24,8 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .errors import MalformedFamily
 from . import _delta_py
 from .halphen import twist_characteristic
@@ -164,7 +162,8 @@ class FiniteMetric:
     __slots__ = ("_labels", "_index", "_ints", "_scale")
 
     def __init__(self, matrix: Sequence[Sequence], labels: Optional[Sequence] = None) -> None:
-        rows = [tuple(Q(x) for x in row) for row in matrix]
+        # serialize.metric_from_csv already hands over Fractions
+        rows = [tuple(x if isinstance(x, Q) else Q(x) for x in row) for row in matrix]
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise ValueError("matrix must be square")
@@ -231,6 +230,9 @@ def _check_triangle(ints: Sequence[Sequence[int]], labels: Sequence) -> None:
     n = len(ints)
     if n <= 2:
         return
+    # deferred: subcommands that never build a metric skip numpy's start-up cost
+    import numpy as np
+
     peak = max(map(max, ints))
     arr = np.array(ints, dtype=np.int64 if peak < _INT64_SAFE else object)
     for i in range(n):
@@ -249,6 +251,9 @@ def four_point_delta(metric: FiniteMetric) -> Q:
     """
     ints = metric._ints
     if COMPILED_DELTA and metric.size >= 4 and max(map(max, ints)) < _INT64_SAFE // 2:
+        # deferred, as in _check_triangle: only the compiled kernel needs an array
+        import numpy as np
+
         defect = int(_delta_cy.max_defect(np.array(ints, dtype=np.int64)))
     else:
         defect = _delta_py.max_defect(ints)

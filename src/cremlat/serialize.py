@@ -41,6 +41,23 @@ def rational_from(value) -> Q:
     raise ValueError(f"not a rational: {value!r}")
 
 
+def integer_from(value, what: str) -> int:
+    """A non-bool int or an integer string: int() would truncate 5.5,
+    overflow on 1e999 and read true as 1."""
+    if not isinstance(value, bool) and isinstance(value, (int, str)):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, found {type(value).__name__}")
+    return value
+
+
 def real_to_str(value: float) -> str:
     return format(float(value), ".12g")
 
@@ -57,7 +74,11 @@ def class_to_record(c: PicardManinClass) -> dict:
 
 
 def class_from_record(record: dict) -> PicardManinClass:
-    mults = {int(entry["point"]): rational_from(entry["mult"]) for entry in record.get("mults", [])}
+    record = _object(record, "class")
+    mults = {}
+    for entry in record.get("mults", []):
+        entry = _object(entry, "mults entry")
+        mults[integer_from(entry["point"], "point id")] = rational_from(entry["mult"])
     return PicardManinClass(rational_from(record["degree"]), mults)
 
 
@@ -74,12 +95,23 @@ def configuration_to_record(config: Configuration) -> dict:
 
 
 def configuration_from_record(record: dict) -> Configuration:
-    points = [(entry["id"], entry.get("parent")) for entry in record.get("points", [])]
+    record = _object(record, "configuration")
+    points = []
+    for entry in record.get("points", []):
+        entry = _object(entry, "points entry")
+        parent = entry.get("parent")
+        if parent is not None:
+            parent = integer_from(parent, "point id")
+        points.append((integer_from(entry["id"], "point id"), parent))
     return Configuration(
         points,
-        collinear=record.get("collinear", ()),
-        conics=record.get("conics", ()),
+        collinear=_id_sets(record.get("collinear", ())),
+        conics=_id_sets(record.get("conics", ())),
     )
+
+
+def _id_sets(sets) -> list:
+    return [[integer_from(p, "point id") for p in s] for s in sets]
 
 
 def characteristic_to_record(char: Characteristic) -> dict:
@@ -94,19 +126,24 @@ def characteristic_to_record(char: Characteristic) -> dict:
 
 
 def characteristic_from_record(record: dict) -> Characteristic:
-    degree = record["degree"]
-    # no floats: int() would truncate 5.5 and overflow on 1e999
-    if isinstance(degree, bool) or not isinstance(degree, (int, str)):
-        raise ValueError(f"degree must be an integer, got {degree!r}")
     resolution = record.get("resolution")
     if resolution is not None:
         resolution = [[rational_from(x) for x in row] for row in resolution]
     return Characteristic(
-        int(degree),
-        base=[(e["point"], e["mult"]) for e in record.get("base", [])],
-        inverse_base=[(e["point"], e["mult"]) for e in record.get("inverse_base", [])],
+        integer_from(record["degree"], "degree"),
+        base=_weighted_side(record.get("base", []), "base"),
+        inverse_base=_weighted_side(record.get("inverse_base", []), "inverse_base"),
         resolution=resolution,
     )
+
+
+def _weighted_side(entries, name: str) -> list:
+    side = []
+    for entry in entries:
+        entry = _object(entry, f"{name} entry")
+        point = integer_from(entry["point"], "point id")
+        side.append((point, integer_from(entry["mult"], "multiplicity")))
+    return side
 
 
 def germset_to_record(germs: GermSet) -> dict:
@@ -119,9 +156,11 @@ def germset_to_record(germs: GermSet) -> dict:
 
 
 def germset_from_record(record: dict) -> GermSet:
-    return GermSet(
-        (entry["label"], class_from_record(entry["class"])) for entry in record.get("germs", [])
-    )
+    germs = []
+    for entry in record.get("germs", []):
+        entry = _object(entry, "germs entry")
+        germs.append((entry["label"], class_from_record(entry["class"])))
+    return GermSet(germs)
 
 
 @dataclass(frozen=True)
@@ -144,6 +183,7 @@ def runconfig_from_record(record: dict) -> RunConfig:
         configuration = configuration_from_record(record["configuration"])
     characteristics = []
     for entry in record.get("characteristics", []):
+        entry = _object(entry, "characteristics entry")
         label = str(entry.get("label", f"map{len(characteristics)}"))
         characteristics.append((label, characteristic_from_record(entry)))
     return RunConfig(configuration=configuration, characteristics=tuple(characteristics))

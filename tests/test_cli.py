@@ -298,6 +298,72 @@ def test_top_level_list_is_bad_input(capsys, tmp_path, prefix):
     assert err == f"{prefix[0]}: bad input: {path}: top level must be a JSON object, found list\n"
 
 
+def tower2_with(side, index, key, value):
+    payload = json.loads(json.dumps(TOWER2_CHAR))
+    payload[side][index][key] = value
+    return payload
+
+
+MALFORMED_RECORDS = {
+    # nested records that are not objects used to end in AttributeError
+    "configuration": (["in-e", "{cls}", "--config"], {"configuration": []},
+                      "configuration must be a JSON object, found list"),
+    "points": (["in-e", "{cls}", "--config"], {"configuration": {"points": [1]}},
+               "points entry must be a JSON object, found int"),
+    "characteristics": (["classify", "--config"], {"characteristics": [[1]]},
+                        "characteristics entry must be a JSON object, found list"),
+    "mults": (["in-e"], {"degree": "1/1", "mults": ["1"]},
+              "mults entry must be a JSON object, found str"),
+    "base": (["length"], {"degree": 1, "base": [[0, 1]]},
+             "base entry must be a JSON object, found list"),
+    "inverse_base": (["length"], {"degree": 1, "inverse_base": [None]},
+                     "inverse_base entry must be a JSON object, found NoneType"),
+    # int() used to read 1.5 and true as 1, and point 1.7 as point 1
+    "mult-1.5": (["length"], tower2_with("base", 5, "mult", 1.5),
+                 "multiplicity must be an integer, got 1.5"),
+    "mult-true": (["length"], tower2_with("base", 5, "mult", True),
+                  "multiplicity must be an integer, got True"),
+    "point-string": (["length"], tower2_with("inverse_base", 0, "point", "10.0"),
+                     "point id must be an integer, got '10.0'"),
+    "class-point": (["in-e"], {"degree": "1/1", "mults": [{"point": 1.7, "mult": "1/1"}]},
+                    "point id must be an integer, got 1.7"),
+    "config-id": (["in-e", "{cls}", "--config"], {"configuration": {"points": [{"id": 2.5}]}},
+                  "point id must be an integer, got 2.5"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_RECORDS))
+def test_malformed_record_is_bad_input(capsys, tmp_path, case):
+    prefix, payload, message = MALFORMED_RECORDS[case]
+    cls = write_json(tmp_path, "conic.json", CONIC_CLASS)
+    path = write_json(tmp_path, "record.json", payload)
+    code, out, err = run(capsys, [arg.format(cls=cls) for arg in prefix] + [path])
+    assert code == 1 and out == ""
+    assert err == f"{prefix[0]}: bad input: {message}\n"
+
+
+def test_numpy_loads_only_for_metrics(tmp_path):
+    # numpy's import is most of the start-up time of a job that builds no metric
+    metric = tmp_path / "three.csv"
+    metric.write_text("a,b,c\n0,1,2\n1,0,1\n2,1,0\n", encoding="utf-8")
+    script = (
+        "import io, sys, contextlib\n"
+        "import cremlat.cli\n"
+        "seen = ['numpy' in sys.modules]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cremlat.cli.main(['halphen-table', '--nmax', '1']) == 0\n"
+        "    seen.append('numpy' in sys.modules)\n"
+        "    assert cremlat.cli.main(['delta', sys.argv[1]]) == 0\n"
+        "    seen.append('numpy' in sys.modules)\n"
+        "print(*seen)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(metric)], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False False True\n"
+
+
 class TestOutFlag:
     def test_file_matches_stdout(self, capsys, tmp_path):
         _, stdout_text, _ = run(capsys, ["halphen-table", "--nmax", "1"])

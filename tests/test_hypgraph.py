@@ -5,6 +5,7 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cremlat import hypgraph
 from cremlat.errors import MalformedFamily
 from cremlat.hypgraph import (
     COMPILED_DELTA,
@@ -216,6 +217,35 @@ class TestFourPointDelta:
         base = FiniteMetric.from_graph(cycle_graph(4))
         scaled = FiniteMetric([[x * big for x in row] for row in base.matrix])
         assert four_point_delta(scaled) == big
+
+    def test_compiled_dispatch(self, monkeypatch):
+        # a stand-in for the extension: checks the array four_point_delta builds
+        # and answers with the pure kernel
+        np = pytest.importorskip("numpy")
+        calls = []
+
+        class FakeKernel:
+            @staticmethod
+            def max_defect(arr):
+                assert arr.dtype == np.int64 and arr.flags["C_CONTIGUOUS"]
+                calls.append(arr.shape)
+                return _delta_py.max_defect(arr.tolist())
+
+        grid = FiniteMetric.from_graph(grid_graph(4, 4))
+        ints, scale = _scaled_int_matrix(grid.matrix)
+        expected = Q(_delta_py.max_defect(ints), 2 * scale)
+        monkeypatch.setattr(hypgraph, "COMPILED_DELTA", True)
+        monkeypatch.setattr(hypgraph, "_delta_cy", FakeKernel)
+        assert four_point_delta(grid) == expected >= 3
+        assert calls == [(16, 16)]
+
+        # a largest entry of _INT64_SAFE // 2 already goes to the pure kernel
+        factor = hypgraph._INT64_SAFE // 4
+        cycle = FiniteMetric.from_graph(cycle_graph(4))
+        big = FiniteMetric([[x * factor for x in row] for row in cycle.matrix])
+        assert max(map(max, big.matrix)) == hypgraph._INT64_SAFE // 2
+        assert four_point_delta(big) == factor
+        assert calls == [(16, 16)]
 
 
 class TestSubgraphFamily:
