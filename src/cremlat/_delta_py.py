@@ -1,13 +1,28 @@
-"""Pure-Python quadruple-scan kernel.
+"""Four-point kernel used when the compiled extension is not built.
 
-Mirrors the compiled kernel in _delta_cy.pyx; selected at import time when
-the extension is unavailable or the scaled distances overflow 64 bits.
-Arbitrary-precision Python ints, so no overflow concerns here.
+Same contract as _delta_cy.pyx: the largest four-point defect of an integer
+distance matrix.  It runs as a numpy scan over doubled Gromov products
+(Fournier, Ismail and Vigneron, "Computing the Gromov hyperbolicity of a
+discrete metric space", IPL 2015): seen from a basepoint w,
+
+    P[x, y] = d(x, w) + d(y, w) - d(x, y)
+    defect(x, y, z, w) = min(P[x, z], P[y, z]) - P[x, y]
+
+is the pair-sum d(x, y) + d(z, w) minus the larger of the other two, so the
+maximum over the three choices of {x, y} among {x, y, z} is the quadruple's
+largest pair-sum minus its second largest.  int64 arithmetic while every
+value fits, Python ints (object dtype) past that, so the answer is exact.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
+
+# pair-sums of two scaled entries must fit a signed 64-bit value
+_INT64_SAFE = 2**62
+
+# elements of one min(P[x], P[y]) block; keeps the scan's memory O(n^2)
+_CHUNK = 2**17
 
 
 def max_defect(d: Sequence[Sequence[int]]) -> int:
@@ -16,32 +31,29 @@ def max_defect(d: Sequence[Sequence[int]]) -> int:
     For each quadruple i<j<k<l the three pairings are d[i][j]+d[k][l],
     d[i][k]+d[j][l], d[i][l]+d[j][k]; the defect is (largest - second
     largest).  Returns the maximum defect, 0 for fewer than four points.
+    ``d`` must be a metric: the triangle law makes every choice with
+    repeated points score <= 0.
     """
     n = len(d)
+    if n < 4:
+        return 0
+    import numpy as np  # deferred like hypgraph's: only metrics need it
+
+    peak = int(max(map(max, d)))  # an int64 array's max could wrap when doubled
+    # Gromov products and their differences stay within [-2 peak, 2 peak]
+    arr = np.array(d, dtype=np.int64 if 2 * peak < _INT64_SAFE else object)
     best = 0
-    rows: List[Sequence[int]] = [list(row) for row in d]
-    for i in range(n - 3):
-        di = rows[i]
-        for j in range(i + 1, n - 2):
-            dj = rows[j]
-            dij = di[j]
-            for k in range(j + 1, n - 1):
-                dk = rows[k]
-                dik = di[k]
-                djk = dj[k]
-                for l in range(k + 1, n):
-                    s1 = dij + dk[l]
-                    s2 = dik + dj[l]
-                    s3 = di[l] + djk
-                    if s1 >= s2:
-                        hi, mid = s1, s2
-                    else:
-                        hi, mid = s2, s1
-                    if s3 > hi:
-                        mid = hi
-                        hi = s3
-                    elif s3 > mid:
-                        mid = s3
-                    if hi - mid > best:
-                        best = hi - mid
-    return best
+    # every quadruple is seen once from its smallest point w
+    for w in range(n - 3):
+        r = arr[w, w + 1 :]
+        prod = r[:, None] + r[None, :] - arr[w + 1 :, w + 1 :]
+        m = n - w - 1
+        step = max(1, _CHUNK // (m * m))
+        for lo in range(0, m, step):
+            # the score is symmetric in x and y, so y < lo was met as an x row
+            rows = prod[lo : lo + step]
+            pairs = np.minimum(rows[:, None, :], prod[None, lo:]).max(axis=2)
+            top = (pairs - rows[:, lo:]).max()
+            if top > best:
+                best = top
+    return int(best)

@@ -27,7 +27,7 @@ from .errors import (
     MissingResolutionData,
     UnsupportedClassSupport,
 )
-from .lattice import PicardManinClass
+from .lattice import PicardManinClass, exact_int
 
 Q = Fraction
 Weighted = Tuple[PointId, int]
@@ -37,7 +37,8 @@ def _freeze_side(side: Iterable, name: str) -> Tuple[Weighted, ...]:
     out = []
     seen = set()
     for pid, mult in side:
-        pid, mult = int(pid), int(mult)
+        pid = exact_int(pid, f"{name} point id")
+        mult = exact_int(mult, f"{name} multiplicity")
         if pid in seen:
             raise ValueError(f"duplicate {name} point {pid}")
         if mult <= 0:
@@ -57,7 +58,7 @@ class Characteristic:
         inverse_base: Iterable[Weighted] = (),
         resolution: Optional[Sequence[Sequence]] = None,
     ) -> None:
-        degree = int(degree)
+        degree = exact_int(degree, "degree")
         if degree < 1:
             raise ValueError(f"degree must be positive, got {degree}")
         self._degree = degree

@@ -3,11 +3,13 @@
 Three instruments:
 
 * four_point_delta: the exact four-point constant of a FiniteMetric,
-  computed by a full quadruple scan of the integers the metric stores (its
-  distances times their common denominator).  The scan runs in the compiled
-  kernel when the extension is importable and the values fit 64 bits, and
-  the result comes back as an exact Fraction.  Trees give 0; an N x N grid
-  gives at least N - 1, which is the finite shadow of a quasi-flat.
+  computed over every quadruple of the integers the metric stores (its
+  distances times their common denominator).  The compiled quadruple
+  kernel runs when the extension is importable and the values fit 64 bits;
+  otherwise _delta_py scans doubled Gromov products from each basepoint
+  with numpy.  Both are exact and the result comes back as a Fraction.
+  Trees give 0; an N x N grid gives at least N - 1, which is the finite
+  shadow of a quasi-flat.
 
 * bowditch_check: a thin-triangles criterion over an explicit family of
   connected subgraphs Gamma(x, y), one per vertex pair.
@@ -26,6 +28,7 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence,
 
 from .errors import MalformedFamily
 from . import _delta_py
+from ._delta_py import _INT64_SAFE
 from .halphen import twist_characteristic
 from .length import greedy_length, length_lower_deg
 
@@ -38,9 +41,6 @@ except ImportError:  # pragma: no cover - depends on build environment
     COMPILED_DELTA = False
 
 Q = Fraction
-
-# pair-sums of two scaled entries must fit a signed 64-bit value
-_INT64_SAFE = 2**62
 
 
 def delta_backend() -> str:

@@ -13,6 +13,7 @@ evaluation produce floats.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
@@ -27,6 +28,17 @@ from .errors import (
 
 Q = Fraction
 Scalar = Union[int, Fraction, float]
+
+
+def exact_int(value, what: str) -> int:
+    """``value`` as an int, refusing anything int() would round or misread:
+    1.5 and Fraction(3, 2) are not integers, and True is not point 1."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{what} must be an integer, got {value!r}")
 
 
 def _coerce(value: Scalar) -> Scalar:
@@ -51,9 +63,9 @@ class PicardManinClass:
         items: Dict[PointId, Scalar] = {}
         if mults:
             for p, v in mults.items():
-                v = _coerce(v)
+                p, v = exact_int(p, "point id"), _coerce(v)
                 if v != 0:
-                    items[int(p)] = v
+                    items[p] = v
         self._mults = dict(sorted(items.items()))
 
     @property
@@ -69,7 +81,7 @@ class PicardManinClass:
         return tuple(self._mults)
 
     def mult(self, p: PointId) -> Scalar:
-        return self._mults.get(int(p), Q(0))
+        return self._mults.get(exact_int(p, "point id"), Q(0))
 
     @property
     def is_exact(self) -> bool:

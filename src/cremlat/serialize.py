@@ -58,6 +58,12 @@ def _object(value, what: str) -> dict:
     return value
 
 
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a JSON list, found {type(value).__name__}")
+    return value
+
+
 def real_to_str(value: float) -> str:
     return format(float(value), ".12g")
 
@@ -76,7 +82,7 @@ def class_to_record(c: PicardManinClass) -> dict:
 def class_from_record(record: dict) -> PicardManinClass:
     record = _object(record, "class")
     mults = {}
-    for entry in record.get("mults", []):
+    for entry in _list(record.get("mults", []), "mults"):
         entry = _object(entry, "mults entry")
         mults[integer_from(entry["point"], "point id")] = rational_from(entry["mult"])
     return PicardManinClass(rational_from(record["degree"]), mults)
@@ -97,7 +103,7 @@ def configuration_to_record(config: Configuration) -> dict:
 def configuration_from_record(record: dict) -> Configuration:
     record = _object(record, "configuration")
     points = []
-    for entry in record.get("points", []):
+    for entry in _list(record.get("points", []), "points"):
         entry = _object(entry, "points entry")
         parent = entry.get("parent")
         if parent is not None:
@@ -105,13 +111,16 @@ def configuration_from_record(record: dict) -> Configuration:
         points.append((integer_from(entry["id"], "point id"), parent))
     return Configuration(
         points,
-        collinear=_id_sets(record.get("collinear", ())),
-        conics=_id_sets(record.get("conics", ())),
+        collinear=_id_sets(record.get("collinear", []), "collinear"),
+        conics=_id_sets(record.get("conics", []), "conics"),
     )
 
 
-def _id_sets(sets) -> list:
-    return [[integer_from(p, "point id") for p in s] for s in sets]
+def _id_sets(sets, name: str) -> list:
+    return [
+        [integer_from(p, "point id") for p in _list(s, f"{name} set")]
+        for s in _list(sets, name)
+    ]
 
 
 def characteristic_to_record(char: Characteristic) -> dict:
@@ -128,7 +137,10 @@ def characteristic_to_record(char: Characteristic) -> dict:
 def characteristic_from_record(record: dict) -> Characteristic:
     resolution = record.get("resolution")
     if resolution is not None:
-        resolution = [[rational_from(x) for x in row] for row in resolution]
+        resolution = [
+            [rational_from(x) for x in _list(row, "resolution row")]
+            for row in _list(resolution, "resolution")
+        ]
     return Characteristic(
         integer_from(record["degree"], "degree"),
         base=_weighted_side(record.get("base", []), "base"),
@@ -139,7 +151,7 @@ def characteristic_from_record(record: dict) -> Characteristic:
 
 def _weighted_side(entries, name: str) -> list:
     side = []
-    for entry in entries:
+    for entry in _list(entries, name):
         entry = _object(entry, f"{name} entry")
         point = integer_from(entry["point"], "point id")
         side.append((point, integer_from(entry["mult"], "multiplicity")))
@@ -157,7 +169,7 @@ def germset_to_record(germs: GermSet) -> dict:
 
 def germset_from_record(record: dict) -> GermSet:
     germs = []
-    for entry in record.get("germs", []):
+    for entry in _list(record.get("germs", []), "germs"):
         entry = _object(entry, "germs entry")
         germs.append((entry["label"], class_from_record(entry["class"])))
     return GermSet(germs)
@@ -182,7 +194,7 @@ def runconfig_from_record(record: dict) -> RunConfig:
     if "configuration" in record:
         configuration = configuration_from_record(record["configuration"])
     characteristics = []
-    for entry in record.get("characteristics", []):
+    for entry in _list(record.get("characteristics", []), "characteristics"):
         entry = _object(entry, "characteristics entry")
         label = str(entry.get("label", f"map{len(characteristics)}"))
         characteristics.append((label, characteristic_from_record(entry)))

@@ -329,6 +329,21 @@ MALFORMED_RECORDS = {
                     "point id must be an integer, got 1.7"),
     "config-id": (["in-e", "{cls}", "--config"], {"configuration": {"points": [{"id": 2.5}]}},
                   "point id must be an integer, got 2.5"),
+    # iterating a non-list used to fail with "'int' object is not iterable"
+    "resolution": (["length"], {"degree": 1, "resolution": 3},
+                   "resolution must be a JSON list, found int"),
+    "resolution-row": (["length"], {"degree": 1, "resolution": [3]},
+                       "resolution row must be a JSON list, found int"),
+    "collinear": (["in-e", "{cls}", "--config"], {"configuration": {"collinear": 1}},
+                  "collinear must be a JSON list, found int"),
+    "collinear-set": (["in-e", "{cls}", "--config"], {"configuration": {"collinear": [1]}},
+                      "collinear set must be a JSON list, found int"),
+    "conics-set": (["in-e", "{cls}", "--config"], {"configuration": {"conics": [None]}},
+                   "conics set must be a JSON list, found NoneType"),
+    "points-list": (["in-e", "{cls}", "--config"], {"configuration": {"points": 4}},
+                    "points must be a JSON list, found int"),
+    "base-list": (["length"], {"degree": 1, "base": {"point": 0, "mult": 1}},
+                  "base must be a JSON list, found dict"),
 }
 
 

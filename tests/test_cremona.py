@@ -53,6 +53,21 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Characteristic(2, base=[(0, 1)], inverse_base=[(1, 1)], resolution=[[1, 1]])
 
+    @pytest.mark.parametrize(
+        "degree, side, message",
+        [
+            (2.0, {}, "degree must be an integer, got 2.0"),
+            (True, {}, "degree must be an integer, got True"),
+            (2, {"base": [(0, 1.5)]}, "base multiplicity must be an integer, got 1.5"),
+            (2, {"base": [(1.9, 1)]}, "base point id must be an integer, got 1.9"),
+            (2, {"inverse_base": [(0, True)]}, "inverse base multiplicity must be an integer, got True"),
+        ],
+    )
+    def test_non_integers_are_refused(self, degree, side, message):
+        # int() used to read 2.0 as 2, 1.5 and True as 1, and point 1.9 as point 1
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            Characteristic(degree, **side)
+
     def test_accessors(self):
         c = char(3, (2, 1, 1, 1, 1))
         assert c.degree == 3

@@ -3,7 +3,7 @@ import tracemalloc
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cremlat import hypgraph
 from cremlat.errors import MalformedFamily
@@ -29,6 +29,9 @@ from cremlat.hypgraph import (
 )
 
 
+CYCLE4 = [[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]]
+
+
 def star_matrix(n, rng, denominator=1):
     """Perturbed star distances: a guaranteed metric with rational entries."""
     weights = [rng.randint(50, 100) for _ in range(n)]
@@ -42,6 +45,42 @@ def star_matrix(n, rng, denominator=1):
 
 def star_metric(n, rng, denominator=1):
     return FiniteMetric(star_matrix(n, rng, denominator))
+
+
+def quadruple_defect(d):
+    """Brute-force oracle for max_defect: every quadruple's three pair-sums."""
+    n = len(d)
+    best = 0
+    for i in range(n - 3):
+        for j in range(i + 1, n - 2):
+            for k in range(j + 1, n - 1):
+                for l in range(k + 1, n):
+                    sums = sorted((d[i][j] + d[k][l], d[i][k] + d[j][l], d[i][l] + d[j][k]))
+                    best = max(best, sums[2] - sums[1])
+    return best
+
+
+@st.composite
+def graph_metrics(draw):
+    """Shortest-path distances of a connected graph with edge lengths 1..3.
+
+    Short integer lengths make ties between pair-sums common.
+    """
+    n = draw(st.integers(0, 10))
+    far = 10 * n
+    d = [[0 if i == j else far for j in range(n)] for i in range(n)]
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]  # a spanning tree
+    if n:
+        point = st.integers(0, n - 1)
+        edges += draw(st.lists(st.tuples(point, point), max_size=2 * n))
+    for a, b in edges:
+        if a != b:
+            d[a][b] = d[b][a] = min(d[a][b], draw(st.integers(1, 3)))
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                d[i][j] = min(d[i][j], d[i][k] + d[k][j])
+    return d
 
 
 def first_triangle_violation(matrix):
@@ -198,6 +237,27 @@ class TestFourPointDelta:
         compiled = int(_delta_cy.max_defect(np.array(ints, dtype=np.int64)))
         assert pure == compiled
         assert four_point_delta(metric) == Q(pure, 2 * scale)
+
+    # 2**60 and 2**61 straddle the int64 threshold of the fallback kernel
+    @settings(max_examples=300, deadline=None)
+    @given(graph_metrics(), st.sampled_from([1, 2**60, 2**61, 2**70]))
+    @example(CYCLE4, 2**60 - 1)  # largest entry 2**61 - 2: still int64
+    @example(CYCLE4, 2**60)  # largest entry 2**61: object dtype
+    def test_kernel_matches_quadruple_oracle(self, d, factor):
+        scaled = [[x * factor for x in row] for row in d]
+        assert _delta_py.max_defect(scaled) == quadruple_defect(scaled)
+
+    def test_kernel_memory_is_quadratic(self):
+        import numpy  # noqa: F401  (its import is not the kernel's memory)
+
+        ints, _ = _scaled_int_matrix(star_matrix(128, random.Random(128)))
+        tracemalloc.start()
+        try:
+            _delta_py.max_defect(ints)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(4, 10), st.integers(0, 2**32 - 1))

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction as Q
 
 import pytest
@@ -43,6 +44,17 @@ class TestClassArithmetic:
         assert c.is_exact
         f = PicardManinClass(1.0, {0: 0.5})
         assert not f.is_exact
+
+    def test_point_ids_are_integers(self):
+        # int() used to read point 1.7 as point 1
+        for bad in (1.7, Q(3, 2), True, "1"):
+            message = re.escape(f"point id must be an integer, got {bad!r}")
+            with pytest.raises(TypeError, match=f"^{message}$"):
+                PicardManinClass(1, {bad: 1})
+            with pytest.raises(TypeError, match=f"^{message}$"):
+                CONIC.mult(bad)
+        with pytest.raises(TypeError):
+            PicardManinClass(1, {1.5: 0})  # checked even when the entry is dropped
 
     def test_ops(self):
         a = small_class(1, 1)
