@@ -1,0 +1,16 @@
+"""Integer arguments read exactly; a leaf module, so every layer can import it."""
+
+from __future__ import annotations
+
+import operator
+
+
+def exact_int(value, what: str) -> int:
+    """``value`` as an int, refusing anything int() would round or misread:
+    1.5 and Fraction(3, 2) are not integers, and True is not point 1."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{what} must be an integer, got {value!r}")

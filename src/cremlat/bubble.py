@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
 
+from ._exact import exact_int
 from .errors import UnknownPoint
 
 PointId = int
@@ -37,10 +38,10 @@ class Configuration:
                 pid, parent = entry
             else:
                 pid, parent = entry, None
-            pid = int(pid)
+            pid = exact_int(pid, "point id")
             if pid in parents:
                 raise ValueError(f"duplicate point id {pid}")
-            parents[pid] = None if parent is None else int(parent)
+            parents[pid] = None if parent is None else exact_int(parent, f"parent of point {pid}")
         for pid, parent in parents.items():
             if parent is not None and parent not in parents:
                 raise UnknownPoint(f"parent {parent} of point {pid} not in configuration")
@@ -62,7 +63,7 @@ class Configuration:
         def freeze(sets: Iterable[Iterable[PointId]], minimum: int, kind: str):
             out = []
             for raw in sets:
-                s = frozenset(int(p) for p in raw)
+                s = frozenset(exact_int(p, f"{kind} point id") for p in raw)
                 if len(s) < minimum:
                     raise ValueError(f"{kind} set needs at least {minimum} points, got {sorted(s)}")
                 missing = [p for p in s if p not in parents]
@@ -159,7 +160,7 @@ def almost_general_position(S: Iterable[PointId], config: Configuration) -> bool
       (c) no seven members share a declared conic set;
       (d) no two members are adherent to a third member.
     """
-    points = frozenset(int(p) for p in S)
+    points = frozenset(exact_int(p, "point id") for p in S)
     for p in points:
         config.require(p)
     for p in points:

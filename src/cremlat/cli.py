@@ -9,6 +9,14 @@ certificate, mismatch, non-membership).
 
 from __future__ import annotations
 
+import os
+
+# Before anything imports numpy: the package does no BLAS work (only integer
+# elementwise ops and reductions), so an OpenBLAS worker thread would only
+# cost start-up time.  A value the user has set still wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
 import argparse
 import json
 import sys

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
+from ._exact import exact_int
 from .bubble import PointId
 from .errors import (
     BasePointCollision,
@@ -27,7 +28,7 @@ from .errors import (
     MissingResolutionData,
     UnsupportedClassSupport,
 )
-from .lattice import PicardManinClass, exact_int
+from .lattice import PicardManinClass
 
 Q = Fraction
 Weighted = Tuple[PointId, int]
@@ -316,7 +317,7 @@ def jonquieres_characteristic(
     resolution matrix pairs small points one to one: a[0][0] = d - 2,
     first row and column 1 elsewhere, identity on the small block.
     """
-    k = int(degree)
+    k = exact_int(degree, "degree")
     if k < 2:
         raise ValueError("pencil-preserving characteristics start at degree 2")
     count = 2 * k - 1
@@ -324,8 +325,8 @@ def jonquieres_characteristic(
         base_ids = tuple(range(count))
     if inverse_ids is None:
         inverse_ids = tuple(range(count, 2 * count))
-    base_ids = tuple(int(p) for p in base_ids)
-    inverse_ids = tuple(int(q) for q in inverse_ids)
+    base_ids = tuple(exact_int(p, "base point id") for p in base_ids)
+    inverse_ids = tuple(exact_int(q, "inverse point id") for q in inverse_ids)
     if len(set(base_ids)) != count or len(set(inverse_ids)) != count:
         raise ValueError(f"degree {k} needs {count} distinct ids per side")
     matrix = [[Q(0)] * count for _ in range(count)]

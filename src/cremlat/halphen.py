@@ -16,6 +16,7 @@ negated e-coefficients; multiplicities() exposes that reading.
 
 from __future__ import annotations
 
+import operator
 from typing import Sequence, Tuple, Union
 
 from .cremona import Characteristic
@@ -161,7 +162,7 @@ def twist_characteristic(n: int, m: int) -> Characteristic:
     class, base multiplicities from the backward translate; both sides use
     the marked point ids 0..8, dropping zero entries.
     """
-    n, m = int(n), int(m)
+    n, m = operator.index(n), operator.index(m)  # refuses 1.5; cheap enough for the twist tables
     if n == 0 and m == 0:
         raise IdentityTwist("the (0, 0) twist is the identity")
     a = n * generator_a1().vector + m * generator_a2().vector

@@ -4,12 +4,10 @@ Three instruments:
 
 * four_point_delta: the exact four-point constant of a FiniteMetric,
   computed over every quadruple of the integers the metric stores (its
-  distances times their common denominator).  The compiled quadruple
-  kernel runs when the extension is importable and the values fit 64 bits;
-  otherwise _delta_py scans doubled Gromov products from each basepoint
-  with numpy.  Both are exact and the result comes back as a Fraction.
-  Trees give 0; an N x N grid gives at least N - 1, which is the finite
-  shadow of a quasi-flat.
+  distances times their common denominator).  _delta_py scans doubled
+  Gromov products from each basepoint with numpy; the scan is exact and
+  the result comes back as a Fraction.  Trees give 0; an N x N grid
+  gives at least N - 1, which is the finite shadow of a quasi-flat.
 
 * bowditch_check: a thin-triangles criterion over an explicit family of
   connected subgraphs Gamma(x, y), one per vertex pair.
@@ -32,19 +30,14 @@ from ._delta_py import _INT64_SAFE
 from .halphen import twist_characteristic
 from .length import greedy_length, length_lower_deg
 
-try:  # compiled kernel, built by setup.py when Cython and a C compiler exist
-    from . import _delta_cy
-
-    COMPILED_DELTA = True
-except ImportError:  # pragma: no cover - depends on build environment
-    _delta_cy = None
-    COMPILED_DELTA = False
-
 Q = Fraction
+
+# this and delta_backend() are read by perfbench/; a benchmark-definition change retires them
+COMPILED_DELTA = False
 
 
 def delta_backend() -> str:
-    return "compiled" if COMPILED_DELTA else "pure-python"
+    return "pure-python"
 
 
 # ---------------------------------------------------------------------------
@@ -249,15 +242,7 @@ def four_point_delta(metric: FiniteMetric) -> Q:
     S1 >= S2 >= S3 are the three pair-sums of the quadruple.  0 on any
     tree metric; positive curvature-scale defects otherwise.
     """
-    ints = metric._ints
-    if COMPILED_DELTA and metric.size >= 4 and max(map(max, ints)) < _INT64_SAFE // 2:
-        # deferred, as in _check_triangle: only the compiled kernel needs an array
-        import numpy as np
-
-        defect = int(_delta_cy.max_defect(np.array(ints, dtype=np.int64)))
-    else:
-        defect = _delta_py.max_defect(ints)
-    return Q(defect, 2 * metric._scale)
+    return Q(_delta_py.max_defect(metric._ints), 2 * metric._scale)
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,11 @@ evaluation produce floats.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
 
+from ._exact import exact_int
 from .bubble import Configuration, PointId
 from .errors import (
     DegenerateSegment,
@@ -28,17 +28,6 @@ from .errors import (
 
 Q = Fraction
 Scalar = Union[int, Fraction, float]
-
-
-def exact_int(value, what: str) -> int:
-    """``value`` as an int, refusing anything int() would round or misread:
-    1.5 and Fraction(3, 2) are not integers, and True is not point 1."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise TypeError(f"{what} must be an integer, got {value!r}")
 
 
 def _coerce(value: Scalar) -> Scalar:

@@ -203,7 +203,10 @@ def runconfig_from_record(record: dict) -> RunConfig:
 
 def load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
-        record = json.load(handle)
+        try:
+            record = json.load(handle)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
     if not isinstance(record, dict):
         raise ValueError(f"{path}: top level must be a JSON object, found {type(record).__name__}")
     return record

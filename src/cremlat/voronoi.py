@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence, Tuple
 
+from ._exact import exact_int
 from .bubble import Configuration, PointId, almost_general_position
 from .cremona import Characteristic, is_jonquieres, require_valid
 from .errors import IndexOutOfRange, NotOnHyperboloid, UnknownPoint, WrongArity
@@ -105,7 +106,7 @@ def boundary_class(points: Sequence[PointId]) -> PicardManinClass:
     nine-point cell shares with its quasi-adjacent neighbors, and the
     twist translations fix it.
     """
-    ids = tuple(int(p) for p in points)
+    ids = tuple(exact_int(p, "point id") for p in points)
     if len(ids) != 9 or len(set(ids)) != 9:
         raise WrongArity(f"need exactly 9 distinct points, got {points!r}")
     result = 3 * line()

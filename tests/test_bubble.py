@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -67,6 +69,21 @@ class TestConfiguration:
         with pytest.raises(ValueError):
             Configuration([0, (1, 0), 2], collinear=[(0, 1, 2)])
 
+    @pytest.mark.parametrize(
+        "points, sets, message",
+        [
+            ([1.5], {}, "point id must be an integer, got 1.5"),
+            ([(2, True)], {}, "parent of point 2 must be an integer, got True"),
+            ([0, (2, 0.0)], {}, "parent of point 2 must be an integer, got 0.0"),
+            (range(3), {"collinear": [(0, 1, 2.0)]}, "collinear point id must be an integer, got 2.0"),
+            (range(6), {"conics": [(0, 1, 2, 3, 4, "5")]}, "conic point id must be an integer, got '5'"),
+        ],
+    )
+    def test_non_integers_are_refused(self, points, sets, message):
+        # int() used to read point 1.5 as point 1 and parent True as point 1
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            Configuration(points, **sets)
+
 
 class TestAdherent:
     def test_proper_pair(self):
@@ -120,6 +137,11 @@ class TestAlmostGeneralPosition:
         cfg = Configuration.generic(range(3))
         with pytest.raises(UnknownPoint):
             almost_general_position([0, 9], cfg)
+
+    def test_non_integer_member(self):
+        # int() used to read 1.5 as point 1
+        with pytest.raises(TypeError, match="^point id must be an integer, got 1.5$"):
+            almost_general_position([0, 1.5], Configuration.generic(range(3)))
 
     @given(st.sets(st.integers(0, 19), max_size=12))
     def test_any_subset_of_generic_points_qualifies(self, points):

@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -237,6 +238,14 @@ class TestLength:
         code, _, _ = run(capsys, ["length", str(path)])
         assert code == 1
 
+    def test_deep_nesting(self, capsys, tmp_path):
+        # json.load used to escape as a RecursionError traceback
+        path = tmp_path / "deep.json"
+        path.write_text('{"degree": ' + "[" * 100_000, encoding="utf-8")
+        code, out, err = run(capsys, ["length", str(path)])
+        assert code == 1 and out == ""
+        assert err == f"length: bad input: {path}: JSON nested too deeply\n"
+
 
 class TestClassify:
     def test_two_maps(self, capsys, tmp_path):
@@ -377,6 +386,41 @@ def test_numpy_loads_only_for_metrics(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False False True\n"
+
+
+# runs `python -m cremlat ARGS`, then reports what the child saw on stderr
+BLAS_PROBE = (
+    "import json, os, runpy, sys\n"
+    "try:\n"
+    "    runpy.run_module('cremlat', run_name='__main__', alter_sys=True)\n"
+    "finally:\n"
+    "    tasks = '/proc/self/task'\n"
+    "    json.dump({'numpy': 'numpy' in sys.modules,\n"
+    "               'env': [os.environ.get(k) for k in ('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS')],\n"
+    "               'threads': len(os.listdir(tasks)) if os.path.isdir(tasks) else None}, sys.stderr)\n"
+)
+
+
+def test_blas_starts_single_threaded(tmp_path):
+    # the package does no BLAS work, so numpy's worker threads only cost start-up
+    metric = tmp_path / "three.csv"
+    metric.write_text("a,b,c\n0,1,2\n1,0,1\n2,1,0\n", encoding="utf-8")
+    base = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    seen = []
+    for preset in ({}, {"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": "2"}):
+        proc = subprocess.run(
+            [sys.executable, "-c", BLAS_PROBE, "delta", str(metric)],
+            capture_output=True, text=True, env={**base, **preset},
+        )
+        assert proc.returncode == 0, proc.stderr
+        seen.append((proc.stdout, json.loads(proc.stderr)))
+    (unset_out, unset), (preset_out, preset) = seen
+    assert unset_out == preset_out == "points,delta,delta_real\n3,0/1,0\n"
+    assert unset["numpy"]
+    assert unset["env"] == ["1", "1"]  # defaults when the user set nothing
+    assert preset["env"] == ["3", "2"]  # a user's own setting wins
+    if unset["threads"] is not None:  # /proc is Linux-only
+        assert unset["threads"] == 1
 
 
 class TestOutFlag:

@@ -120,6 +120,19 @@ class TestJonquieres:
         with pytest.raises(InvalidCharacteristic):
             is_jonquieres(char(3, (1, 1)))
 
+    @pytest.mark.parametrize(
+        "degree, ids, message",
+        [
+            (2.7, {}, "degree must be an integer, got 2.7"),
+            (2, {"base_ids": [0, 1, 2.5]}, "base point id must be an integer, got 2.5"),
+            (2, {"inverse_ids": [True, 4, 5]}, "inverse point id must be an integer, got True"),
+        ],
+    )
+    def test_jonquieres_refuses_non_integers(self, degree, ids, message):
+        # int() used to read degree 2.7 as 2 and point 2.5 as point 2
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            jonquieres_characteristic(degree, **ids)
+
     def test_md(self):
         assert md(char(2, (1, 1, 1))) == 1
         assert md(char(3, (2, 1, 1, 1, 1))) == 2

@@ -139,6 +139,12 @@ class TestTwists:
         with pytest.raises(IdentityTwist):
             twist_characteristic(0, 0)
 
+    def test_non_integers_are_refused(self):
+        # int() used to read (1.5, 0) as the (1, 0) twist
+        for n, m in ((1.5, 0), (0, 2.0)):
+            with pytest.raises(TypeError):
+                twist_characteristic(n, m)
+
     def test_characteristic_1_0(self):
         c = twist_characteristic(1, 0)
         assert c.degree == 10

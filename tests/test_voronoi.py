@@ -164,6 +164,11 @@ class TestBoundaryClass:
         with pytest.raises(WrongArity):
             boundary_class([0, 0, 1, 2, 3, 4, 5, 6, 7])
 
+    def test_non_integer_ids(self):
+        # int() used to read 8.5 as point 8
+        with pytest.raises(TypeError, match="^point id must be an integer, got 8.5$"):
+            boundary_class([0, 1, 2, 3, 4, 5, 6, 7, 8.5])
+
     def test_pairings(self):
         s = boundary_class(range(9))
         assert self_intersection(s) == 0
