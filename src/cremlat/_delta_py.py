@@ -11,13 +11,10 @@ is the pair-sum d(x, y) + d(z, w) minus the larger of the other two, so the
 maximum over the three choices of {x, y} among {x, y, z} is the quadruple's
 largest pair-sum minus its second largest.  int64 arithmetic while every
 value fits, Python ints (object dtype) past that, so the answer is exact.
-Entries too large for int64 are first divided by their gcd; the defect is
-linear in the metric, so multiplying it back is exact.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 # pair-sums of two scaled entries must fit a signed 64-bit value
@@ -42,11 +39,6 @@ def max_defect(d: Sequence[Sequence[int]]) -> int:
     import numpy as np  # deferred like hypgraph's: only metrics need it
 
     peak = int(max(map(max, d)))  # an int64 array's max could wrap when doubled
-    g = 1
-    if 2 * peak >= _INT64_SAFE:
-        g = math.gcd(*(x for row in d for x in row))
-        d = [[x // g for x in row] for row in d]
-        peak //= g
     # Gromov products and their differences stay within [-2 peak, 2 peak]
     arr = np.array(d, dtype=np.int64 if 2 * peak < _INT64_SAFE else object)
     best = 0
@@ -63,4 +55,4 @@ def max_defect(d: Sequence[Sequence[int]]) -> int:
             top = (pairs - rows[:, lo:]).max()
             if top > best:
                 best = top
-    return int(best) * g
+    return int(best)

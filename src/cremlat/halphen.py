@@ -16,9 +16,9 @@ negated e-coefficients; multiplicities() exposes that reading.
 
 from __future__ import annotations
 
-import operator
 from typing import Sequence, Tuple, Union
 
+from ._exact import exact_int
 from .cremona import Characteristic
 from .errors import IdentityTwist, NotInKPerp, UnevenSelfPairing
 
@@ -162,7 +162,7 @@ def twist_characteristic(n: int, m: int) -> Characteristic:
     class, base multiplicities from the backward translate; both sides use
     the marked point ids 0..8, dropping zero entries.
     """
-    n, m = operator.index(n), operator.index(m)  # refuses 1.5; cheap enough for the twist tables
+    n, m = exact_int(n, "n"), exact_int(m, "m")  # refuses 1.5 and True
     if n == 0 and m == 0:
         raise IdentityTwist("the (0, 0) twist is the identity")
     a = n * generator_a1().vector + m * generator_a2().vector

@@ -140,8 +140,8 @@ class TestTwists:
             twist_characteristic(0, 0)
 
     def test_non_integers_are_refused(self):
-        # int() used to read (1.5, 0) as the (1, 0) twist
-        for n, m in ((1.5, 0), (0, 2.0)):
+        # int() used to read (1.5, 0) as the (1, 0) twist, and True is not 1
+        for n, m in ((1.5, 0), (0, 2.0), (True, 0)):
             with pytest.raises(TypeError):
                 twist_characteristic(n, m)
 
