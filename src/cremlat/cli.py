@@ -18,7 +18,6 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 from typing import List, Optional, Sequence
@@ -26,7 +25,7 @@ from typing import List, Optional, Sequence
 from .bubble import Configuration
 from .errors import CremlatError
 from .halphen import twist_degree
-from .hypgraph import flat_certificate, flat_growth, four_point_delta
+from .hypgraph import flat_growth, four_point_delta
 from .lattice import in_E
 from .length import greedy_length
 from .serialize import (
@@ -112,7 +111,7 @@ def cmd_halphen_table(args) -> int:
 
 def cmd_flat_growth(args) -> int:
     table = flat_growth(args.kmax)
-    certificate = flat_certificate(args.kmax)
+    certificate = table.certificate
     body = csv_text(
         ["m", "n", "degree", "lower", "upper"],
         [[r.m, r.n, r.degree, _cell(r.lower), r.upper] for r in table.rows],
@@ -267,7 +266,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CremlatError as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return EXIT_MATH
-    except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
         print(f"{args.command}: bad input: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

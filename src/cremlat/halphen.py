@@ -31,7 +31,8 @@ class HalphenVector:
     __slots__ = ("_coords",)
 
     def __init__(self, coords: Sequence[int]) -> None:
-        coords = tuple(int(x) for x in coords)
+        # plain ints skip the call: arithmetic on vectors yields them on the hot path
+        coords = tuple(x if type(x) is int else exact_int(x, "coordinate") for x in coords)
         if len(coords) != RANK:
             raise ValueError(f"need {RANK} coordinates, got {len(coords)}")
         self._coords = coords
@@ -88,6 +89,7 @@ def line_vector() -> HalphenVector:
 
 def point_vector(i: int) -> HalphenVector:
     """The exceptional basis vector e_i, 0 <= i <= 8."""
+    i = exact_int(i, "point index")
     if not 0 <= i <= 8:
         raise ValueError("point index must be in 0..8")
     coords = [0] * RANK
@@ -146,13 +148,18 @@ def translate(a: Union[TwistParam, HalphenVector], d: HalphenVector) -> HalphenV
     return d - kd * vec + coefficient * k
 
 
+def _twist_vector(n: int, m: int) -> HalphenVector:
+    """n a_1 + m a_2, the translation parameter of the (n, m) twist."""
+    n, m = exact_int(n, "n"), exact_int(m, "m")  # refuses 1.5 and True
+    return n * generator_a1().vector + m * generator_a2().vector
+
+
 def twist_degree(n: int, m: int) -> int:
     """Degree of the (n, m) twist, computed in the lattice.
 
     Equals 9(n^2 + m^2 + nm) + 1; tests compare against that closed form.
     """
-    a = n * generator_a1().vector + m * generator_a2().vector
-    return translate(TwistParam(a), line_vector()).pair(line_vector())
+    return translate(_twist_vector(n, m), line_vector()).pair(line_vector())
 
 
 def twist_characteristic(n: int, m: int) -> Characteristic:
@@ -162,12 +169,11 @@ def twist_characteristic(n: int, m: int) -> Characteristic:
     class, base multiplicities from the backward translate; both sides use
     the marked point ids 0..8, dropping zero entries.
     """
-    n, m = exact_int(n, "n"), exact_int(m, "m")  # refuses 1.5 and True
-    if n == 0 and m == 0:
+    a = _twist_vector(n, m)
+    if not any(a.coords):
         raise IdentityTwist("the (0, 0) twist is the identity")
-    a = n * generator_a1().vector + m * generator_a2().vector
-    forward = translate(TwistParam(a), line_vector())
-    backward = translate(TwistParam(-a), line_vector())
+    forward = translate(a, line_vector())
+    backward = translate(-a, line_vector())
     base = [(i, mult) for i, mult in enumerate(backward.multiplicities()) if mult != 0]
     inverse = [(i, mult) for i, mult in enumerate(forward.multiplicities()) if mult != 0]
     return Characteristic(forward.degree, base=base, inverse_base=inverse)

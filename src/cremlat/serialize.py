@@ -10,6 +10,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
@@ -21,6 +23,9 @@ from .lattice import PicardManinClass
 from .voronoi import GermSet
 
 Q = Fraction
+
+# the exponent of a numeral such as "1.5e-3", as Fraction reads it
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 
 def rational_to_str(value) -> str:
@@ -34,6 +39,13 @@ def rational_from(value) -> Q:
     if isinstance(value, int):
         return Q(value)
     if isinstance(value, str):
+        # 1e999999999 would build a ~400 MB integer: bound exponents like int() bounds digits
+        exponent = _EXPONENT.search(value)
+        limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+        if exponent and (len(exponent[1]) > limit or abs(int(exponent[1])) > limit):
+            raise ValueError(
+                f"exponent out of range in {value!r}: its magnitude must be at most {limit}"
+            )
         try:
             return Q(value)
         except ZeroDivisionError:

@@ -189,6 +189,17 @@ class TestDelta:
         assert code == 1 and out == ""
         assert err == "delta: bad input: zero denominator: '1/0'\n"
 
+    def test_exponent_out_of_range(self, capsys, tmp_path):
+        # 1e-5000 used to be read in full and the job exited 0
+        metric = tmp_path / "tiny.csv"
+        metric.write_text("a,b\n0,1e-5000\n1e-5000,0\n", encoding="utf-8")
+        code, out, err = run(capsys, ["delta", str(metric)])
+        assert code == 1 and out == ""
+        assert err == (
+            "delta: bad input: exponent out of range in '1e-5000': "
+            f"its magnitude must be at most {sys.get_int_max_str_digits()}\n"
+        )
+
 
 class TestLength:
     def test_two_step_tower(self, capsys, tmp_path):
@@ -353,6 +364,13 @@ MALFORMED_RECORDS = {
                     "points must be a JSON list, found int"),
     "base-list": (["length"], {"degree": 1, "base": {"point": 0, "mult": 1}},
                   "base must be a JSON list, found dict"),
+    # 1e5000 used to run the whole check and fail only when its degree was printed
+    "exponent": (["in-e"], {"degree": "1e5000", "mults": []},
+                 "exponent out of range in '1e5000': its magnitude must be at most "
+                 f"{sys.get_int_max_str_digits()}"),
+    "exponent-mult": (["in-e"], {"degree": "1", "mults": [{"point": 1, "mult": "-3.25E+4400"}]},
+                      "exponent out of range in '-3.25E+4400': its magnitude must be at most "
+                      f"{sys.get_int_max_str_digits()}"),
 }
 
 

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -45,6 +47,14 @@ class TestVectors:
         assert v.coords == tuple(range(10))
         assert v.degree == 0
         assert v.multiplicities() == tuple(-i for i in range(1, 10))
+
+    def test_non_integers_are_refused(self):
+        # int() used to read 1.5 as 1 and Fraction(7, 2) as 3, and True as e_1
+        for bad in (1.5, Fraction(7, 2), True):
+            with pytest.raises(TypeError):
+                HalphenVector((bad,) + (0,) * 9)
+            with pytest.raises(TypeError):
+                point_vector(bad)
 
     def test_basis_pairings(self):
         l = line_vector()
@@ -141,9 +151,11 @@ class TestTwists:
 
     def test_non_integers_are_refused(self):
         # int() used to read (1.5, 0) as the (1, 0) twist, and True is not 1
-        for n, m in ((1.5, 0), (0, 2.0), (True, 0)):
+        for n, m in ((1.5, 0), (0, 2.0), (True, 0), (0, False)):
             with pytest.raises(TypeError):
                 twist_characteristic(n, m)
+            with pytest.raises(TypeError):  # twist_degree(True, 0) used to be 10
+                twist_degree(n, m)
 
     def test_characteristic_1_0(self):
         c = twist_characteristic(1, 0)

@@ -5,7 +5,9 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from cremlat import cli, hypgraph
 from cremlat.errors import MalformedFamily
+from cremlat.halphen import twist_characteristic
 from cremlat.hypgraph import (
     FiniteMetric,
     FlatRow,
@@ -367,6 +369,28 @@ class TestFlatGrowth:
             flat_growth(0)
         with pytest.raises(ValueError):
             flat_certificate(0)
+
+    def test_cli_builds_each_twist_once(self, monkeypatch, capsys):
+        # the table certifies itself: no second sweep through flat_certificate
+        calls = []
+
+        def counted(n, m):
+            calls.append((n, m))
+            return twist_characteristic(n, m)
+
+        def refused(k_max):
+            raise AssertionError("flat-growth must not call flat_certificate")
+
+        monkeypatch.setattr(hypgraph, "twist_characteristic", counted)
+        monkeypatch.setattr(hypgraph, "flat_certificate", refused)
+        monkeypatch.setattr(cli, "flat_certificate", refused, raising=False)  # a re-import
+        assert cli.main(["flat-growth", "--kmax", "5"]) == 0
+        assert capsys.readouterr().out.endswith("# certificate: PASS\n")
+        assert len(calls) == 2 * 5 * 6 == len(set(calls))
+
+    @pytest.mark.parametrize("k_max", range(1, 13))
+    def test_table_certificate_matches_flat_certificate(self, k_max):
+        assert flat_growth(k_max).certificate == flat_certificate(k_max)
 
     def test_certificate(self):
         cert = flat_certificate(10)

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from fractions import Fraction as Q
 
 import pytest
@@ -40,6 +41,16 @@ class TestScalars:
         assert rational_from(5) == Q(5)
         for bad in (True, False, 1.5, None, [1]):
             with pytest.raises(ValueError):
+                rational_from(bad)
+
+    def test_rational_exponent_bound(self):
+        limit = sys.get_int_max_str_digits()
+        assert rational_from("1.5e-3") == Q(3, 2000)
+        assert rational_from(f"1e{limit}") == 10**limit
+        assert rational_from(f"1E-{limit}") == Q(1, 10**limit)
+        # without the bound, 1e999999999 builds a ~400 MB integer
+        for bad in (f"1e{limit + 1}", f"-2.5e-{limit + 1}", " 1e5_000 ", "1e" + "9" * (limit + 1)):
+            with pytest.raises(ValueError, match="exponent out of range"):
                 rational_from(bad)
 
     def test_real_to_str(self):
