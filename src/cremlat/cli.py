@@ -3,8 +3,9 @@
 Six subcommands wrap the library: halphen-table, flat-growth, delta,
 length, classify, in-e.  Tabular output is CSV with a header row; given
 identical inputs the bytes are identical.  Exit codes: 0 success, 1 input
-or usage error, 2 mathematical failure (failed validation, failed
-certificate, mismatch, non-membership).
+or usage error (including a point id the input uses but never declares),
+2 mathematical failure (failed validation, failed certificate, mismatch,
+non-membership).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from .bubble import Configuration
-from .errors import CremlatError
+from .errors import CremlatError, UnknownPoint
 from .halphen import twist_degree
 from .hypgraph import flat_growth, four_point_delta
 from .lattice import in_E
@@ -263,12 +264,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
+    # JSONDecodeError is a ValueError; an undeclared point id is a fault of the files
+    except (UnknownPoint, OSError, ValueError, KeyError, TypeError) as exc:
+        print(f"{args.command}: bad input: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     except CremlatError as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return EXIT_MATH
-    except (OSError, ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
-        print(f"{args.command}: bad input: {exc}", file=sys.stderr)
-        return EXIT_INPUT
 
 
 if __name__ == "__main__":

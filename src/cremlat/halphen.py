@@ -16,6 +16,7 @@ negated e-coefficients; multiplicities() exposes that reading.
 
 from __future__ import annotations
 
+import operator
 from typing import Sequence, Tuple, Union
 
 from ._exact import exact_int
@@ -31,11 +32,18 @@ class HalphenVector:
     __slots__ = ("_coords",)
 
     def __init__(self, coords: Sequence[int]) -> None:
-        # plain ints skip the call: arithmetic on vectors yields them on the hot path
         coords = tuple(x if type(x) is int else exact_int(x, "coordinate") for x in coords)
         if len(coords) != RANK:
             raise ValueError(f"need {RANK} coordinates, got {len(coords)}")
         self._coords = coords
+
+    @classmethod
+    def _of(cls, coords: Tuple[int, ...]) -> "HalphenVector":
+        """Wrap RANK plain ints without checks: only for results of arithmetic
+        on vectors, whose coordinates are plain ints already."""
+        vector = object.__new__(cls)
+        vector._coords = coords
+        return vector
 
     @property
     def coords(self) -> Tuple[int, ...]:
@@ -51,25 +59,28 @@ class HalphenVector:
 
     def pair(self, other: "HalphenVector") -> int:
         a, b = self._coords, other._coords
-        return a[0] * b[0] - sum(a[i] * b[i] for i in range(1, RANK))
+        # n*n' - sum(c_i * c'_i), with the l term counted twice in the full sum
+        return 2 * a[0] * b[0] - sum(map(operator.mul, a, b))
 
     def __add__(self, other: "HalphenVector") -> "HalphenVector":
         if not isinstance(other, HalphenVector):
             return NotImplemented
-        return HalphenVector(tuple(x + y for x, y in zip(self._coords, other._coords)))
+        return HalphenVector._of(tuple(map(operator.add, self._coords, other._coords)))
 
     def __sub__(self, other: "HalphenVector") -> "HalphenVector":
         if not isinstance(other, HalphenVector):
             return NotImplemented
-        return HalphenVector(tuple(x - y for x, y in zip(self._coords, other._coords)))
+        return HalphenVector._of(tuple(map(operator.sub, self._coords, other._coords)))
 
     def __rmul__(self, scalar: int) -> "HalphenVector":
-        if not isinstance(scalar, int):
-            return NotImplemented
-        return HalphenVector(tuple(scalar * x for x in self._coords))
+        if type(scalar) is not int:
+            if isinstance(scalar, bool) or not isinstance(scalar, int):
+                return NotImplemented  # True is not 1
+            scalar = operator.index(scalar)  # a plain int, whatever the subclass's *
+        return HalphenVector._of(tuple(scalar * x for x in self._coords))
 
     def __neg__(self) -> "HalphenVector":
-        return -1 * self
+        return HalphenVector._of(tuple(map(operator.neg, self._coords)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HalphenVector):
@@ -83,8 +94,12 @@ class HalphenVector:
         return f"HalphenVector{self._coords}"
 
 
+_LINE = HalphenVector((1,) + (0,) * 9)
+_K = HalphenVector((-3,) + (1,) * 9)
+
+
 def line_vector() -> HalphenVector:
-    return HalphenVector((1,) + (0,) * 9)
+    return _LINE
 
 
 def point_vector(i: int) -> HalphenVector:
@@ -99,7 +114,7 @@ def point_vector(i: int) -> HalphenVector:
 
 def canonical() -> HalphenVector:
     """K = -3l + e_0 + ... + e_8; self-pairing 0."""
-    return HalphenVector((-3,) + (1,) * 9)
+    return _K
 
 
 class TwistParam:
@@ -108,9 +123,8 @@ class TwistParam:
     __slots__ = ("_vector",)
 
     def __init__(self, vector: HalphenVector) -> None:
-        k = canonical()
-        if vector.pair(k) != 0:
-            raise NotInKPerp(f"{vector} pairs to {vector.pair(k)} with the canonical vector")
+        if vector.pair(_K) != 0:
+            raise NotInKPerp(f"{vector} pairs to {vector.pair(_K)} with the canonical vector")
         if vector.pair(vector) % 2 != 0:
             raise UnevenSelfPairing(f"{vector} has odd self-pairing {vector.pair(vector)}")
         self._vector = vector
@@ -123,14 +137,18 @@ class TwistParam:
         return f"TwistParam{self._vector.coords}"
 
 
+_A1 = TwistParam(point_vector(1) - point_vector(0))
+_A2 = TwistParam(point_vector(2) - point_vector(0))
+
+
 def generator_a1() -> TwistParam:
     """e_1 - e_0, the first of the two commuting twist directions."""
-    return TwistParam(point_vector(1) - point_vector(0))
+    return _A1
 
 
 def generator_a2() -> TwistParam:
     """e_2 - e_0, the second twist direction."""
-    return TwistParam(point_vector(2) - point_vector(0))
+    return _A2
 
 
 def translate(a: Union[TwistParam, HalphenVector], d: HalphenVector) -> HalphenVector:
@@ -142,16 +160,17 @@ def translate(a: Union[TwistParam, HalphenVector], d: HalphenVector) -> HalphenV
     if not isinstance(a, TwistParam):
         a = TwistParam(a)
     vec = a.vector
-    k = canonical()
-    kd = k.pair(d)
+    kd = _K.pair(d)
     coefficient = vec.pair(d) - (kd * vec.pair(vec)) // 2
-    return d - kd * vec + coefficient * k
+    return HalphenVector._of(
+        tuple(x - kd * y + coefficient * k for x, y, k in zip(d._coords, vec._coords, _K._coords))
+    )
 
 
 def _twist_vector(n: int, m: int) -> HalphenVector:
     """n a_1 + m a_2, the translation parameter of the (n, m) twist."""
     n, m = exact_int(n, "n"), exact_int(m, "m")  # refuses 1.5 and True
-    return n * generator_a1().vector + m * generator_a2().vector
+    return n * _A1.vector + m * _A2.vector
 
 
 def twist_degree(n: int, m: int) -> int:
@@ -159,7 +178,7 @@ def twist_degree(n: int, m: int) -> int:
 
     Equals 9(n^2 + m^2 + nm) + 1; tests compare against that closed form.
     """
-    return translate(_twist_vector(n, m), line_vector()).pair(line_vector())
+    return translate(_twist_vector(n, m), _LINE).pair(_LINE)
 
 
 def twist_characteristic(n: int, m: int) -> Characteristic:
@@ -172,8 +191,8 @@ def twist_characteristic(n: int, m: int) -> Characteristic:
     a = _twist_vector(n, m)
     if not any(a.coords):
         raise IdentityTwist("the (0, 0) twist is the identity")
-    forward = translate(a, line_vector())
-    backward = translate(-a, line_vector())
+    forward = translate(a, _LINE)
+    backward = translate(-a, _LINE)
     base = [(i, mult) for i, mult in enumerate(backward.multiplicities()) if mult != 0]
     inverse = [(i, mult) for i, mult in enumerate(forward.multiplicities()) if mult != 0]
     return Characteristic(forward.degree, base=base, inverse_base=inverse)

@@ -54,8 +54,10 @@ def length_lower_md(char: Characteristic) -> int:
     A product of L pencil-preserving maps carries at most 2^(L+1) - 2
     distinct base multiplicities, so L factors are forced.
     """
-    require_valid(char)
-    count = md(char)
+    return _md_bound(md(char))  # md validates char
+
+
+def _md_bound(count: int) -> int:
     return (count + 1).bit_length() - 1
 
 
@@ -70,12 +72,14 @@ def length_lower_deg(char: Characteristic) -> int:
         raise TooManyBasePoints(
             f"degree bound needs <= 9 base points, got {len(char.base)}"
         )
-    d = char.degree
+    return _deg_bound(char.degree)
+
+
+def _deg_bound(d: int) -> int:
     if d == 1:
         return 0
     target = -(-d // 5)  # ceil(d / 5)
-    root = math.isqrt(target - 1) + 1  # ceil of the square root
-    return root
+    return math.isqrt(target - 1) + 1  # ceil of the square root
 
 
 @dataclass(frozen=True)
@@ -107,20 +111,21 @@ def _greedy_step(d: int, mults: Sequence[int]) -> Tuple[int, int, Tuple[int, ...
     """
     if d < 2:
         raise NoDecrease("degree 1 has no predecessor")
-    center, rest = mults[0], mults[1:]
+    center = mults[0]
     best = None
+    smalls = 0  # sum of mults[1 : 2k - 1], the 2k - 2 small points
     for k in range(2, 2 + (len(mults) - 1) // 2):
-        new_degree = d * k - (k - 1) * center - sum(rest[: 2 * k - 2])
+        smalls += mults[2 * k - 3] + mults[2 * k - 2]
+        new_degree = d * k - (k - 1) * center - smalls
         if best is None or new_degree < best[1]:
-            best = (k, new_degree)
+            best = (k, new_degree, smalls)
     if best is None or best[1] >= d:
         raise NoDecrease(f"no factor drops the degree below {d}")
-    k, new_degree = best
-    smalls = rest[: 2 * k - 2]
+    k, new_degree, smalls = best
     leftover = (
-        (d * (k - 1) - (k - 2) * center - sum(smalls),)
-        + tuple(d - center - m for m in smalls)
-        + tuple(rest[2 * k - 2 :])
+        (d * (k - 1) - (k - 2) * center - smalls,)
+        + tuple(d - center - m for m in mults[1 : 2 * k - 1])
+        + tuple(mults[2 * k - 1 :])
     )
     violations = side_violations(new_degree, "base", [m for m in leftover if m])
     if violations:
@@ -154,10 +159,11 @@ def greedy_predecessor(char: Characteristic) -> GreedyStep:
 
 def greedy_length(char: Characteristic) -> LengthBounds:
     """Iterate the greedy step to degree 1 and package all three bounds."""
-    lower_md = length_lower_md(char)  # validates char
-    lower_deg = length_lower_deg(char) if len(char.base) <= 9 else None
-    steps: List[Tuple[int, int]] = []
+    require_valid(char)
     degree, mults = char.degree, char.base_multiplicities()
+    lower_md = _md_bound(len(set(mults)))
+    lower_deg = _deg_bound(degree) if len(mults) <= 9 else None
+    steps: List[Tuple[int, int]] = []
     while degree > 1:
         k, degree, leftover = _greedy_step(degree, mults)
         steps.append((k, degree))

@@ -47,10 +47,25 @@ def rational_from(value) -> Q:
                 f"exponent out of range in {value!r}: its magnitude must be at most {limit}"
             )
         try:
-            return Q(value)
+            q = Q(value)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator: {value!r}") from None
+        # 1e4300 is inside the exponent bound, but its 4301 digits could not be printed
+        if not (_printable(q.numerator, limit) and _printable(q.denominator, limit)):
+            raise ValueError(
+                f"too many digits in {value!r}: its numerator and denominator may have "
+                f"at most {limit} each"
+            )
+        return q
     raise ValueError(f"not a rational: {value!r}")
+
+
+def _printable(n: int, limit: int) -> bool:
+    """Whether n has at most ``limit`` decimal digits, i.e. |n| < 10**limit.
+
+    |n| < 2**bits <= 8**limit < 10**limit settles every ordinary n without
+    building 10**limit."""
+    return abs(n).bit_length() <= 3 * limit or abs(n) < 10**limit
 
 
 def integer_from(value, what: str) -> int:

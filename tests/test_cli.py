@@ -371,6 +371,10 @@ MALFORMED_RECORDS = {
     "exponent-mult": (["in-e"], {"degree": "1", "mults": [{"point": 1, "mult": "-3.25E+4400"}]},
                       "exponent out of range in '-3.25E+4400': its magnitude must be at most "
                       f"{sys.get_int_max_str_digits()}"),
+    # 1e4300 is inside the exponent bound and used to fail only when it was printed
+    "digits": (["in-e"], {"degree": "1e4300", "mults": []},
+               "too many digits in '1e4300': its numerator and denominator may have at most "
+               f"{sys.get_int_max_str_digits()} each"),
 }
 
 
@@ -379,6 +383,39 @@ def test_malformed_record_is_bad_input(capsys, tmp_path, case):
     prefix, payload, message = MALFORMED_RECORDS[case]
     cls = write_json(tmp_path, "conic.json", CONIC_CLASS)
     path = write_json(tmp_path, "record.json", payload)
+    code, out, err = run(capsys, [arg.format(cls=cls) for arg in prefix] + [path])
+    assert code == 1 and out == ""
+    assert err == f"{prefix[0]}: bad input: {message}\n"
+
+
+UNKNOWN_POINTS = {
+    # a point id used but never declared is an input error, not a failed check
+    "class-support": (["in-e", "{cls}", "--config"],
+                      {"configuration": {"points": [{"id": 1}, {"id": 2}]}},
+                      "class supported at 3, absent from configuration"),
+    "parent": (["in-e", "{cls}", "--config"],
+               {"configuration": {"points": [{"id": 1}, {"id": 2, "parent": 7}]}},
+               "parent 7 of point 2 not in configuration"),
+    "collinear-set": (["in-e", "{cls}", "--config"],
+                      {"configuration": {"points": [{"id": 1}, {"id": 2}],
+                                         "collinear": [[1, 2, 8]]}},
+                      "collinear set references unknown points [8]"),
+    "conic-set": (["in-e", "{cls}", "--config"],
+                  {"configuration": {"points": [{"id": p} for p in range(1, 6)],
+                                     "conics": [[1, 2, 3, 4, 5, 9]]}},
+                  "conic set references unknown points [9]"),
+    "classify-base": (["classify", "--config"],
+                      {"configuration": {"points": [{"id": p} for p in range(5)]},
+                       "characteristics": RUN_CONFIG["characteristics"][1:]},
+                      "point 5 not in configuration"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNKNOWN_POINTS))
+def test_unknown_point_is_bad_input(capsys, tmp_path, case):
+    prefix, payload, message = UNKNOWN_POINTS[case]
+    cls = write_json(tmp_path, "conic.json", CONIC_CLASS)
+    path = write_json(tmp_path, "run.json", payload)
     code, out, err = run(capsys, [arg.format(cls=cls) for arg in prefix] + [path])
     assert code == 1 and out == ""
     assert err == f"{prefix[0]}: bad input: {message}\n"

@@ -1,8 +1,9 @@
-"""Frozen CLI output of the commands that print greedy length bounds.
+"""Frozen CLI output of the commands that print lattice twists and length bounds.
 
 `flat-growth --kmax K` is pinned by the sha256 of its stdout for every K in
-1..20; `length` is pinned by its data row for quadratic towers 1..12 and for
-three lattice twists.  Any change to the greedy search, the lower bounds or
+1..20 and `halphen-table --nmax N` for every N in 1..32; `length` is pinned
+by its data row for quadratic towers 1..12 and for three lattice twists.
+Any change to the lattice arithmetic, the greedy search, the lower bounds or
 the table layout that alters a byte of output fails here.
 """
 
@@ -35,6 +36,41 @@ FLAT_GROWTH_SHA256 = {
     18: "b8277c21f22126490a46296c8d9fbf5c96ad6dc5dc7f8705bffec1c925d027aa",
     19: "1e17daa2f390af9718bad8c2c867d33ba303f635ea92fc3d0a6b41f202bd35a1",
     20: "b935d62b336237b5f07565681634b28355296f5f4b8066d1ec90b49136e8dcfd",
+}
+
+HALPHEN_TABLE_SHA256 = {
+    1: "3bde58a635cf9f99dcf1e27f52df597377d08b69dc0473949f1463c5832c4a77",
+    2: "20face3e0795b9eb567eea11587b841e3f4e011e5b4bdd80e11a0c096cb8ea49",
+    3: "4e05d17b814d05e6759aaeb43ffd6573d6e2c2056c9eccdef335f332f6b96051",
+    4: "639afe6d24ca6d23d93b6107f3e9ec46d95e82b983df165bfee03236bf8610df",
+    5: "090a0763b94bb6525e1f0f8313658889f4b9e5eb4f6aab1b34f238820d54b690",
+    6: "2b1b9c91ba58201246e2ded6b5e7213334e3952274ba0727f3a14a4b4c224840",
+    7: "d259e44724b16ebc09d47bfdbf83c86592f888be13d3a2dff43a9f6dff2c71b2",
+    8: "8a1f6207c5baf93ad44d79f637e3a4c6b15e9901aa45c69a79bf60598e2cd72b",
+    9: "9de14203f0d59cbd856e1179fcec7d7fda11bc2c2acb0140efa4b94690bc8aa8",
+    10: "b11ae1acd102a376a65af02f09d2552a4bdf4ebd0fb42163957283c59ca983ac",
+    11: "46c71661a709c184f7228748a105370c4e0b7ac4a1dd2883bb4c25cfe88a0460",
+    12: "e3cbac4a1c888fd6cd78560c8e34430eb7c2b7c90d8c9db77e35360ff9d91c66",
+    13: "aa6bd83e4e8a0b65b74de1c0852630754c4fbe0bddaf88d6642db309fdcb73fb",
+    14: "33e3efb586d85416bb27562a7f2d6f8894a5ecc9b625fa626c3f981437f0ddce",
+    15: "c60326bcfdb95bb0d67ef0614c1f34da2ab0603dd9797eb8acc1f9186d42795d",
+    16: "47438812184723e23ad9ff40d02c7ec26a111d115b62b92a1b7d5ac76fc44cec",
+    17: "3c3104b96646218e8978e064f1bc5fac40dcf24fab1a8ad3fb60320e561de036",
+    18: "304136d32ce2b05163c5fa96dcdba2e6e78340ac945641056efe83e33586e079",
+    19: "ea6c9cfe1a9e78ac54bec75879c30264a7ddd143e79664f1f5edbd7d06522aff",
+    20: "820a8a17c268f5f0baa73920c6cdf84bfa68450da75c3ec4af5dca3997218197",
+    21: "bf83b11f467238fd9ff141a999b54f2ca9cdd17823a191f4c9df7744f002e1d6",
+    22: "f62daf086229b2c703dd1b328f617ace0d519f59bbf148c298174a29968b0005",
+    23: "973c3e4da506b62e841c8e4faf89d47bffa42b5c89a4732cb285e62dc0f777fa",
+    24: "486c17440cbd988c3abfbc54af58e0df5175e52e7a746abcd5f572b080f50db0",
+    25: "fd0024856e81967f400b12abdc3f487ffed45fc70207207ade866f6b38fa961c",
+    26: "637af5368fd9138063274d3b96dfc99748cb1435f6fe368af6e5c4851e112431",
+    27: "01a49aa71e07e9d25f9d33be7c72772833d4dd4f71219504721b5e46e94d66f9",
+    28: "13d2919f1169d6c60e3f5bf2d487eb2f92937c6dd7cbed30100d6b53e82cc2a6",
+    29: "57b5004ede9dfdba633effb7103012ee3954189d68acacbbe368cd7fd5c1f1fd",
+    30: "a3972d8b76145b22d92a532ba7627762555071d5cdff2e965582b642409d381d",
+    31: "bb37faa21351b894eb8b937d489057c38b8e239e03e325a6b968e4383d2d4b41",
+    32: "6cc1343e672c165d0a375cefacb9026a104955381d1e4a8108a187a2b7e30ed6",
 }
 
 TOWER_LENGTH_ROWS = {
@@ -94,6 +130,16 @@ def test_flat_growth_digests(capsys):
         for k in FLAT_GROWTH_SHA256
     }
     assert digests == FLAT_GROWTH_SHA256
+
+
+def test_halphen_table_digests(capsys):
+    digests = {
+        n: hashlib.sha256(
+            stdout_of(capsys, ["halphen-table", "--nmax", str(n)]).encode()
+        ).hexdigest()
+        for n in HALPHEN_TABLE_SHA256
+    }
+    assert digests == HALPHEN_TABLE_SHA256
 
 
 def test_length_rows(capsys, tmp_path):

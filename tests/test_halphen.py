@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from cremlat.cremona import validate
+from cremlat.cremona import Characteristic, validate
 from cremlat.errors import IdentityTwist, NotInKPerp
 from cremlat.halphen import (
     HalphenVector,
@@ -55,6 +55,8 @@ class TestVectors:
                 HalphenVector((bad,) + (0,) * 9)
             with pytest.raises(TypeError):
                 point_vector(bad)
+            with pytest.raises(TypeError):  # True * line_vector() used to be the line
+                bad * line_vector()
 
     def test_basis_pairings(self):
         l = line_vector()
@@ -132,7 +134,49 @@ class TestTranslate:
         assert translate(ta, d).pair(translate(ta, e)) == d.pair(e)
 
 
+def restated_twist(n, m):
+    """The (n, m) twist read off t_a(l) on plain lists, a = n(e_1 - e_0) + m(e_2 - e_0):
+    degree, then base and inverse multiplicities at points 0..8."""
+
+    def pair(x, y):
+        return x[0] * y[0] - sum(x[i] * y[i] for i in range(1, 10))
+
+    canonical = [-3] + [1] * 9
+    line = [1] + [0] * 9
+
+    def translate(a):
+        kd = pair(canonical, line)
+        coefficient = pair(a, line) - kd * pair(a, a) // 2
+        return [line[i] - kd * a[i] + coefficient * canonical[i] for i in range(10)]
+
+    a = [0, -n - m, n, m, 0, 0, 0, 0, 0, 0]
+    forward = translate(a)
+    backward = translate([-x for x in a])
+    return forward[0], [-c for c in backward[1:]], [-c for c in forward[1:]]
+
+
 class TestTwists:
+    def test_constants_are_shared(self):
+        assert canonical() is canonical() and line_vector() is line_vector()
+        assert generator_a1() is generator_a1() and generator_a2() is generator_a2()
+        assert canonical().coords == (-3,) + (1,) * 9
+        assert line_vector().coords == (1,) + (0,) * 9
+
+    def test_characteristics_match_restatement(self):
+        shells = [
+            (n, m) for n in range(-12, 13) for m in range(-12, 13) if 1 <= abs(n) + abs(m) <= 12
+        ]
+        assert len(shells) == 2 * 12 * 13
+        for n, m in shells:
+            degree, base, inverse = restated_twist(n, m)
+            expected = Characteristic(
+                degree,
+                base=[(i, mult) for i, mult in enumerate(base) if mult],
+                inverse_base=[(i, mult) for i, mult in enumerate(inverse) if mult],
+            )
+            assert twist_characteristic(n, m) == expected, (n, m)
+            assert twist_degree(n, m) == degree, (n, m)
+
     def test_degrees(self):
         assert twist_degree(0, 0) == 1
         assert twist_degree(1, 0) == 10

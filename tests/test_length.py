@@ -1,12 +1,14 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from cremlat import cremona, length
 from cremlat.cremona import (
     Characteristic,
     compose_disjoint,
     identity_characteristic,
     is_jonquieres,
     jonquieres_characteristic,
+    require_valid,
     side_violations,
     standard_quadratic,
     validate,
@@ -14,6 +16,7 @@ from cremlat.cremona import (
 from cremlat.errors import InvalidCharacteristic, NoDecrease, TooManyBasePoints
 from cremlat.halphen import twist_characteristic
 from cremlat.length import (
+    _greedy_step,
     greedy_length,
     greedy_predecessor,
     length_lower_deg,
@@ -155,3 +158,85 @@ class TestGreedyLength:
         degrees = [tower(n).degree] + [d for _, d in bounds.decomposition]
         assert all(a > b for a, b in zip(degrees, degrees[1:]))
         assert degrees[-1] == 1
+
+
+def slice_sum_step(d, mults):
+    """The greedy step with every candidate's small points re-summed from a
+    slice: the reference for the running sum in _greedy_step."""
+    if d < 2:
+        raise NoDecrease("degree 1 has no predecessor")
+    center, rest = mults[0], mults[1:]
+    best = None
+    for k in range(2, 2 + (len(mults) - 1) // 2):
+        new_degree = d * k - (k - 1) * center - sum(rest[: 2 * k - 2])
+        if best is None or new_degree < best[1]:
+            best = (k, new_degree)
+    if best is None or best[1] >= d:
+        raise NoDecrease(f"no factor drops the degree below {d}")
+    k, new_degree = best
+    smalls = rest[: 2 * k - 2]
+    leftover = (
+        (d * (k - 1) - (k - 2) * center - sum(smalls),)
+        + tuple(d - center - m for m in smalls)
+        + tuple(rest[2 * k - 2 :])
+    )
+    violations = side_violations(new_degree, "base", [m for m in leftover if m])
+    if violations:
+        raise InvalidCharacteristic("; ".join(map(str, violations)))
+    return k, new_degree, leftover
+
+
+def composed_jonquieres(degrees):
+    """The disjoint composition of pencil-preserving maps of the given degrees."""
+    result = identity_characteristic()
+    for i, k in enumerate(degrees):
+        factor = jonquieres_characteristic(
+            k,
+            base_ids=range(100 * i, 100 * i + 2 * k - 1),
+            inverse_ids=range(100 * i + 50, 100 * i + 49 + 2 * k),
+        )
+        result = compose_disjoint(factor, result)
+    return result
+
+
+valid_characteristics = st.one_of(
+    st.tuples(st.integers(-6, 6), st.integers(-6, 6))
+    .filter(lambda nm: nm != (0, 0))
+    .map(lambda nm: twist_characteristic(*nm)),
+    st.lists(st.integers(2, 7), min_size=1, max_size=3).map(composed_jonquieres),
+    st.integers(1, 6).map(tower),
+)
+
+
+class TestGreedyStep:
+    @given(valid_characteristics)
+    def test_running_sum_matches_slice_sums(self, c):
+        require_valid(c)
+        degree, mults = c.degree, list(c.base_multiplicities())
+        while degree > 1:  # every multiset along the chain is valid and descending
+            step = _greedy_step(degree, mults)
+            assert step == slice_sum_step(degree, mults)
+            _, degree, leftover = step
+            mults = sorted((m for m in leftover if m), reverse=True)
+
+    def test_wide_candidate_range(self):
+        # 9 points allow k = 2..5; a 3-factor composition allows more
+        c = composed_jonquieres([5, 4, 3])
+        mults = c.base_multiplicities()
+        assert (len(mults) - 1) // 2 >= 5
+        assert _greedy_step(c.degree, mults) == slice_sum_step(c.degree, mults)
+
+
+def test_greedy_length_validates_once(monkeypatch):
+    calls = []
+
+    def counted(char):
+        calls.append(char)
+        return require_valid(char)
+
+    monkeypatch.setattr(length, "require_valid", counted)
+    monkeypatch.setattr(cremona, "require_valid", counted)  # md() looks it up here
+    for c in (twist_characteristic(2, -3), tower(4), identity_characteristic()):
+        calls.clear()
+        greedy_length(c)
+        assert calls == [c]

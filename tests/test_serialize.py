@@ -46,11 +46,21 @@ class TestScalars:
     def test_rational_exponent_bound(self):
         limit = sys.get_int_max_str_digits()
         assert rational_from("1.5e-3") == Q(3, 2000)
-        assert rational_from(f"1e{limit}") == 10**limit
-        assert rational_from(f"1E-{limit}") == Q(1, 10**limit)
+        assert rational_from(f"1e{limit - 1}") == 10 ** (limit - 1)
+        assert rational_from(f"1E-{limit - 1}") == Q(1, 10 ** (limit - 1))
         # without the bound, 1e999999999 builds a ~400 MB integer
         for bad in (f"1e{limit + 1}", f"-2.5e-{limit + 1}", " 1e5_000 ", "1e" + "9" * (limit + 1)):
             with pytest.raises(ValueError, match="exponent out of range"):
+                rational_from(bad)
+
+    def test_rational_digit_bound(self):
+        # 1e4300 passes the exponent bound but has one digit more than str() may print
+        limit = sys.get_int_max_str_digits()
+        assert rational_from("9" * limit) == 10**limit - 1
+        assert rational_from(f"99e{limit - 2}") == 99 * 10 ** (limit - 2)
+        assert rational_from(f"-1/{'9' * limit}") == Q(-1, 10**limit - 1)
+        for bad in (f"1e{limit}", f"1E-{limit}", f"100e{limit - 2}", f"-2.5e{limit}"):
+            with pytest.raises(ValueError, match="too many digits"):
                 rational_from(bad)
 
     def test_real_to_str(self):
