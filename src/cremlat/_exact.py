@@ -8,6 +8,8 @@ import operator
 def exact_int(value, what: str) -> int:
     """``value`` as an int, refusing anything int() would round or misread:
     1.5 and Fraction(3, 2) are not integers, and True is not point 1."""
+    if type(value) is int:
+        return value
     if not isinstance(value, bool):
         try:
             return operator.index(value)

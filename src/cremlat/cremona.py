@@ -16,9 +16,8 @@ validate() can report violations instead of never being reachable.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from ._exact import exact_int
 from .bubble import PointId
@@ -124,8 +123,7 @@ class Characteristic:
         return f"Characteristic(degree={self._degree}, mults=[{mults}])"
 
 
-@dataclass(frozen=True)
-class NoetherViolation:
+class NoetherViolation(NamedTuple):
     identity: str  # linear | quadratic | bounds
     side: str  # base | inverse
     detail: str
@@ -134,10 +132,12 @@ class NoetherViolation:
         return f"{self.identity}/{self.side}: {self.detail}"
 
 
-@dataclass(frozen=True)
-class CharacteristicReport:
-    ok: bool
+class CharacteristicReport(NamedTuple):
     violations: Tuple[NoetherViolation, ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
 
 def side_violations(d: int, side: str, mults: Sequence[int]) -> Tuple[NoetherViolation, ...]:
@@ -171,7 +171,7 @@ def validate(char: Characteristic) -> CharacteristicReport:
     violations = side_violations(d, "base", [m for _, m in char.base]) + side_violations(
         d, "inverse", [m for _, m in char.inverse_base]
     )
-    return CharacteristicReport(ok=not violations, violations=violations)
+    return CharacteristicReport(violations)
 
 
 def require_valid(char: Characteristic) -> None:

@@ -32,7 +32,7 @@ class HalphenVector:
     __slots__ = ("_coords",)
 
     def __init__(self, coords: Sequence[int]) -> None:
-        coords = tuple(x if type(x) is int else exact_int(x, "coordinate") for x in coords)
+        coords = tuple(exact_int(x, "coordinate") for x in coords)
         if len(coords) != RANK:
             raise ValueError(f"need {RANK} coordinates, got {len(coords)}")
         self._coords = coords

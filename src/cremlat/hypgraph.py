@@ -20,9 +20,10 @@ Three instruments:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Dict, FrozenSet, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+)
 
 from .cremona import Characteristic
 from .errors import MalformedFamily
@@ -325,12 +326,14 @@ def _staircase(x: Tuple[int, int], y: Tuple[int, int]) -> List[Tuple[int, int]]:
     return path
 
 
-@dataclass(frozen=True)
-class BowditchResult:
-    passed: bool
-    condition: Optional[int] = None
+class BowditchResult(NamedTuple):
+    condition: Optional[int] = None  # the first violated condition, 2 or 3
     witness: Optional[Tuple] = None
     message: str = ""
+
+    @property
+    def passed(self) -> bool:
+        return self.condition is None
 
 
 def bowditch_check(graph: Graph, family: SubgraphFamily, h) -> BowditchResult:
@@ -391,7 +394,6 @@ def bowditch_check(graph: Graph, family: SubgraphFamily, h) -> BowditchResult:
                 if stray:
                     v = order[(stray & -stray).bit_length() - 1]
                     return BowditchResult(
-                        passed=False,
                         condition=2,
                         witness=(x, y, z, v),
                         message=(
@@ -410,7 +412,6 @@ def bowditch_check(graph: Graph, family: SubgraphFamily, h) -> BowditchResult:
                 for b in subset[a_i + 1 :]:
                     if dists[a][b] > h:
                         return BowditchResult(
-                            passed=False,
                             condition=3,
                             witness=(x, y, a, b),
                             message=(
@@ -418,7 +419,7 @@ def bowditch_check(graph: Graph, family: SubgraphFamily, h) -> BowditchResult:
                                 f"d({a!r}, {b!r}) = {dists[a][b]}"
                             ),
                         )
-    return BowditchResult(passed=True)
+    return BowditchResult()
 
 
 def _mask(subset: Iterable, graph: Graph) -> int:
@@ -432,8 +433,7 @@ def _mask(subset: Iterable, graph: Graph) -> int:
 # the quasi-flat growth table
 
 
-@dataclass(frozen=True)
-class FlatRow:
+class FlatRow(NamedTuple):
     m: int
     n: int
     degree: int
@@ -441,18 +441,19 @@ class FlatRow:
     upper: int
 
 
-@dataclass(frozen=True)
-class FlatTable:
+class FlatCertificate(NamedTuple):
+    failing_k: Optional[int]
+    minima: Tuple[Tuple[int, int], ...]  # (k, min lower bound on the sphere)
+
+    @property
+    def passed(self) -> bool:
+        return self.failing_k is None
+
+
+class FlatTable(NamedTuple):
     k_max: int
     rows: Tuple[FlatRow, ...]
     certificate: FlatCertificate
-
-
-@dataclass(frozen=True)
-class FlatCertificate:
-    passed: bool
-    failing_k: Optional[int]
-    minima: Tuple[Tuple[int, int], ...]  # (k, min lower bound on the sphere)
 
 
 def flat_growth(k_max: int) -> FlatTable:
@@ -482,7 +483,7 @@ def _certify(lowers: Iterable[Tuple[int, int]]) -> FlatCertificate:
     for k, lower in lowers:
         minima[k] = min(lower, minima.get(k, lower))
     failing = next((k for k, low in minima.items() if low < -(-3 * k // 5)), None)
-    return FlatCertificate(passed=failing is None, failing_k=failing, minima=tuple(minima.items()))
+    return FlatCertificate(failing_k=failing, minima=tuple(minima.items()))
 
 
 def _twists(k_max: int) -> Iterator[Tuple[int, int, int, Characteristic]]:

@@ -13,9 +13,8 @@ evaluation produce floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, Mapping, NamedTuple, Optional, Tuple, Union
 
 from ._exact import exact_int
 from .bubble import Configuration, PointId
@@ -31,6 +30,8 @@ Scalar = Union[int, Fraction, float]
 
 
 def _coerce(value: Scalar) -> Scalar:
+    if isinstance(value, bool):  # Fraction(True) would read it as 1
+        raise TypeError(f"class coefficient must be a number, got {value!r}")
     if isinstance(value, float):
         return value
     return Q(value)
@@ -95,7 +96,7 @@ class PicardManinClass:
         return PicardManinClass(self._degree - other._degree, mults)
 
     def __rmul__(self, scalar: Scalar) -> "PicardManinClass":
-        if not isinstance(scalar, (int, Fraction, float)):
+        if isinstance(scalar, bool) or not isinstance(scalar, (int, Fraction, float)):
             return NotImplemented
         return PicardManinClass(
             scalar * self._degree, {p: scalar * v for p, v in self._mults.items()}
@@ -177,8 +178,7 @@ def geodesic_point(c: PicardManinClass, d: PicardManinClass, t: float) -> Picard
     return PicardManinClass(wc * float(c.degree) + wd * float(d.degree), mults)
 
 
-@dataclass(frozen=True)
-class CurveWitness:
+class CurveWitness(NamedTuple):
     """A curve of the checked family on which the product count went negative."""
 
     kind: str  # pair_line | declared_line | five_conic | declared_conic
@@ -186,18 +186,30 @@ class CurveWitness:
     residual: Fraction
 
 
-@dataclass(frozen=True)
-class ECheckReport:
-    """Outcome of the four membership conditions, with witnesses."""
+class ECheckReport(NamedTuple):
+    """Outcome of the four membership conditions: each holds exactly when
+    it has no witness (for the anticanonical one, when the margin is >= 0)."""
 
-    nonneg_mults: bool
     negative_point: Optional[PointId]
-    anticanonical: bool
     anticanonical_margin: Fraction
-    excesses: bool
     excess_point: Optional[PointId]
-    bezout: bool
     bezout_witness: Optional[CurveWitness]
+
+    @property
+    def nonneg_mults(self) -> bool:
+        return self.negative_point is None
+
+    @property
+    def anticanonical(self) -> bool:
+        return self.anticanonical_margin >= 0
+
+    @property
+    def excesses(self) -> bool:
+        return self.excess_point is None
+
+    @property
+    def bezout(self) -> bool:
+        return self.bezout_witness is None
 
     @property
     def in_E(self) -> bool:
@@ -269,11 +281,7 @@ def in_E(c: PicardManinClass, config: Configuration) -> ECheckReport:
             raise UnknownPoint(f"class supported at {p}, absent from configuration")
 
     negative = [p for p in c.support if c.mult(p) < 0]
-    nonneg = not negative
-    neg_witness = min(negative) if negative else None
-
     margin = 3 * c.degree - sum(c._mults.values())
-    anticanonical = margin >= 0
 
     excess_witness = None
     for p in sorted(c.support):
@@ -284,19 +292,12 @@ def in_E(c: PicardManinClass, config: Configuration) -> ECheckReport:
         if excess < 0:
             excess_witness = p
             break
-    excesses = excess_witness is None
-
-    bezout_witness = _bezout_witness(c, config)
 
     return ECheckReport(
-        nonneg_mults=nonneg,
-        negative_point=neg_witness,
-        anticanonical=anticanonical,
+        negative_point=min(negative, default=None),
         anticanonical_margin=Q(margin),
-        excesses=excesses,
         excess_point=excess_witness,
-        bezout=bezout_witness is None,
-        bezout_witness=bezout_witness,
+        bezout_witness=_bezout_witness(c, config),
     )
 
 

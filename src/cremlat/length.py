@@ -14,8 +14,7 @@ model and a heuristic otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .cremona import (
     Characteristic,
@@ -28,8 +27,7 @@ from .cremona import (
 from .errors import InvalidCharacteristic, NoDecrease, TooManyBasePoints
 
 
-@dataclass(frozen=True)
-class LengthBounds:
+class LengthBounds(NamedTuple):
     """Two lower bounds and the greedy upper bound on the length.
 
     ``lower_deg`` is None past nine base points.  ``decomposition`` lists
@@ -82,8 +80,7 @@ def _deg_bound(d: int) -> int:
     return math.isqrt(target - 1) + 1  # ceil of the square root
 
 
-@dataclass(frozen=True)
-class GreedyStep:
+class GreedyStep(NamedTuple):
     """One greedy factor and the base side left after dividing it out.
 
     ``base`` is the exact base side of the leftover map, of degree

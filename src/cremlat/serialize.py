@@ -12,9 +12,8 @@ import io
 import json
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .bubble import Configuration
 from .cremona import Characteristic
@@ -202,8 +201,7 @@ def germset_from_record(record: dict) -> GermSet:
     return GermSet(germs)
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Parsed run configuration: points and maps."""
 
     configuration: Optional[Configuration] = None
@@ -269,7 +267,6 @@ def metric_from_csv(path: str) -> FiniteMetric:
 def csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(list(header))
-    for row in rows:
-        writer.writerow(["" if x is None else str(x) for x in row])
+    writer.writerow(header)
+    writer.writerows(rows)
     return buffer.getvalue()

@@ -422,13 +422,16 @@ def test_unknown_point_is_bad_input(capsys, tmp_path, case):
 
 
 def test_numpy_loads_only_for_metrics(tmp_path):
-    # numpy's import is most of the start-up time of a job that builds no metric
+    # numpy's import is most of the start-up time of a job that builds no metric;
+    # dataclasses (it loads inspect) would cost every job. Only what the import adds counts.
     metric = tmp_path / "three.csv"
     metric.write_text("a,b,c\n0,1,2\n1,0,1\n2,1,0\n", encoding="utf-8")
     script = (
         "import io, sys, contextlib\n"
+        "before = set(sys.modules)\n"
         "import cremlat.cli\n"
-        "seen = ['numpy' in sys.modules]\n"
+        "added = {'dataclasses', 'inspect'} & (set(sys.modules) - before)\n"
+        "seen = [sorted(added), 'numpy' in sys.modules]\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert cremlat.cli.main(['halphen-table', '--nmax', '1']) == 0\n"
         "    seen.append('numpy' in sys.modules)\n"
@@ -440,7 +443,7 @@ def test_numpy_loads_only_for_metrics(tmp_path):
         [sys.executable, "-c", script, str(metric)], capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False False True\n"
+    assert proc.stdout == "[] False False True\n"
 
 
 # runs `python -m cremlat ARGS`, then reports what the child saw on stderr

@@ -9,7 +9,9 @@ from cremlat import cli, hypgraph
 from cremlat.errors import MalformedFamily
 from cremlat.halphen import twist_characteristic
 from cremlat.hypgraph import (
+    BowditchResult,
     FiniteMetric,
+    FlatCertificate,
     FlatRow,
     Graph,
     SubgraphFamily,
@@ -326,6 +328,12 @@ class TestBowditch:
         assert not result.passed
         assert result.condition == 3
 
+    def test_verdict_is_read_off_the_condition(self):
+        with pytest.raises(TypeError):
+            BowditchResult(passed=True, condition=2)
+        assert not BowditchResult(condition=2).passed
+        assert BowditchResult().passed
+
     def test_malformed_families(self):
         g = path_graph(4)
         base = {(x, y): set(range(min(x, y), max(x, y) + 1)) for x in range(4) for y in range(x + 1, 4)}
@@ -391,6 +399,13 @@ class TestFlatGrowth:
     @pytest.mark.parametrize("k_max", range(1, 13))
     def test_table_certificate_matches_flat_certificate(self, k_max):
         assert flat_growth(k_max).certificate == flat_certificate(k_max)
+
+    def test_records(self):
+        # the verdict is read off failing_k, so no certificate can contradict it
+        with pytest.raises(TypeError):
+            FlatCertificate(passed=True, failing_k=3, minima=())
+        assert not FlatCertificate(failing_k=3, minima=((3, 1),)).passed
+        assert repr(FlatRow(1, 0, 10, 2, 2)) == "FlatRow(m=1, n=0, degree=10, lower=2, upper=2)"
 
     def test_certificate(self):
         cert = flat_certificate(10)

@@ -14,6 +14,7 @@ from cremlat.errors import (
     UnknownPoint,
 )
 from cremlat.lattice import (
+    CurveWitness,
     PicardManinClass,
     distance,
     exceptional,
@@ -55,6 +56,17 @@ class TestClassArithmetic:
                 CONIC.mult(bad)
         with pytest.raises(TypeError):
             PicardManinClass(1, {1.5: 0})  # checked even when the entry is dropped
+
+    def test_bool_coefficients_are_refused(self):
+        # Fraction(True) used to build the class with 1 in that place
+        message = re.escape("class coefficient must be a number, got True")
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            PicardManinClass(True)
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            PicardManinClass(1, {0: True})
+        with pytest.raises(TypeError):
+            True * line()
+        assert 1 * line() == line()
 
     def test_ops(self):
         a = small_class(1, 1)
@@ -176,6 +188,14 @@ class TestMembership:
     def test_unknown_point(self):
         with pytest.raises(UnknownPoint):
             in_E(PicardManinClass(1, {99: Q(1, 2)}), Configuration.generic(range(3)))
+
+    def test_report_is_immutable(self):
+        report = in_E(line(), Configuration.generic(range(9)))
+        with pytest.raises(AttributeError):
+            report.bezout_witness = CurveWitness("pair_line", (0, 1), Q(-1))
+        with pytest.raises(AttributeError):
+            report.bezout = False
+        assert report.bezout and report.in_E
 
     def test_fails_nonneg_only(self):
         report = in_E(PicardManinClass(1, {0: Q(-1, 2)}), Configuration.generic(range(9)))
