@@ -1,6 +1,6 @@
-"""Four-point kernel: the largest four-point defect of an integer distance matrix.
+"""A metric's scaled integers as one numpy array: built, checked and scanned.
 
-It runs as a numpy scan over doubled Gromov products
+The four-point kernel is a numpy scan over doubled Gromov products
 (Fournier, Ismail and Vigneron, "Computing the Gromov hyperbolicity of a
 discrete metric space", IPL 2015): seen from a basepoint w,
 
@@ -9,38 +9,67 @@ discrete metric space", IPL 2015): seen from a basepoint w,
 
 is the pair-sum d(x, y) + d(z, w) minus the larger of the other two, so the
 maximum over the three choices of {x, y} among {x, y, z} is the quadruple's
-largest pair-sum minus its second largest.  int64 arithmetic while every
-value fits, Python ints (object dtype) past that, so the answer is exact.
+largest pair-sum minus its second largest.  This is the package's only
+numpy module, and numpy loads on its first use.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-# pair-sums of two scaled entries must fit a signed 64-bit value
+# the checks and the scan stay within [-2 peak, 2 peak]: int64 while 2 peak is below this
 _INT64_SAFE = 2**62
 
 # elements of one min(P[x], P[y]) block; keeps the scan's memory O(n^2)
 _CHUNK = 2**17
 
 
-def max_defect(d: Sequence[Sequence[int]]) -> int:
+def scaled_array(ints: Sequence[Sequence[int]]):
+    """The square list of ints as an n x n array: int64 while every value the
+    checks and the scan form fits, Python ints (object dtype) past that, so
+    they are exact.  The peak is a magnitude over the Python ints: it cannot
+    wrap, and a huge negative entry reaches the positivity check."""
+    import numpy as np
+
+    n = len(ints)
+    peak = max(max(map(max, ints), default=0), -min(map(min, ints), default=0))
+    return np.array(ints, dtype=np.int64 if 2 * peak < _INT64_SAFE else object).reshape(n, n)
+
+
+def metric_array(ints: Sequence[Sequence[int]], labels: Sequence):
+    """``scaled_array(ints)`` after checking the metric axioms on it; a failed
+    axiom raises ValueError naming its first bad pair, row-major.  The
+    triangle check takes one row of min-plus sums at a time."""
+    import numpy as np
+
+    arr = scaled_array(ints)
+    bad = np.flatnonzero(np.diagonal(arr))
+    if bad.size:
+        raise ValueError(f"diagonal entry at {labels[bad[0]]!r} is nonzero")
+    # arr != arr.T is symmetric and positivity is read above the diagonal, so i < j
+    for what, mask in ("asymmetry", arr != arr.T), ("nonpositive distance", np.triu(arr <= 0, 1)):
+        for i, j in np.argwhere(mask)[:1]:  # the first hit, if any
+            raise ValueError(f"{what} at ({labels[i]!r}, {labels[j]!r})")
+    for i in range(len(arr)):
+        for j in np.flatnonzero((arr[i][:, None] + arr).min(axis=0) < arr[i])[:1]:
+            raise ValueError(f"triangle inequality fails between {labels[i]!r} and {labels[j]!r}")
+    return arr
+
+
+def max_defect(d) -> int:
     """Largest difference of the two largest pair-sums over all quadruples.
 
     For each quadruple i<j<k<l the three pairings are d[i][j]+d[k][l],
     d[i][k]+d[j][l], d[i][l]+d[j][k]; the defect is (largest - second
     largest).  Returns the maximum defect, 0 for fewer than four points.
     ``d`` must be a metric: the triangle law makes every choice with
-    repeated points score <= 0.
+    repeated points score <= 0.  It is an array from ``scaled_array``, as a
+    FiniteMetric stores it, or a square list of lists of ints.
     """
-    n = len(d)
-    if n < 4:
-        return 0
-    import numpy as np  # deferred like hypgraph's: only metrics need it
+    import numpy as np
 
-    peak = int(max(map(max, d)))  # an int64 array's max could wrap when doubled
-    # Gromov products and their differences stay within [-2 peak, 2 peak]
-    arr = np.array(d, dtype=np.int64 if 2 * peak < _INT64_SAFE else object)
+    arr = d if isinstance(d, np.ndarray) else scaled_array(d)
+    n = len(arr)
     best = 0
     # every quadruple is seen once from its smallest point w
     for w in range(n - 3):

@@ -20,8 +20,7 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 import argparse
 import sys
-from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from .bubble import Configuration
 from .errors import CremlatError, UnknownPoint
@@ -46,15 +45,16 @@ EXIT_INPUT = 1
 EXIT_MATH = 2
 
 
-class _Parser(argparse.ArgumentParser):
-    # usage problems are input errors: exit 1, not argparse's default 2
-    def error(self, message: str) -> None:
-        self.print_usage(sys.stderr)
-        raise SystemExit(self.exit_with(message))
+def _fail(message: str) -> None:
+    # one stderr line, even when the message echoes an argument or a path holding a newline
+    print(message.replace("\n", "\\n"), file=sys.stderr)
 
-    def exit_with(self, message: str) -> int:
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        return EXIT_INPUT
+
+class _Parser(argparse.ArgumentParser):
+    # usage problems are input errors: exit 1 and one stderr line, not argparse's 2 and usage
+    def error(self, message: str) -> None:
+        _fail(f"{self.prog}: error: {message}")
+        raise SystemExit(EXIT_INPUT)
 
 
 def _positive(text: str) -> int:
@@ -77,16 +77,6 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 def _flag(value: bool) -> str:
     return "true" if value else "false"
-
-
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return _flag(value)
-    if isinstance(value, Fraction):
-        return rational_to_str(value)
-    return str(value)
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +105,7 @@ def cmd_flat_growth(args) -> int:
     certificate = table.certificate
     body = csv_text(
         ["m", "n", "degree", "lower", "upper"],
-        [[r.m, r.n, r.degree, _cell(r.lower), r.upper] for r in table.rows],
+        [[r.m, r.n, r.degree, r.lower, r.upper] for r in table.rows],
     )
     verdict = "PASS" if certificate.passed else "FAIL"
     _emit(body + f"# certificate: {verdict}\n", args.out)
@@ -131,7 +121,7 @@ def cmd_flat_growth(args) -> int:
 def cmd_delta(args) -> int:
     metric = metric_from_csv(args.metric)
     value = four_point_delta(metric)
-    row = [[metric.size, rational_to_str(value), real_to_str(float(value))]]
+    row = [[metric.size, rational_to_str(value), real_to_str(value)]]
     _emit(csv_text(["points", "delta", "delta_real"], row), args.out)
     return EXIT_OK
 
@@ -145,7 +135,7 @@ def cmd_length(args) -> int:
             char.degree,
             len(char.base),
             bounds.lower_md,
-            _cell(bounds.lower_deg),
+            bounds.lower_deg,
             bounds.upper_greedy,
             ">".join(str(d) for d in degrees),
         ]
@@ -183,15 +173,15 @@ def cmd_in_e(args) -> int:
         [
             _flag(report.in_E),
             _flag(report.nonneg_mults),
-            _cell(report.negative_point),
+            report.negative_point,
             _flag(report.anticanonical),
-            _cell(report.anticanonical_margin),
+            rational_to_str(report.anticanonical_margin),
             _flag(report.excesses),
-            _cell(report.excess_point),
+            report.excess_point,
             _flag(report.bezout),
             witness.kind if witness else "",
             " ".join(str(p) for p in witness.points) if witness else "",
-            _cell(witness.residual) if witness else "",
+            rational_to_str(witness.residual) if witness else "",
         ]
     ]
     header = [
@@ -266,10 +256,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     # JSONDecodeError is a ValueError; an undeclared point id is a fault of the files
     except (UnknownPoint, OSError, ValueError, KeyError, TypeError) as exc:
-        print(f"{args.command}: bad input: {exc}", file=sys.stderr)
+        _fail(f"{args.command}: bad input: {exc}")
         return EXIT_INPUT
     except CremlatError as exc:
-        print(f"{args.command}: {exc}", file=sys.stderr)
+        _fail(f"{args.command}: {exc}")
         return EXIT_MATH
 
 

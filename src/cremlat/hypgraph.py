@@ -4,10 +4,11 @@ Three instruments:
 
 * four_point_delta: the exact four-point constant of a FiniteMetric,
   computed over every quadruple of the integers the metric stores (its
-  distances times their common denominator).  _delta_py scans doubled
-  Gromov products from each basepoint with numpy; the scan is exact and
-  the result comes back as a Fraction.  Trees give 0; an N x N grid
-  gives at least N - 1, which is the finite shadow of a quasi-flat.
+  distances times their common denominator) as one numpy array, which
+  _delta_py builds, checks and scans for doubled Gromov products from each
+  basepoint; the scan is exact and the result comes back as a Fraction.
+  Trees give 0; an N x N grid gives at least N - 1, which is the finite
+  shadow of a quasi-flat.
 
 * bowditch_check: a thin-triangles criterion over an explicit family of
   connected subgraphs Gamma(x, y), one per vertex pair.
@@ -28,7 +29,6 @@ from typing import (
 from .cremona import Characteristic
 from .errors import MalformedFamily
 from . import _delta_py
-from ._delta_py import _INT64_SAFE
 from .halphen import twist_characteristic
 from .length import greedy_length, length_lower_deg
 
@@ -150,15 +150,15 @@ def grid_graph(rows: int, cols: int) -> Graph:
 class FiniteMetric:
     """Rational metric with the axioms enforced, stored once as scaled integers.
 
-    Invariant: d(i, j) == Fraction(_ints[i][j], _scale), where _scale is the
-    least common denominator of the entries; ``matrix`` is a derived view.
+    Invariant: d(i, j) == Fraction(_ints[i, j], _scale), where _scale is the least common
+    denominator and _ints the array from _delta_py.metric_array; ``matrix`` is a derived view.
     """
 
     __slots__ = ("_labels", "_index", "_ints", "_scale")
 
     def __init__(self, matrix: Sequence[Sequence], labels: Optional[Sequence] = None) -> None:
-        # serialize.metric_from_csv already hands over Fractions
-        rows = [tuple(x if isinstance(x, Q) else Q(x) for x in row) for row in matrix]
+        # serialize.metric_from_csv hands over Fractions; ints have a denominator too
+        rows = [tuple(x if type(x) in (Q, int) else _rational(x) for x in row) for row in matrix]
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise ValueError("matrix must be square")
@@ -169,18 +169,9 @@ class FiniteMetric:
             if len(labels) != n or len(set(labels)) != n:
                 raise ValueError("labels must be distinct and match the size")
         ints, scale = _scaled_int_matrix(rows)
-        for i in range(n):
-            if ints[i][i] != 0:
-                raise ValueError(f"diagonal entry at {labels[i]!r} is nonzero")
-            for j in range(i + 1, n):
-                if ints[i][j] != ints[j][i]:
-                    raise ValueError(f"asymmetry at ({labels[i]!r}, {labels[j]!r})")
-                if ints[i][j] <= 0:
-                    raise ValueError(f"nonpositive distance at ({labels[i]!r}, {labels[j]!r})")
-        _check_triangle(ints, labels)
+        self._ints = _delta_py.metric_array(ints, labels)
         self._labels = labels
         self._index = {label: i for i, label in enumerate(labels)}
-        self._ints = ints
         self._scale = scale
 
     @classmethod
@@ -203,10 +194,16 @@ class FiniteMetric:
     @property
     def matrix(self) -> Tuple[Tuple[Q, ...], ...]:
         scale = self._scale
-        return tuple(tuple(Q(x, scale) for x in row) for row in self._ints)
+        return tuple(tuple(Q(x, scale) for x in row) for row in self._ints.tolist())
 
     def distance(self, a, b) -> Q:
-        return Q(self._ints[self._index[a]][self._index[b]], self._scale)
+        return Q(int(self._ints[self._index[a], self._index[b]]), self._scale)
+
+
+def _rational(x) -> Q:
+    if isinstance(x, bool):  # Fraction(True) would read it as 1
+        raise TypeError(f"distance must be a number, got {x!r}")
+    return Q(x)
 
 
 def _scaled_int_matrix(rows) -> Tuple[List[List[int]], int]:
@@ -214,28 +211,6 @@ def _scaled_int_matrix(rows) -> Tuple[List[List[int]], int]:
     scale = math.lcm(*{x.denominator for row in rows for x in row})
     ints = [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
     return ints, scale
-
-
-def _check_triangle(ints: Sequence[Sequence[int]], labels: Sequence) -> None:
-    """Reject the first (i, j), row-major, with d(i, j) > min_k d(i, k) + d(k, j).
-
-    One row of min-plus sums at a time keeps memory O(n^2); entries past the
-    int64 window run the same code on Python ints (object dtype).
-    """
-    n = len(ints)
-    if n <= 2:
-        return
-    # deferred: subcommands that never build a metric skip numpy's start-up cost
-    import numpy as np
-
-    peak = max(map(max, ints))
-    arr = np.array(ints, dtype=np.int64 if peak < _INT64_SAFE else object)
-    for i in range(n):
-        bad = np.flatnonzero((arr[i][:, None] + arr).min(axis=0) < arr[i])
-        if bad.size:
-            raise ValueError(
-                f"triangle inequality fails between {labels[i]!r} and {labels[int(bad[0])]!r}"
-            )
 
 
 def four_point_delta(metric: FiniteMetric) -> Q:

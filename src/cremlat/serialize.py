@@ -90,8 +90,11 @@ def _list(value, what: str) -> list:
     return value
 
 
-def real_to_str(value: float) -> str:
-    return format(float(value), ".12g")
+def real_to_str(value) -> str:
+    try:
+        return format(float(value), ".12g")
+    except OverflowError:  # an exact value past the float range, such as 10**400
+        return "inf" if value > 0 else "-inf"
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +251,10 @@ def load_runconfig(path: str) -> RunConfig:
 def metric_from_csv(path: str) -> FiniteMetric:
     """Headered square matrix: label row, then one row of entries per label."""
     with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        table = [row for row in reader if row]
+        try:
+            table = [row for row in csv.reader(handle) if row]
+        except csv.Error as exc:  # e.g. a field past csv.field_size_limit()
+            raise ValueError(f"{path}: {exc}") from None
     if not table:
         raise ValueError(f"{path}: empty metric file")
     labels = [cell.strip() for cell in table[0]]

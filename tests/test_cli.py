@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import shutil
@@ -200,6 +201,34 @@ class TestDelta:
             f"its magnitude must be at most {sys.get_int_max_str_digits()}\n"
         )
 
+    def test_delta_past_float_range(self, capsys, tmp_path):
+        # float() of the exact answer used to escape as an OverflowError traceback
+        metric = tmp_path / "huge.csv"
+        cycle = ["0,1,2,1", "1,0,1,2", "2,1,0,1", "1,2,1,0"]  # delta 1, then times 10**400
+        huge = "".join(row.replace("1", "1e400").replace("2", "2e400") + "\n" for row in cycle)
+        metric.write_text("a,b,c,d\n" + huge, encoding="utf-8")
+        code, out, err = run(capsys, ["delta", str(metric)])
+        assert code == 0 and err == ""
+        assert out == f"points,delta,delta_real\n4,{10**400}/1,inf\n"
+
+    def test_oversized_field(self, capsys, tmp_path):
+        # csv's field limit used to escape as a _csv.Error traceback
+        metric = tmp_path / "wide.csv"
+        metric.write_text("a,b\n0," + "1" * 200_000 + "\n1,0\n", encoding="utf-8")
+        code, out, err = run(capsys, ["delta", str(metric)])
+        assert code == 1 and out == ""
+        limit = csv.field_size_limit()
+        assert err == f"delta: bad input: {metric}: field larger than field limit ({limit})\n"
+
+
+def test_newline_in_path_stays_on_one_line(capsys, tmp_path):
+    # messages that echo a path used to print its newline as it was
+    metric = tmp_path / "em\npty.csv"
+    metric.write_text("", encoding="utf-8")
+    code, out, err = run(capsys, ["delta", str(metric)])
+    assert code == 1 and out == ""
+    assert err == "delta: bad input: %s: empty metric file\n" % str(metric).replace("\n", "\\n")
+
 
 class TestLength:
     def test_two_step_tower(self, capsys, tmp_path):
@@ -302,6 +331,23 @@ class TestInE:
         assert out.strip().split("\n")[1] == (
             "false,true,,true,3/1,true,,false,declared_line,1 2 3,-1/1"
         )
+
+    def test_negative_and_excess_points(self, capsys, tmp_path):
+        # point 2 lies on point 1 and outweighs it; point 3 has a negative multiplicity
+        cls = write_json(tmp_path, "cls.json", {
+            "degree": "2/1",
+            "mults": [
+                {"point": 1, "mult": "1/1"},
+                {"point": 2, "mult": "2/1"},
+                {"point": 3, "mult": "-1/2"},
+            ],
+        })
+        cfg = write_json(tmp_path, "run.json", {"configuration": {
+            "points": [{"id": 1}, {"id": 2, "parent": 1}, {"id": 3}],
+        }})
+        code, out, _ = run(capsys, ["in-e", cls, "--config", cfg])
+        assert code == 2
+        assert out.strip().split("\n")[1] == "false,false,3,true,7/2,false,1,true,,,"
 
     def test_config_without_points_section(self, capsys, tmp_path):
         cls = write_json(tmp_path, "conic.json", CONIC_CLASS)

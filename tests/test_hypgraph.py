@@ -130,16 +130,23 @@ class TestGraph:
 
 class TestFiniteMetric:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            FiniteMetric([[0, 1]])  # not square
-        with pytest.raises(ValueError):
-            FiniteMetric([[1, 1], [1, 0]])  # diagonal
-        with pytest.raises(ValueError):
-            FiniteMetric([[0, 1], [2, 0]])  # asymmetric
-        with pytest.raises(ValueError):
-            FiniteMetric([[0, 0], [0, 0]])  # nonpositive off-diagonal
-        with pytest.raises(ValueError):
-            FiniteMetric([[0, 1, 5], [1, 0, 1], [5, 1, 0]])  # triangle
+        with pytest.raises(ValueError, match=r"^matrix must be square$"):
+            FiniteMetric([[0, 1]])
+        with pytest.raises(ValueError, match=r"^diagonal entry at 0 is nonzero$"):
+            FiniteMetric([[1, 1], [1, 0]])
+        with pytest.raises(ValueError, match=r"^asymmetry at \(0, 1\)$"):
+            FiniteMetric([[0, 1], [2, 0]])
+        with pytest.raises(ValueError, match=r"^nonpositive distance at \(0, 1\)$"):
+            FiniteMetric([[0, 0], [0, 0]])
+        with pytest.raises(ValueError, match=r"^nonpositive distance at \(0, 1\)$"):
+            FiniteMetric([[0, -(2**70)], [-(2**70), 0]])  # past int64, still a clean refusal
+        with pytest.raises(ValueError, match=r"^triangle inequality fails between 0 and 2$"):
+            FiniteMetric([[0, 1, 5], [1, 0, 1], [5, 1, 0]])
+
+    def test_bools_are_refused(self):
+        # Fraction(True) would read it as distance 1
+        with pytest.raises(TypeError, match=r"^distance must be a number, got True$"):
+            FiniteMetric([[0, True, 2], [True, 0, 1], [2, 1, 0]])
 
     def test_triangle_check_big_values(self):
         big = 2**63
@@ -261,12 +268,27 @@ class TestFourPointDelta:
         )
         assert four_point_delta(permuted) == four_point_delta(metric)
 
-    def test_huge_values_use_fallback(self):
-        # entries past the 64-bit window must still give the exact answer
-        big = 2**62
-        base = FiniteMetric.from_graph(cycle_graph(4))
-        scaled = FiniteMetric([[x * big for x in row] for row in base.matrix])
-        assert four_point_delta(scaled) == big
+    # the largest scaled entry on either side of the one int64/object rule, and
+    # the 4-cycle times 2**62 that this test held before the rule was shared
+    @pytest.mark.parametrize(
+        "peak, dtype",
+        [(2**61 - 1, "int64"), (2**61, "object"), (2**63, "object")],
+        ids=["2**61-1", "2**61", "2**63"],
+    )
+    def test_huge_values_use_fallback(self, peak, dtype):
+        # a 4-cycle with its longest distance at the peak, then a broken triangle
+        short = peak // 2
+        long = peak - short
+        d = [[0, short, peak, long], [short, 0, long, peak],
+             [peak, long, 0, short], [long, peak, short, 0]]
+        metric = FiniteMetric(d)
+        assert metric._ints.dtype == dtype
+        assert first_triangle_violation(d) is None
+        assert four_point_delta(metric) == Q(quadruple_defect(d), 2)
+        bad = [[0, peak, 1], [peak, 0, peak - 2], [1, peak - 2, 0]]
+        assert first_triangle_violation(bad) == (0, 1)
+        with pytest.raises(ValueError, match="^triangle inequality fails between 0 and 1$"):
+            FiniteMetric(bad)
 
 
 class TestSubgraphFamily:
