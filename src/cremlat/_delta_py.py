@@ -1,4 +1,7 @@
-"""A metric's scaled integers as one numpy array: built, checked and scanned.
+"""A metric as one scaled integer numpy array: scaled, built, checked and scanned.
+
+``scaled_array`` is the one place that picks both the scale (the least
+common denominator) and the dtype (int64, or object past its range).
 
 The four-point kernel is a numpy scan over doubled Gromov products
 (Fournier, Ismail and Vigneron, "Computing the Gromov hyperbolicity of a
@@ -15,6 +18,7 @@ numpy module, and numpy loads on its first use.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 # the checks and the scan stay within [-2 peak, 2 peak]: int64 while 2 peak is below this
@@ -24,25 +28,31 @@ _INT64_SAFE = 2**62
 _CHUNK = 2**17
 
 
-def scaled_array(ints: Sequence[Sequence[int]]):
-    """The square list of ints as an n x n array: int64 while every value the
-    checks and the scan form fits, Python ints (object dtype) past that, so
-    they are exact.  The peak is a magnitude over the Python ints: it cannot
-    wrap, and a huge negative entry reaches the positivity check."""
+def scaled_array(rows: Sequence[Sequence]):
+    """The square matrix of rationals (ints or Fractions) as ``(array, scale)``.
+
+    ``scale`` is the least common denominator and ``array`` the n x n entries
+    times it: int64 while every value the checks and the scan form fits,
+    Python ints (object dtype) past that, so they are exact.  The peak is a
+    magnitude over the Python ints: it cannot wrap, and a huge negative
+    entry reaches the positivity check.
+    """
     import numpy as np
 
-    n = len(ints)
+    scale = math.lcm(*{x.denominator for row in rows for x in row})
+    ints = [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
     peak = max(max(map(max, ints), default=0), -min(map(min, ints), default=0))
-    return np.array(ints, dtype=np.int64 if 2 * peak < _INT64_SAFE else object).reshape(n, n)
+    dtype = np.int64 if 2 * peak < _INT64_SAFE else object
+    return np.array(ints, dtype=dtype).reshape(len(ints), len(ints)), scale
 
 
-def metric_array(ints: Sequence[Sequence[int]], labels: Sequence):
-    """``scaled_array(ints)`` after checking the metric axioms on it; a failed
-    axiom raises ValueError naming its first bad pair, row-major.  The
+def metric_array(rows: Sequence[Sequence], labels: Sequence):
+    """``scaled_array(rows)`` after checking the metric axioms on its array; a
+    failed axiom raises ValueError naming its first bad pair, row-major.  The
     triangle check takes one row of min-plus sums at a time."""
     import numpy as np
 
-    arr = scaled_array(ints)
+    arr, scale = scaled_array(rows)
     bad = np.flatnonzero(np.diagonal(arr))
     if bad.size:
         raise ValueError(f"diagonal entry at {labels[bad[0]]!r} is nonzero")
@@ -53,7 +63,7 @@ def metric_array(ints: Sequence[Sequence[int]], labels: Sequence):
     for i in range(len(arr)):
         for j in np.flatnonzero((arr[i][:, None] + arr).min(axis=0) < arr[i])[:1]:
             raise ValueError(f"triangle inequality fails between {labels[i]!r} and {labels[j]!r}")
-    return arr
+    return arr, scale
 
 
 def max_defect(d) -> int:
@@ -68,7 +78,7 @@ def max_defect(d) -> int:
     """
     import numpy as np
 
-    arr = d if isinstance(d, np.ndarray) else scaled_array(d)
+    arr = d if isinstance(d, np.ndarray) else scaled_array(d)[0]
     n = len(arr)
     best = 0
     # every quadruple is seen once from its smallest point w

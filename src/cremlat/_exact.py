@@ -1,8 +1,9 @@
-"""Integer arguments read exactly; a leaf module, so every layer can import it."""
+"""Integer and rational arguments read exactly; a leaf module, so every layer can import it."""
 
 from __future__ import annotations
 
 import operator
+from fractions import Fraction
 
 
 def exact_int(value, what: str) -> int:
@@ -16,3 +17,10 @@ def exact_int(value, what: str) -> int:
         except TypeError:
             pass
     raise TypeError(f"{what} must be an integer, got {value!r}")
+
+
+def exact_rational(value, what: str) -> Fraction:
+    """``value`` as a Fraction, refusing a bool: Fraction(True) would read it as 1."""
+    if isinstance(value, bool):
+        raise TypeError(f"{what} must be a number, got {value!r}")
+    return Fraction(value)

@@ -19,7 +19,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from ._exact import exact_int
+from ._exact import exact_int, exact_rational
 from .bubble import PointId
 from .errors import (
     BasePointCollision,
@@ -67,7 +67,9 @@ class Characteristic:
         if resolution is None:
             self._resolution = None
         else:
-            rows = tuple(tuple(Q(x) for x in row) for row in resolution)
+            rows = tuple(
+                tuple(exact_rational(x, "resolution entry") for x in row) for row in resolution
+            )
             if len(rows) != len(self._inverse) or any(
                 len(row) != len(self._base) for row in rows
             ):

@@ -5,8 +5,9 @@ Three instruments:
 * four_point_delta: the exact four-point constant of a FiniteMetric,
   computed over every quadruple of the integers the metric stores (its
   distances times their common denominator) as one numpy array, which
-  _delta_py builds, checks and scans for doubled Gromov products from each
-  basepoint; the scan is exact and the result comes back as a Fraction.
+  _delta_py scales, builds, checks and scans for doubled Gromov products
+  from each basepoint; the scan is exact and the result comes back as a
+  Fraction.
   Trees give 0; an N x N grid gives at least N - 1, which is the finite
   shadow of a quasi-flat.
 
@@ -20,12 +21,12 @@ Three instruments:
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import (
     Dict, FrozenSet, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 )
 
+from ._exact import exact_int, exact_rational
 from .cremona import Characteristic
 from .errors import MalformedFamily
 from . import _delta_py
@@ -119,19 +120,23 @@ class Graph:
 
 
 def path_graph(n: int) -> Graph:
+    n = exact_int(n, "n")
     return Graph(range(n), [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle_graph(n: int) -> Graph:
+    n = exact_int(n, "n")
     return Graph(range(n), [(i, (i + 1) % n) for i in range(n)])
 
 
 def complete_graph(n: int) -> Graph:
+    n = exact_int(n, "n")
     return Graph(range(n), [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def grid_graph(rows: int, cols: int) -> Graph:
     """Rows x cols lattice; vertices are (row, col) pairs."""
+    rows, cols = exact_int(rows, "rows"), exact_int(cols, "cols")
     vertices = [(r, c) for r in range(rows) for c in range(cols)]
     edges = []
     for r in range(rows):
@@ -150,15 +155,17 @@ def grid_graph(rows: int, cols: int) -> Graph:
 class FiniteMetric:
     """Rational metric with the axioms enforced, stored once as scaled integers.
 
-    Invariant: d(i, j) == Fraction(_ints[i, j], _scale), where _scale is the least common
-    denominator and _ints the array from _delta_py.metric_array; ``matrix`` is a derived view.
+    Invariant: d(i, j) == Fraction(_ints[i, j], _scale), where (_ints, _scale) is the pair
+    one call of _delta_py.metric_array returns: _scale is the least common denominator and
+    _ints the checked array of the distances times it.  ``matrix`` is a derived view.
     """
 
     __slots__ = ("_labels", "_index", "_ints", "_scale")
 
     def __init__(self, matrix: Sequence[Sequence], labels: Optional[Sequence] = None) -> None:
         # serialize.metric_from_csv hands over Fractions; ints have a denominator too
-        rows = [tuple(x if type(x) in (Q, int) else _rational(x) for x in row) for row in matrix]
+        rows = [tuple(x if type(x) in (Q, int) else exact_rational(x, "distance") for x in row)
+                for row in matrix]
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise ValueError("matrix must be square")
@@ -168,11 +175,9 @@ class FiniteMetric:
             labels = tuple(labels)
             if len(labels) != n or len(set(labels)) != n:
                 raise ValueError("labels must be distinct and match the size")
-        ints, scale = _scaled_int_matrix(rows)
-        self._ints = _delta_py.metric_array(ints, labels)
+        self._ints, self._scale = _delta_py.metric_array(rows, labels)
         self._labels = labels
         self._index = {label: i for i, label in enumerate(labels)}
-        self._scale = scale
 
     @classmethod
     def from_graph(cls, graph: Graph) -> "FiniteMetric":
@@ -198,19 +203,6 @@ class FiniteMetric:
 
     def distance(self, a, b) -> Q:
         return Q(int(self._ints[self._index[a], self._index[b]]), self._scale)
-
-
-def _rational(x) -> Q:
-    if isinstance(x, bool):  # Fraction(True) would read it as 1
-        raise TypeError(f"distance must be a number, got {x!r}")
-    return Q(x)
-
-
-def _scaled_int_matrix(rows) -> Tuple[List[List[int]], int]:
-    """Clear denominators: integer matrix plus the common scale factor."""
-    scale = math.lcm(*{x.denominator for row in rows for x in row})
-    ints = [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
-    return ints, scale
 
 
 def four_point_delta(metric: FiniteMetric) -> Q:
@@ -464,6 +456,7 @@ def _certify(lowers: Iterable[Tuple[int, int]]) -> FlatCertificate:
 def _twists(k_max: int) -> Iterator[Tuple[int, int, int, Characteristic]]:
     """(k, m, n, twist characteristic) for 1 <= |m| + |n| = k <= k_max,
     sorted by k, then m, then n."""
+    k_max = exact_int(k_max, "k_max")
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     for k in range(1, k_max + 1):

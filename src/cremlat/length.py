@@ -16,14 +16,7 @@ from __future__ import annotations
 import math
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from .cremona import (
-    Characteristic,
-    Weighted,
-    jonquieres_characteristic,
-    md,
-    require_valid,
-    side_violations,
-)
+from .cremona import Characteristic, md, require_valid, side_violations
 from .errors import InvalidCharacteristic, NoDecrease, TooManyBasePoints
 
 
@@ -81,30 +74,27 @@ def _deg_bound(d: int) -> int:
 
 
 class GreedyStep(NamedTuple):
-    """One greedy factor and the base side left after dividing it out.
+    """One greedy factor and the map left after dividing it out.
 
-    ``base`` is the exact base side of the leftover map, of degree
-    ``degree``: untouched base points keep their ids and the factor's
-    inverse points carry fresh ones.  The leftover's inverse side is not
-    determined by the record alone and is not modelled.
+    ``k`` is the degree of the pencil-preserving factor, ``degree`` that of
+    the leftover map and ``mults`` its base multiplicities, descending and
+    nonzero.  The leftover's inverse side is not determined by the step and
+    is not modelled.
     """
 
-    jonquieres: Characteristic
+    k: int
     degree: int
-    base: Tuple[Weighted, ...]
+    mults: Tuple[int, ...]
 
 
-def _greedy_step(d: int, mults: Sequence[int]) -> Tuple[int, int, Tuple[int, ...]]:
+def _greedy_step(d: int, mults: Sequence[int]) -> GreedyStep:
     """One greedy factor on a base multiset listed in descending order.
 
     The center is mults[0]; for each k from 2 to 1 + floor((#mults - 1) / 2)
     the 2k - 2 small points are the next largest, and k minimizes the
     composed degree d*k - (k-1)*m0 - sum(smalls), ties to the smaller k.
-    Returns (k, new degree, leftover) with leftover aligned to mults: slot
-    i < 2k - 1 holds the multiplicity at the factor's i-th inverse point
-    (zero when it is not a base point of the leftover), later slots keep
-    mults[i].  The leftover side is checked against both identities and
-    the bounds.
+    The leftover multiset (the images of the factor's inverse points and
+    the untouched mults) is checked against both identities and the bounds.
     """
     if d < 2:
         raise NoDecrease("degree 1 has no predecessor")
@@ -119,39 +109,24 @@ def _greedy_step(d: int, mults: Sequence[int]) -> Tuple[int, int, Tuple[int, ...
     if best is None or best[1] >= d:
         raise NoDecrease(f"no factor drops the degree below {d}")
     k, new_degree, smalls = best
-    leftover = (
-        (d * (k - 1) - (k - 2) * center - smalls,)
-        + tuple(d - center - m for m in mults[1 : 2 * k - 1])
-        + tuple(mults[2 * k - 1 :])
-    )
-    violations = side_violations(new_degree, "base", [m for m in leftover if m])
+    leftover = [d * (k - 1) - (k - 2) * center - smalls]
+    leftover += (d - center - m for m in mults[1 : 2 * k - 1])
+    leftover += mults[2 * k - 1 :]
+    leftover = tuple(sorted(filter(None, leftover), reverse=True))
+    violations = side_violations(new_degree, "base", leftover)
     if violations:
         raise InvalidCharacteristic("; ".join(map(str, violations)))
-    return k, new_degree, leftover
+    return GreedyStep(k, new_degree, leftover)
 
 
 def greedy_predecessor(char: Characteristic) -> GreedyStep:
     """Best single pencil-preserving factor under the generic-position model.
 
-    The center sits at a base point of maximal multiplicity (smallest id on
-    ties) and the small points are the next largest, again by id on ties;
-    k follows the greedy rule.  The factor's inverse points take fresh ids
-    above every id of the characteristic.
+    The center sits at a base point of maximal multiplicity and the small
+    points are the next largest; k follows the greedy rule.
     """
     require_valid(char)
-    entries = sorted(char.base, key=lambda pm: (-pm[1], pm[0]))
-    k, new_degree, leftover = _greedy_step(char.degree, [m for _, m in entries])
-    used = {p for p, _ in char.base} | {q for q, _ in char.inverse_base}
-    fresh = max(used) + 1
-    inverse_ids = tuple(range(fresh, fresh + 2 * k - 1))
-    factor = jonquieres_characteristic(
-        k,
-        base_ids=[p for p, _ in entries[: 2 * k - 1]],
-        inverse_ids=inverse_ids,
-    )
-    ids = inverse_ids + tuple(p for p, _ in entries[2 * k - 1 :])
-    base = tuple((p, m) for p, m in zip(ids, leftover) if m)
-    return GreedyStep(jonquieres=factor, degree=new_degree, base=base)
+    return _greedy_step(char.degree, char.base_multiplicities())
 
 
 def greedy_length(char: Characteristic) -> LengthBounds:
@@ -162,9 +137,8 @@ def greedy_length(char: Characteristic) -> LengthBounds:
     lower_deg = _deg_bound(degree) if len(mults) <= 9 else None
     steps: List[Tuple[int, int]] = []
     while degree > 1:
-        k, degree, leftover = _greedy_step(degree, mults)
+        k, degree, mults = _greedy_step(degree, mults)
         steps.append((k, degree))
-        mults = sorted((m for m in leftover if m), reverse=True)
     return LengthBounds(
         lower_md=lower_md,
         lower_deg=lower_deg,

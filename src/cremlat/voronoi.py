@@ -15,7 +15,7 @@ from typing import Iterable, Sequence, Tuple
 
 from ._exact import exact_int
 from .bubble import Configuration, PointId, almost_general_position
-from .cremona import Characteristic, is_jonquieres, require_valid
+from .cremona import Characteristic, is_jonquieres
 from .errors import IndexOutOfRange, NotOnHyperboloid, UnknownPoint, WrongArity
 from .lattice import PicardManinClass, exceptional, intersect, line, self_intersection
 
@@ -68,6 +68,7 @@ def cell_member(c: PicardManinClass, idx: int, germs: GermSet) -> bool:
     hyperboloid normalization is not required (rational representatives of
     irrational-norm midpoints stay usable).
     """
+    idx = exact_int(idx, "germ index")
     if not 0 <= idx < len(germs):
         raise IndexOutOfRange(f"germ index {idx} out of range 0..{len(germs) - 1}")
     if self_intersection(c) <= 0:
@@ -86,11 +87,11 @@ def classify_germ(char: Characteristic, config: Configuration) -> str:
     9 give quasi-adjacency (shared boundary class only), and anything else
     is reported unclassified.
     """
-    require_valid(char)
+    pencil = is_jonquieres(char)  # validates char, before any point is looked up
     base_ids = char.base_ids()
     for p in base_ids:
         config.require(p)
-    if is_jonquieres(char):
+    if pencil:
         return JONQUIERES_ADJACENT
     if len(base_ids) <= 8 and almost_general_position(base_ids, config):
         return GENERAL_ADJACENT

@@ -4,10 +4,14 @@ import os
 import shutil
 import subprocess
 import sys
+import tomllib
+from pathlib import Path
 
 import pytest
 
 from cremlat.cli import main
+
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 PATH_CSV = "a,b,c,d\n0,1,2,3\n1,0,1,2\n2,1,0,1\n3,2,1,0\n"
 
@@ -548,13 +552,20 @@ class TestEntryPoints:
         assert proc.returncode == 0
         assert proc.stdout == expected
 
-    def test_console_script(self, capsys):
+    def test_console_script(self):
+        argv = ["flat-growth", "--kmax", "1"]
         script = shutil.which("cremlat")
-        if script is None:
-            pytest.skip("console script not on PATH")
-        _, expected, _ = run(capsys, ["flat-growth", "--kmax", "1"])
-        proc = subprocess.run(
-            [script, "flat-growth", "--kmax", "1"], capture_output=True, text=True
+        if script is not None:
+            command = [script] + argv
+        else:  # not installed: call the declared target as the generated script does
+            with open(PYPROJECT, "rb") as handle:
+                target = tomllib.load(handle)["project"]["scripts"]["cremlat"]
+            module, func = target.split(":")
+            code = f"import sys; from {module} import {func}; sys.exit({func}())"
+            command = [sys.executable, "-c", code] + argv
+        proc = subprocess.run(command, capture_output=True, text=True)
+        expected = subprocess.run(
+            [sys.executable, "-m", "cremlat"] + argv, capture_output=True, text=True
         )
-        assert proc.returncode == 0
-        assert proc.stdout == expected
+        assert proc.returncode == expected.returncode == 0
+        assert proc.stdout == expected.stdout

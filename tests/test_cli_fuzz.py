@@ -116,7 +116,7 @@ def json_text(draw, record):
 @st.composite
 def metric_csv(draw):
     """A small metric CSV, valid or with cells, labels, rows or the text mutated."""
-    n = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 12))
     # a weighted star: d(i, j) = w_i + w_j is a metric for positive weights
     weights = draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
     denominator = draw(st.sampled_from([1, 1, 3, 7]))

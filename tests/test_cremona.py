@@ -61,6 +61,10 @@ class TestConstruction:
             (2, {"base": [(0, 1.5)]}, "base multiplicity must be an integer, got 1.5"),
             (2, {"base": [(1.9, 1)]}, "base point id must be an integer, got 1.9"),
             (2, {"inverse_base": [(0, True)]}, "inverse base multiplicity must be an integer, got True"),
+            # Fraction(True) used to store the entry as 1
+            (2, {"base": [(0, 1), (1, 1), (2, 1)], "inverse_base": [(3, 1), (4, 1), (5, 1)],
+                 "resolution": [[True, "1/2", 0.5], [1, 0, 1], [1, 1, 0]]},
+             "resolution entry must be a number, got True"),
         ],
     )
     def test_non_integers_are_refused(self, degree, side, message):

@@ -16,7 +16,6 @@ from cremlat.hypgraph import (
     Graph,
     SubgraphFamily,
     _delta_py,
-    _scaled_int_matrix,
     bowditch_check,
     complete_graph,
     cycle_graph,
@@ -103,6 +102,13 @@ class TestGraph:
             Graph([0, 1], [(0, 2)])
         with pytest.raises(ValueError):
             Graph([0, 1], [(0, 0)])
+        # True used to build a 1-vertex graph (cycle_graph: "loop at 0")
+        for build, args in ((path_graph, (True,)), (cycle_graph, (True,)),
+                            (complete_graph, (True,)), (grid_graph, (True, 2))):
+            with pytest.raises(TypeError, match=r"^(n|rows) must be an integer, got True$"):
+                build(*args)
+        with pytest.raises(TypeError, match=r"^cols must be an integer, got 2\.0$"):
+            grid_graph(2, 2.0)
 
     def test_neighbors_sorted_by_index(self):
         g = Graph([3, 1, 2], [(2, 3), (2, 1)])
@@ -247,7 +253,7 @@ class TestFourPointDelta:
     def test_kernel_memory_is_quadratic(self):
         import numpy  # noqa: F401  (its import is not the kernel's memory)
 
-        ints, _ = _scaled_int_matrix(star_matrix(128, random.Random(128)))
+        ints = _delta_py.scaled_array(star_matrix(128, random.Random(128)))[0].tolist()
         tracemalloc.start()
         try:
             _delta_py.max_defect(ints)
@@ -399,6 +405,11 @@ class TestFlatGrowth:
             flat_growth(0)
         with pytest.raises(ValueError):
             flat_certificate(0)
+        # True used to give the k_max = 1 table and certificate
+        with pytest.raises(TypeError, match=r"^k_max must be an integer, got True$"):
+            flat_growth(True)
+        with pytest.raises(TypeError, match=r"^k_max must be an integer, got True$"):
+            flat_certificate(True)
 
     def test_cli_builds_each_twist_once(self, monkeypatch, capsys):
         # the table certifies itself: no second sweep through flat_certificate

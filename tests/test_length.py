@@ -11,11 +11,11 @@ from cremlat.cremona import (
     require_valid,
     side_violations,
     standard_quadratic,
-    validate,
 )
 from cremlat.errors import InvalidCharacteristic, NoDecrease, TooManyBasePoints
 from cremlat.halphen import twist_characteristic
 from cremlat.length import (
+    GreedyStep,
     _greedy_step,
     greedy_length,
     greedy_predecessor,
@@ -74,31 +74,18 @@ class TestLowerDeg:
 
 class TestGreedyPredecessor:
     def test_jonquieres_collapses_in_one_step(self):
-        j = jonquieres_characteristic(5)
-        step = greedy_predecessor(j)
-        assert step.degree == 1 and step.base == ()
-        assert step.jonquieres.degree == 5
-        assert step.jonquieres.base == j.base
+        assert greedy_predecessor(jonquieres_characteristic(5)) == GreedyStep(5, 1, ())
 
     def test_two_tower(self):
-        step = greedy_predecessor(char(4, (2, 2, 2, 1, 1, 1)))
-        # quadratic on the three multiplicity-2 points, 8 - 2 - 4 = 2
-        assert step.jonquieres.degree == 2
-        assert step.jonquieres.base_ids() == (0, 1, 2)
-        assert step.degree == 2
-        # the factor's inverse points vanish; the untouched points keep their ids
-        assert step.base == ((3, 1), (4, 1), (5, 1))
+        # quadratic on the three multiplicity-2 points, 8 - 2 - 4 = 2; the
+        # factor's inverse points vanish and the untouched 1s are left
+        assert greedy_predecessor(char(4, (2, 2, 2, 1, 1, 1))) == GreedyStep(2, 2, (1, 1, 1))
 
     def test_twist_1_0(self):
+        # k = 4 centered on the 6: 40 - 18 - 18 = 4; center image
+        # 10*3 - 2*6 - 18 = 0, six small images 10 - 6 - 3 = 1, one 3 untouched
         step = greedy_predecessor(char(10, (6, 3, 3, 3, 3, 3, 3, 3)))
-        # k = 4 centered on the 6: 40 - 18 - 18 = 4
-        assert step.jonquieres.degree == 4
-        assert step.jonquieres.base_ids()[0] == 0
-        assert step.degree == 4
-        # center image 10*3 - 2*6 - 18 = 0 and six small images 10 - 6 - 3 = 1
-        # at the factor's fresh inverse ids; point 7 keeps its 3
-        assert step.jonquieres.inverse_ids() == tuple(range(108, 115))
-        assert step.base == tuple((q, 1) for q in range(109, 115)) + ((7, 3),)
+        assert step == GreedyStep(4, 4, (3, 1, 1, 1, 1, 1, 1))
 
     def test_degree_one_has_no_predecessor(self):
         with pytest.raises(NoDecrease):
@@ -106,9 +93,8 @@ class TestGreedyPredecessor:
 
     def test_factor_and_leftover_are_valid(self):
         step = greedy_predecessor(twist_characteristic(2, 1))
-        assert validate(step.jonquieres).ok
-        assert is_jonquieres(step.jonquieres)
-        assert side_violations(step.degree, "base", [m for _, m in step.base]) == ()
+        assert step.k >= 2  # a pencil-preserving factor
+        assert side_violations(step.degree, "base", step.mults) == ()
 
 
 class TestGreedyLength:
@@ -180,10 +166,11 @@ def slice_sum_step(d, mults):
         + tuple(d - center - m for m in smalls)
         + tuple(rest[2 * k - 2 :])
     )
-    violations = side_violations(new_degree, "base", [m for m in leftover if m])
+    leftover = tuple(sorted((m for m in leftover if m), reverse=True))
+    violations = side_violations(new_degree, "base", leftover)
     if violations:
         raise InvalidCharacteristic("; ".join(map(str, violations)))
-    return k, new_degree, leftover
+    return GreedyStep(k, new_degree, leftover)
 
 
 def composed_jonquieres(degrees):
@@ -216,8 +203,16 @@ class TestGreedyStep:
         while degree > 1:  # every multiset along the chain is valid and descending
             step = _greedy_step(degree, mults)
             assert step == slice_sum_step(degree, mults)
-            _, degree, leftover = step
-            mults = sorted((m for m in leftover if m), reverse=True)
+            _, degree, mults = step
+
+    @given(valid_characteristics)
+    def test_chained_steps_are_the_decomposition(self, c):
+        degree, mults, steps = c.degree, c.base_multiplicities(), []
+        while degree > 1:
+            steps.append(_greedy_step(degree, mults))
+            _, degree, mults = steps[-1]
+        assert tuple((k, d) for k, d, _ in steps) == greedy_length(c).decomposition
+        assert greedy_predecessor(c) == steps[0]  # every such c has degree > 1
 
     def test_wide_candidate_range(self):
         # 9 points allow k = 2..5; a 3-factor composition allows more

@@ -1,7 +1,8 @@
 import pytest
 
+from cremlat import cremona, voronoi
 from cremlat.bubble import Configuration
-from cremlat.cremona import Characteristic, compose_disjoint, standard_quadratic
+from cremlat.cremona import Characteristic, compose_disjoint, require_valid, standard_quadratic
 from cremlat.errors import (
     IndexOutOfRange,
     InvalidCharacteristic,
@@ -107,6 +108,9 @@ class TestCellMember:
                 cell_member(line(), idx, germs)
         with pytest.raises(IndexError):  # doubles as the stdlib category
             cell_member(line(), 5, germs)
+        # True used to answer for germ 1
+        with pytest.raises(TypeError, match="^germ index must be an integer, got True$"):
+            cell_member(line(), True, germs)
 
     def test_needs_positive_self_intersection(self):
         germs = two_germs()
@@ -155,6 +159,26 @@ class TestClassifyGerm:
     def test_invalid_characteristic(self):
         with pytest.raises(InvalidCharacteristic):
             classify_germ(char(2, (1, 1)), Configuration.generic(range(3)))
+
+    def test_invalid_before_unknown_point(self):
+        # the CLI exits 2 on the first and 1 on the second; both faults here
+        with pytest.raises(InvalidCharacteristic):
+            classify_germ(char(2, (1, 1)), Configuration.generic([5]))
+
+    def test_validates_once(self, monkeypatch):
+        calls = []
+
+        def counted(c):
+            calls.append(c)
+            return require_valid(c)
+
+        monkeypatch.setattr(voronoi, "require_valid", counted, raising=False)  # a direct call counts
+        monkeypatch.setattr(cremona, "require_valid", counted)  # is_jonquieres looks it up here
+        cfg = Configuration.generic(range(12))
+        for c in (char(3, (2, 1, 1, 1, 1)), char(5, (2,) * 6), twist_characteristic(1, 0)):
+            calls.clear()
+            classify_germ(c, cfg)
+            assert calls == [c]
 
 
 class TestBoundaryClass:
