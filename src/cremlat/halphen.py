@@ -10,6 +10,10 @@ a.a even defines the lattice translation
 an isometry fixing K, with t_a o t_b = t_{a+b}.  Iterating on the line
 class produces the degree-growth quadratic form 9(n^2 + m^2 + nm) + 1.
 
+Every pairing (HalphenVector.pair, the TwistParam checks, translate) runs
+on one kernel, _pair, over plain int coordinate tuples.  A TwistParam keeps
+the a.a / 2 its check computes, so a translation pairs a only with K and d.
+
 When a vector is read as a map characteristic the multiplicities are the
 negated e-coefficients; multiplicities() exposes that reading.
 """
@@ -24,6 +28,12 @@ from .cremona import Characteristic
 from .errors import IdentityTwist, NotInKPerp, UnevenSelfPairing
 
 RANK = 10
+
+
+def _pair(a: Tuple[int, ...], b: Tuple[int, ...]) -> int:
+    """The pairing on coordinate tuples: the one kernel every pairing runs on."""
+    # n*n' - sum(c_i * c'_i), with the l term counted twice in the full sum
+    return 2 * a[0] * b[0] - sum(map(operator.mul, a, b))
 
 
 class HalphenVector:
@@ -58,9 +68,7 @@ class HalphenVector:
         return tuple(-c for c in self._coords[1:])
 
     def pair(self, other: "HalphenVector") -> int:
-        a, b = self._coords, other._coords
-        # n*n' - sum(c_i * c'_i), with the l term counted twice in the full sum
-        return 2 * a[0] * b[0] - sum(map(operator.mul, a, b))
+        return _pair(self._coords, other._coords)
 
     def __add__(self, other: "HalphenVector") -> "HalphenVector":
         if not isinstance(other, HalphenVector):
@@ -96,6 +104,7 @@ class HalphenVector:
 
 _LINE = HalphenVector((1,) + (0,) * 9)
 _K = HalphenVector((-3,) + (1,) * 9)
+_K_COORDS = _K.coords
 
 
 def line_vector() -> HalphenVector:
@@ -118,16 +127,23 @@ def canonical() -> HalphenVector:
 
 
 class TwistParam:
-    """A translation parameter: pairs to zero with K and has even self-pairing."""
+    """A translation parameter: pairs to zero with K and has even self-pairing.
 
-    __slots__ = ("_vector",)
+    Keeps a.a / 2, which the check computes anyway and every translation needs.
+    """
+
+    __slots__ = ("_vector", "_half_square")
 
     def __init__(self, vector: HalphenVector) -> None:
-        if vector.pair(_K) != 0:
-            raise NotInKPerp(f"{vector} pairs to {vector.pair(_K)} with the canonical vector")
-        if vector.pair(vector) % 2 != 0:
-            raise UnevenSelfPairing(f"{vector} has odd self-pairing {vector.pair(vector)}")
+        coords = vector._coords
+        k_pairing = _pair(coords, _K_COORDS)
+        if k_pairing != 0:
+            raise NotInKPerp(f"{vector} pairs to {k_pairing} with the canonical vector")
+        square = _pair(coords, coords)
+        if square % 2 != 0:
+            raise UnevenSelfPairing(f"{vector} has odd self-pairing {square}")
         self._vector = vector
+        self._half_square = square // 2
 
     @property
     def vector(self) -> HalphenVector:
@@ -159,18 +175,18 @@ def translate(a: Union[TwistParam, HalphenVector], d: HalphenVector) -> HalphenV
     """
     if not isinstance(a, TwistParam):
         a = TwistParam(a)
-    vec = a.vector
-    kd = _K.pair(d)
-    coefficient = vec.pair(d) - (kd * vec.pair(vec)) // 2
+    vec, coords = a._vector._coords, d._coords
+    kd = _pair(_K_COORDS, coords)
+    coefficient = _pair(vec, coords) - kd * a._half_square
     return HalphenVector._of(
-        tuple(x - kd * y + coefficient * k for x, y, k in zip(d._coords, vec._coords, _K._coords))
+        tuple(x - kd * y + coefficient * k for x, y, k in zip(coords, vec, _K_COORDS))
     )
 
 
-def _twist_vector(n: int, m: int) -> HalphenVector:
-    """n a_1 + m a_2, the translation parameter of the (n, m) twist."""
+def _twist_vector(n: int, m: int) -> TwistParam:
+    """n a_1 + m a_2 = (m + n)(-e_0) + n e_1 + m e_2, the (n, m) twist's parameter."""
     n, m = exact_int(n, "n"), exact_int(m, "m")  # refuses 1.5 and True
-    return n * _A1.vector + m * _A2.vector
+    return TwistParam(HalphenVector._of((0, -n - m, n, m, 0, 0, 0, 0, 0, 0)))
 
 
 def twist_degree(n: int, m: int) -> int:
@@ -178,7 +194,7 @@ def twist_degree(n: int, m: int) -> int:
 
     Equals 9(n^2 + m^2 + nm) + 1; tests compare against that closed form.
     """
-    return translate(_twist_vector(n, m), _LINE).pair(_LINE)
+    return translate(_twist_vector(n, m), _LINE)._coords[0]
 
 
 def twist_characteristic(n: int, m: int) -> Characteristic:
@@ -189,10 +205,10 @@ def twist_characteristic(n: int, m: int) -> Characteristic:
     the marked point ids 0..8, dropping zero entries.
     """
     a = _twist_vector(n, m)
-    if not any(a.coords):
+    if not any(a.vector.coords):
         raise IdentityTwist("the (0, 0) twist is the identity")
     forward = translate(a, _LINE)
-    backward = translate(-a, _LINE)
+    backward = translate(-a.vector, _LINE)
     base = [(i, mult) for i, mult in enumerate(backward.multiplicities()) if mult != 0]
     inverse = [(i, mult) for i, mult in enumerate(forward.multiplicities()) if mult != 0]
     return Characteristic(forward.degree, base=base, inverse_base=inverse)

@@ -119,24 +119,32 @@ class Graph:
         return seen == subset
 
 
+def _size(value, what: str, least: int = 0) -> int:
+    """A graph size: an exact int, refusing True, and at least ``least``."""
+    value = exact_int(value, what)
+    if value < least:
+        raise ValueError(f"{what} must be at least {least}, got {value}")
+    return value
+
+
 def path_graph(n: int) -> Graph:
-    n = exact_int(n, "n")
+    n = _size(n, "n")
     return Graph(range(n), [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle_graph(n: int) -> Graph:
-    n = exact_int(n, "n")
+    n = _size(n, "n", 3)  # fewer vertices close no cycle: a loop, or one edge twice
     return Graph(range(n), [(i, (i + 1) % n) for i in range(n)])
 
 
 def complete_graph(n: int) -> Graph:
-    n = exact_int(n, "n")
+    n = _size(n, "n")
     return Graph(range(n), [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def grid_graph(rows: int, cols: int) -> Graph:
     """Rows x cols lattice; vertices are (row, col) pairs."""
-    rows, cols = exact_int(rows, "rows"), exact_int(cols, "cols")
+    rows, cols = _size(rows, "rows"), _size(cols, "cols")
     vertices = [(r, c) for r in range(rows) for c in range(cols)]
     edges = []
     for r in range(rows):

@@ -13,6 +13,7 @@ import contextlib
 import io
 import json
 import os
+import sys
 import tempfile
 
 from hypothesis import example, given, settings, strategies as st
@@ -114,6 +115,25 @@ def json_text(draw, record):
 
 
 @st.composite
+def deeply_nested(draw, record):
+    """``record`` as JSON text with one node, or the whole record, replaced by
+    lists or objects nested past the interpreter's recursion limit."""
+    root = json.loads(json.dumps(record))
+    path = draw(st.sampled_from(list(_paths(root))))
+    depth = sys.getrecursionlimit() * draw(st.sampled_from([1, 2, 20])) + draw(st.integers(0, 9))
+    opener, closer = draw(st.sampled_from([("[", "]"), ('{"a":', "}")]))
+    core = draw(st.sampled_from(["", "1"])) if opener == "[" else "1"
+    deep = opener * depth + core + closer * depth
+    if not path:
+        return deep
+    parent = root
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = "@DEEP@"
+    return json.dumps(root).replace('"@DEEP@"', deep)
+
+
+@st.composite
 def metric_csv(draw):
     """A small metric CSV, valid or with cells, labels, rows or the text mutated."""
     n = draw(st.integers(1, 12))
@@ -150,7 +170,8 @@ def metric_csv(draw):
 
 
 def check_contract(argv, files):
-    """Run ``main`` on ``argv``, where each key of ``files`` stands for a file holding its text."""
+    """Run ``main`` on ``argv``, where each key of ``files`` stands for a file holding its text;
+    return the exit code, stdout and stderr."""
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         paths = {}
@@ -166,6 +187,7 @@ def check_contract(argv, files):
     assert "Traceback" not in err and err.count("\n") <= 1, err
     if code == 1:
         assert out == "" and err.count("\n") == 1 and err.endswith("\n"), (out, err)
+    return code, out, err
 
 
 @settings(max_examples=150, deadline=None)
@@ -181,6 +203,20 @@ def check_contract(argv, files):
 def test_mutated_records(case):
     argv, text = case
     check_contract(argv, {"FILE": text})
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from([
+        (["length", "FILE"], TOWER2),
+        (["in-e", "FILE"], CLASS),
+        (["classify", "--config", "FILE"], RUN),
+    ]).flatmap(lambda case: st.tuples(st.just(case[0]), deeply_nested(case[1]))),
+)
+def test_nested_past_the_recursion_limit(case):
+    argv, text = case
+    code, _, err = check_contract(argv, {"FILE": text})
+    assert code == 1 and err.endswith(": JSON nested too deeply\n"), err
 
 
 @settings(max_examples=60, deadline=None)

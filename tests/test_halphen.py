@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cremlat.cremona import Characteristic, validate
-from cremlat.errors import IdentityTwist, NotInKPerp
+from cremlat.errors import IdentityTwist, NotInKPerp, UnevenSelfPairing
 from cremlat.halphen import (
     HalphenVector,
     TwistParam,
@@ -101,6 +101,18 @@ class TestTwistParam:
         assert v.pair(v) % 2 == 0
         TwistParam(v)
 
+    @given(any_vectors())
+    def test_accepts_exactly_kperp(self, v):
+        # an odd self-pairing puts v outside K-perp (a.a = a.K mod 2), so it is refused too
+        if v.pair(canonical()) == 0:
+            assert TwistParam(v).vector == v
+        else:
+            with pytest.raises(NotInKPerp):
+                TwistParam(v)
+        if v.pair(v) % 2:
+            with pytest.raises((NotInKPerp, UnevenSelfPairing)):
+                TwistParam(v)
+
 
 class TestTranslate:
     def test_fixes_canonical(self):
@@ -184,6 +196,13 @@ class TestTwists:
         assert twist_degree(-1, 0) == 10
         assert twist_degree(2, 3) == 172
         assert twist_degree(1, 1) == 28
+
+    def test_degree_is_the_translate_of_the_line(self):
+        a1, a2 = generator_a1().vector, generator_a2().vector
+        for n in range(-7, 8):
+            for m in range(-7, 8):
+                image = translate(TwistParam(n * a1 + m * a2), line_vector())
+                assert twist_degree(n, m) == image.degree == image.pair(line_vector()), (n, m)
 
     @given(st.integers(-12, 12), st.integers(-12, 12))
     def test_closed_form(self, n, m):

@@ -109,6 +109,20 @@ class TestGraph:
                 build(*args)
         with pytest.raises(TypeError, match=r"^cols must be an integer, got 2\.0$"):
             grid_graph(2, 2.0)
+        # negative sizes used to give the empty graph, and cycle_graph(1) failed with "loop at 0"
+        for build, args, message in (
+            (path_graph, (-3,), "n must be at least 0, got -3"),
+            (complete_graph, (-1,), "n must be at least 0, got -1"),
+            (grid_graph, (-2, 3), "rows must be at least 0, got -2"),
+            (grid_graph, (3, -1), "cols must be at least 0, got -1"),
+            (cycle_graph, (1,), "n must be at least 3, got 1"),
+            (cycle_graph, (2,), "n must be at least 3, got 2"),
+            (cycle_graph, (-4,), "n must be at least 3, got -4"),
+        ):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                build(*args)
+        assert path_graph(0).vertices == complete_graph(0).vertices == grid_graph(0, 3).vertices == ()
+        assert cycle_graph(3).neighbors(0) == (1, 2)
 
     def test_neighbors_sorted_by_index(self):
         g = Graph([3, 1, 2], [(2, 3), (2, 1)])
@@ -428,6 +442,22 @@ class TestFlatGrowth:
         assert cli.main(["flat-growth", "--kmax", "5"]) == 0
         assert capsys.readouterr().out.endswith("# certificate: PASS\n")
         assert len(calls) == 2 * 5 * 6 == len(set(calls))
+
+    def test_table_against_closed_forms(self):
+        # pinned without the greedy code: the upper side of the quasi-flat
+        # (at most 2k, from the four k = 1 twists of length 2 and t_a o t_b = t_{a+b})
+        # and the least degree on each sphere
+        spheres = {}
+        for row in flat_growth(20).rows[1:]:
+            spheres.setdefault(abs(row.m) + abs(row.n), []).append(row)
+        assert sorted(spheres) == list(range(1, 21))
+        for k, rows in spheres.items():
+            assert all(row.upper <= 2 * k for row in rows), k
+            top = max(row.degree for row in rows)
+            assert top == 9 * k * k + 1
+            assert [row.upper for row in rows if row.degree == top] == [2 * k] * 4, k
+            least = 9 * (k * k - 3 * (k // 2) * ((k + 1) // 2)) + 1
+            assert min(row.degree for row in rows) == least, k
 
     @pytest.mark.parametrize("k_max", range(1, 13))
     def test_table_certificate_matches_flat_certificate(self, k_max):

@@ -235,3 +235,36 @@ def test_greedy_length_validates_once(monkeypatch):
         calls.clear()
         greedy_length(c)
         assert calls == [c]
+
+
+class TestStepMemo:
+    def test_bounded(self):
+        maxsize = length._step.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize < 10**5
+
+    @pytest.mark.parametrize(
+        "state, error",
+        [((2, (1, 1, 1, 1)), InvalidCharacteristic), ((3, (1,) * 6), NoDecrease), ((1, ()), NoDecrease)],
+    )
+    def test_raising_state_raises_again(self, state, error):
+        with pytest.raises(error):
+            _greedy_step(*state)
+        before = length._step.cache_info()
+        for _ in range(3):  # an exception is never cached
+            with pytest.raises(error):
+                length._step(*state)
+        after = length._step.cache_info()
+        assert after.misses - before.misses == 3 and after.hits == before.hits
+
+    def test_cold_and_warm_agree(self):
+        from cremlat.hypgraph import flat_growth
+
+        chars = [twist_characteristic(n, m) for n in range(-4, 5) for m in range(-4, 5) if n or m]
+        chars += [tower(5), composed_jonquieres([5, 4, 3]), identity_characteristic()]
+        length._step.cache_clear()
+        cold = [greedy_length(c) for c in chars], flat_growth(12)
+        assert length._step.cache_info().hits > 0  # walks from different maps meet
+        warm = [greedy_length(c) for c in chars], flat_growth(12)
+        assert cold == warm
+        length._step.cache_clear()
+        assert [greedy_length(c) for c in reversed(chars)] == cold[0][::-1]
