@@ -21,6 +21,8 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+from ._exact import cut_repr
+
 # the checks and the scan stay within [-2 peak, 2 peak]: int64 while 2 peak is below this
 _INT64_SAFE = 2**62
 
@@ -55,14 +57,16 @@ def metric_array(rows: Sequence[Sequence], labels: Sequence):
     arr, scale = scaled_array(rows)
     bad = np.flatnonzero(np.diagonal(arr))
     if bad.size:
-        raise ValueError(f"diagonal entry at {labels[bad[0]]!r} is nonzero")
+        raise ValueError(f"diagonal entry at {cut_repr(labels[bad[0]])} is nonzero")
     # arr != arr.T is symmetric and positivity is read above the diagonal, so i < j
     for what, mask in ("asymmetry", arr != arr.T), ("nonpositive distance", np.triu(arr <= 0, 1)):
         for i, j in np.argwhere(mask)[:1]:  # the first hit, if any
-            raise ValueError(f"{what} at ({labels[i]!r}, {labels[j]!r})")
+            raise ValueError(f"{what} at ({cut_repr(labels[i])}, {cut_repr(labels[j])})")
     for i in range(len(arr)):
         for j in np.flatnonzero((arr[i][:, None] + arr).min(axis=0) < arr[i])[:1]:
-            raise ValueError(f"triangle inequality fails between {labels[i]!r} and {labels[j]!r}")
+            raise ValueError(
+                f"triangle inequality fails between {cut_repr(labels[i])} and {cut_repr(labels[j])}"
+            )
     return arr, scale
 
 

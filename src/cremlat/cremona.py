@@ -36,9 +36,10 @@ Weighted = Tuple[PointId, int]
 def _freeze_side(side: Iterable, name: str) -> Tuple[Weighted, ...]:
     out = []
     seen = set()
+    pid_what, mult_what = f"{name} point id", f"{name} multiplicity"
     for pid, mult in side:
-        pid = exact_int(pid, f"{name} point id")
-        mult = exact_int(mult, f"{name} multiplicity")
+        pid = exact_int(pid, pid_what)
+        mult = exact_int(mult, mult_what)
         if pid in seen:
             raise ValueError(f"duplicate {name} point {pid}")
         if mult <= 0:

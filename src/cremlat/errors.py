@@ -41,10 +41,6 @@ class NotInKPerp(CremlatError):
     """A twist parameter does not pair to zero with the canonical vector."""
 
 
-class UnevenSelfPairing(CremlatError):
-    """A twist parameter has odd self-pairing; translation would leave Z."""
-
-
 class IdentityTwist(CremlatError):
     """The (0,0) twist has no characteristic (it is the identity)."""
 

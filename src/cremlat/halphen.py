@@ -25,7 +25,7 @@ from typing import Sequence, Tuple, Union
 
 from ._exact import exact_int
 from .cremona import Characteristic
-from .errors import IdentityTwist, NotInKPerp, UnevenSelfPairing
+from .errors import IdentityTwist, NotInKPerp
 
 RANK = 10
 
@@ -127,9 +127,9 @@ def canonical() -> HalphenVector:
 
 
 class TwistParam:
-    """A translation parameter: pairs to zero with K and has even self-pairing.
+    """A translation parameter: pairs to zero with K, so its self-pairing is even.
 
-    Keeps a.a / 2, which the check computes anyway and every translation needs.
+    Keeps a.a / 2, which every translation needs.
     """
 
     __slots__ = ("_vector", "_half_square")
@@ -139,11 +139,9 @@ class TwistParam:
         k_pairing = _pair(coords, _K_COORDS)
         if k_pairing != 0:
             raise NotInKPerp(f"{vector} pairs to {k_pairing} with the canonical vector")
-        square = _pair(coords, coords)
-        if square % 2 != 0:
-            raise UnevenSelfPairing(f"{vector} has odd self-pairing {square}")
+        # K is characteristic (a.a = a.K mod 2), so a in K-perp has even self-pairing
         self._vector = vector
-        self._half_square = square // 2
+        self._half_square = _pair(coords, coords) // 2
 
     @property
     def vector(self) -> HalphenVector:

@@ -15,23 +15,20 @@ Three instruments:
   connected subgraphs Gamma(x, y), one per vertex pair.
 
 * flat_growth: the degree lower bound of the twist family grows linearly
-  in |m| + |n|, so word length does too; the table comes certified by its
-  own lower bounds, and flat_certificate gives the verdict alone.
+  in |m| + |n|, so word length does too; the table's certificate is read
+  off its own lower bounds, and flat_certificate returns that certificate.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import (
-    Dict, FrozenSet, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
-)
+from typing import Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from ._exact import exact_int, exact_rational
-from .cremona import Characteristic
 from .errors import MalformedFamily
 from . import _delta_py
 from .halphen import twist_characteristic
-from .length import greedy_length, length_lower_deg
+from .length import greedy_length
 
 Q = Fraction
 
@@ -246,9 +243,6 @@ class SubgraphFamily:
             raise MalformedFamily(f"no subgraph declared for pair ({x!r}, {y!r})")
         return self._members[key]
 
-    def pairs(self) -> Iterable[FrozenSet]:
-        return self._members.keys()
-
 
 def geodesic_family(graph: Graph) -> SubgraphFamily:
     """One shortest path per pair, following lowest-index parents."""
@@ -417,8 +411,18 @@ class FlatRow(NamedTuple):
 
 
 class FlatCertificate(NamedTuple):
-    failing_k: Optional[int]
-    minima: Tuple[Tuple[int, int], ...]  # (k, min lower bound on the sphere)
+    """The least lower bound on each sphere |m| + |n| = k, as (k, bound) pairs, k ascending.
+
+    Growth is linear when each is >= ceil(0.6 k); ``failing_k`` is the first k below it.
+    The threshold 0.6 sits strictly below sqrt(9/20) ~ 0.6708, the exact asymptotic slope
+    of the degree bound on the worst diagonal, leaving room for ceiling effects at small k.
+    """
+
+    minima: Tuple[Tuple[int, int], ...]
+
+    @property
+    def failing_k(self) -> Optional[int]:
+        return next((k for k, low in self.minima if low < -(-3 * k // 5)), None)
 
     @property
     def passed(self) -> bool:
@@ -426,49 +430,39 @@ class FlatCertificate(NamedTuple):
 
 
 class FlatTable(NamedTuple):
+    """The rows of flat_growth(k_max); the certificate is read off their ``lower`` column."""
+
     k_max: int
     rows: Tuple[FlatRow, ...]
-    certificate: FlatCertificate
+
+    @property
+    def certificate(self) -> FlatCertificate:
+        minima: Dict[int, int] = {}
+        for r in self.rows[1:]:
+            k = abs(r.m) + abs(r.n)
+            minima[k] = min(r.lower, minima.get(k, r.lower))
+        return FlatCertificate(tuple(minima.items()))
 
 
 def flat_growth(k_max: int) -> FlatTable:
-    """Degree and length-bound table over |m| + |n| <= k_max, certified by its lower bounds."""
-    rows = [FlatRow(m=0, n=0, degree=1, lower=0, upper=0)]
-    for _, m, n, char in _twists(k_max):
-        bounds = greedy_length(char)
-        rows.append(FlatRow(m, n, char.degree, bounds.lower_deg, bounds.upper_greedy))
-    certificate = _certify((abs(r.m) + abs(r.n), r.lower) for r in rows[1:])
-    return FlatTable(k_max=k_max, rows=tuple(rows), certificate=certificate)
+    """Degree and length-bound table over |m| + |n| <= k_max, certified by its lower bounds.
 
-
-def flat_certificate(k_max: int) -> FlatCertificate:
-    """The certificate of flat_growth(k_max) without its greedy work."""
-    return _certify((k, length_lower_deg(char)) for k, _, _, char in _twists(k_max))
-
-
-def _certify(lowers: Iterable[Tuple[int, int]]) -> FlatCertificate:
-    """Linear growth check on (k, lower bound) pairs, k ascending: the least
-    bound on each sphere must be >= ceil(0.6 k); the first k below it fails.
-
-    The threshold 0.6 sits strictly below sqrt(9/20) ~ 0.6708, the exact
-    asymptotic slope of the degree bound on the worst diagonal, leaving
-    room for ceiling effects at small k.
+    The twist rows follow the identity row, sorted by |m| + |n|, then m, then n.
     """
-    minima: Dict[int, int] = {}
-    for k, lower in lowers:
-        minima[k] = min(lower, minima.get(k, lower))
-    failing = next((k for k, low in minima.items() if low < -(-3 * k // 5)), None)
-    return FlatCertificate(failing_k=failing, minima=tuple(minima.items()))
-
-
-def _twists(k_max: int) -> Iterator[Tuple[int, int, int, Characteristic]]:
-    """(k, m, n, twist characteristic) for 1 <= |m| + |n| = k <= k_max,
-    sorted by k, then m, then n."""
     k_max = exact_int(k_max, "k_max")
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
+    rows = [FlatRow(m=0, n=0, degree=1, lower=0, upper=0)]
     for k in range(1, k_max + 1):
         for m in range(-k, k + 1):
             r = k - abs(m)
             for n in (-r, r) if r else (0,):
-                yield k, m, n, twist_characteristic(n, m)
+                char = twist_characteristic(n, m)
+                bounds = greedy_length(char)
+                rows.append(FlatRow(m, n, char.degree, bounds.lower_deg, bounds.upper_greedy))
+    return FlatTable(k_max=k_max, rows=tuple(rows))
+
+
+def flat_certificate(k_max: int) -> FlatCertificate:
+    """The certificate of flat_growth(k_max), which it builds."""
+    return flat_growth(k_max).certificate

@@ -32,13 +32,16 @@ class LengthBounds(NamedTuple):
     ``lower_deg`` is None past nine base points.  ``decomposition`` lists
     the greedy factors in the order they are divided out, each as
     (k, degree after it), where k is the degree of the pencil-preserving
-    factor; ``upper_greedy`` is its length.
+    factor; the property ``upper_greedy`` is its length.
     """
 
     lower_md: int
     lower_deg: Optional[int]
-    upper_greedy: int
     decomposition: Tuple[Tuple[int, int], ...]
+
+    @property
+    def upper_greedy(self) -> int:
+        return len(self.decomposition)
 
     @property
     def lower(self) -> int:
@@ -150,9 +153,4 @@ def greedy_length(char: Characteristic) -> LengthBounds:
     while degree > 1:
         k, degree, mults = _step(degree, mults)
         steps.append((k, degree))
-    return LengthBounds(
-        lower_md=lower_md,
-        lower_deg=lower_deg,
-        upper_greedy=len(steps),
-        decomposition=tuple(steps),
-    )
+    return LengthBounds(lower_md=lower_md, lower_deg=lower_deg, decomposition=tuple(steps))

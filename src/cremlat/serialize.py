@@ -15,6 +15,7 @@ import sys
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence, Tuple
 
+from ._exact import cut_repr
 from .bubble import Configuration
 from .cremona import Characteristic
 from .hypgraph import FiniteMetric
@@ -34,7 +35,7 @@ def rational_to_str(value) -> str:
 
 def rational_from(value) -> Q:
     if isinstance(value, bool):
-        raise ValueError(f"not a rational: {value!r}")
+        raise ValueError(f"not a rational: {cut_repr(value)}")
     if isinstance(value, int):
         return Q(value)
     if isinstance(value, str):
@@ -42,21 +43,22 @@ def rational_from(value) -> Q:
         exponent = _EXPONENT.search(value)
         limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
         if exponent and (len(exponent[1]) > limit or abs(int(exponent[1])) > limit):
-            raise ValueError(
-                f"exponent out of range in {value!r}: its magnitude must be at most {limit}"
-            )
+            raise ValueError(f"exponent out of range in {cut_repr(value)}: "
+                             f"its magnitude must be at most {limit}")
         try:
             q = Q(value)
         except ZeroDivisionError:
-            raise ValueError(f"zero denominator: {value!r}") from None
+            raise ValueError(f"zero denominator: {cut_repr(value)}") from None
+        except ValueError:  # Fraction's own message would echo the whole string
+            raise ValueError(f"not a rational: {cut_repr(value)}") from None
         # 1e4300 is inside the exponent bound, but its 4301 digits could not be printed
         if not (_printable(q.numerator, limit) and _printable(q.denominator, limit)):
             raise ValueError(
-                f"too many digits in {value!r}: its numerator and denominator may have "
+                f"too many digits in {cut_repr(value)}: its numerator and denominator may have "
                 f"at most {limit} each"
             )
         return q
-    raise ValueError(f"not a rational: {value!r}")
+    raise ValueError(f"not a rational: {cut_repr(value)}")
 
 
 def _printable(n: int, limit: int) -> bool:
@@ -75,7 +77,7 @@ def integer_from(value, what: str) -> int:
             return int(value)
         except ValueError:
             pass
-    raise ValueError(f"{what} must be an integer, got {value!r}")
+    raise ValueError(f"{what} must be an integer, got {cut_repr(value)}")
 
 
 def _object(value, what: str) -> dict:
@@ -264,7 +266,7 @@ def metric_from_csv(path: str) -> FiniteMetric:
     matrix = []
     for row in body:
         if len(row) != len(labels):
-            raise ValueError(f"{path}: ragged row {row!r}")
+            raise ValueError(f"{path}: ragged row {cut_repr(row)}")
         matrix.append([rational_from(cell.strip()) for cell in row])
     return FiniteMetric(matrix, labels=labels)
 

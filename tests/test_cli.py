@@ -225,6 +225,22 @@ class TestDelta:
         assert err == f"delta: bad input: {metric}: field larger than field limit ({limit})\n"
 
 
+@pytest.mark.parametrize("command, name, text", [
+    ("length", "long.json", json.dumps({"degree": [1] * 200_000})),
+    ("delta", "garbage.csv", "a,b\n0," + "x" * 100_000 + "\n1,0\n"),
+    ("delta", "ragged.csv", "a,b\n0,1\n" + ",".join(["1"] * 100_000) + "\n"),
+    ("delta", "label.csv", "x" * 100_000 + ",b\n1,1\n1,0\n"),
+], ids=["long-degree", "long-cell", "long-row", "long-label"])
+def test_echoed_value_is_cut(capsys, tmp_path, command, name, text):
+    # the offending value used to be echoed whole: a 600 KB line for the long degree
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, [command, str(path)])
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "…" in err
+    assert len(err.encode("utf-8")) < 300
+
+
 def test_newline_in_path_stays_on_one_line(capsys, tmp_path):
     # messages that echo a path used to print its newline as it was
     metric = tmp_path / "em\npty.csv"

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cremlat.cremona import Characteristic, validate
-from cremlat.errors import IdentityTwist, NotInKPerp, UnevenSelfPairing
+from cremlat.errors import IdentityTwist, NotInKPerp
 from cremlat.halphen import (
     HalphenVector,
     TwistParam,
@@ -110,7 +110,7 @@ class TestTwistParam:
             with pytest.raises(NotInKPerp):
                 TwistParam(v)
         if v.pair(v) % 2:
-            with pytest.raises((NotInKPerp, UnevenSelfPairing)):
+            with pytest.raises(NotInKPerp):
                 TwistParam(v)
 
 

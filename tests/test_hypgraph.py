@@ -13,6 +13,7 @@ from cremlat.hypgraph import (
     FiniteMetric,
     FlatCertificate,
     FlatRow,
+    FlatTable,
     Graph,
     SubgraphFamily,
     _delta_py,
@@ -459,15 +460,18 @@ class TestFlatGrowth:
             least = 9 * (k * k - 3 * (k // 2) * ((k + 1) // 2)) + 1
             assert min(row.degree for row in rows) == least, k
 
-    @pytest.mark.parametrize("k_max", range(1, 13))
-    def test_table_certificate_matches_flat_certificate(self, k_max):
-        assert flat_growth(k_max).certificate == flat_certificate(k_max)
-
     def test_records(self):
-        # the verdict is read off failing_k, so no certificate can contradict it
+        # the verdict is read off the minima and the certificate off the rows,
+        # so no record can contradict its own data
         with pytest.raises(TypeError):
             FlatCertificate(passed=True, failing_k=3, minima=())
-        assert not FlatCertificate(failing_k=3, minima=((3, 1),)).passed
+        with pytest.raises(TypeError):
+            FlatCertificate(failing_k=3, minima=((3, 1),))
+        with pytest.raises(TypeError):
+            FlatTable(k_max=1, rows=(), certificate=FlatCertificate(()))
+        cert = FlatCertificate(minima=((1, 2), (3, 1), (4, 1)))
+        assert cert.failing_k == 3 and not cert.passed
+        assert FlatCertificate(minima=((3, 1),)).failing_k == 3
         assert repr(FlatRow(1, 0, 10, 2, 2)) == "FlatRow(m=1, n=0, degree=10, lower=2, upper=2)"
 
     def test_certificate(self):

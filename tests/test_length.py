@@ -16,6 +16,7 @@ from cremlat.errors import InvalidCharacteristic, NoDecrease, TooManyBasePoints
 from cremlat.halphen import twist_characteristic
 from cremlat.length import (
     GreedyStep,
+    LengthBounds,
     _greedy_step,
     greedy_length,
     greedy_predecessor,
@@ -103,6 +104,12 @@ class TestGreedyLength:
         assert (bounds.lower_md, bounds.lower_deg, bounds.upper_greedy) == (0, 0, 0)
         assert bounds.decomposition == ()
         assert bounds.lower == 0
+
+    def test_upper_is_read_off_the_decomposition(self):
+        with pytest.raises(TypeError):
+            LengthBounds(lower_md=0, lower_deg=0, upper_greedy=5, decomposition=())
+        bounds = LengthBounds(lower_md=1, lower_deg=1, decomposition=((2, 2), (2, 1)))
+        assert bounds.upper_greedy == 2
 
     def test_two_tower(self):
         bounds = greedy_length(char(4, (2, 2, 2, 1, 1, 1)))
