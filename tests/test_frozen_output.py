@@ -1,14 +1,22 @@
-"""Frozen CLI output of the commands that print lattice twists and length bounds.
+"""Frozen CLI output of the commands that print lattice twists, length bounds and deltas.
 
 `flat-growth --kmax K` is pinned by the sha256 of its stdout for every K in
 1..20 and `halphen-table --nmax N` for every N in 1..32; `length` is pinned
-by its data row for quadratic towers 1..12 and for three lattice twists.
-Any change to the lattice arithmetic, the greedy search, the lower bounds or
-the table layout that alters a byte of output fails here.
+by its data row for quadratic towers 1..12 and for three lattice twists;
+`delta` is pinned by the sha256 of its stdout on seeded stars with mixed
+denominators, a rational-scaled grid, both times 2**70, and 4-cycles whose
+largest entry sits on either side of each dtype edge of the metric array.
+Any change to the lattice arithmetic, the greedy search, the lower bounds,
+the metric reader, the four-point scan or the table layout that alters a
+byte of output fails here.
 """
 
+import csv
 import hashlib
+import io
 import json
+import random
+from fractions import Fraction as Q
 
 from cremlat.cli import main
 from cremlat.cremona import compose_disjoint, standard_quadratic
@@ -147,3 +155,90 @@ def test_length_rows(capsys, tmp_path):
     assert towers == TOWER_LENGTH_ROWS
     twists = {nm: length_row(capsys, tmp_path, twist_characteristic(*nm)) for nm in TWIST_LENGTH_ROWS}
     assert twists == TWIST_LENGTH_ROWS
+
+
+# keyed by metric name; see delta_metrics
+DELTA_SHA256 = {
+    "star8": "04cb97b0d55cafb27cc580a8e218897f3c4457df0993d613010c7cd62102934c",
+    "star24": "61af1a15011b7132b12b01fb45253c887de613f0f58ec6923d7173780bfe8da1",
+    "star40": "05c1582a22513698d911c1996dac991cb9ec9e923d047ff69727f897e174da10",
+    "grid6": "73229f72a397cb583fc34097cc05296d2e5c9218420c1a27758e23170245c0f8",
+    "star8x2**70": "58366aff3357849b07360acf6dff98125ddb7a6557fdcd9f132e08964427ef15",
+    "star24x2**70": "717d0137e5abd32461a05468ad43f5ab26cbff6eb325d047f64c29d16e6cf82b",
+    "star40x2**70": "bbe5c0574da8586ed0adeb92dba5d0e0452c7b9e91e12360ce29cfb0bd8dd076",
+    "grid6x2**70": "419d4087d73db98cddcf7ae75676566b089dc2380badb3644d655104361b4efb",
+    "cycle2**14-1": "c06c4a8121fff9c60f525cfde406b6b3ef45fa2b94f42268ca913e98f7f1f4db",
+    "cycle2**14": "c06c4a8121fff9c60f525cfde406b6b3ef45fa2b94f42268ca913e98f7f1f4db",
+    "cycle2**30-1": "e2159b0a12b0c79cb01b89feb58d341095b404ccf0bbca928cf2051383b4b899",
+    "cycle2**30": "e2159b0a12b0c79cb01b89feb58d341095b404ccf0bbca928cf2051383b4b899",
+    "cycle2**61-1": "056ca13e027627416db8d66cf99b2caf0da47cc3a0d14beec5e1384b82b373e2",
+    "cycle2**61": "056ca13e027627416db8d66cf99b2caf0da47cc3a0d14beec5e1384b82b373e2",
+    "cycle2**62-1": "971853f85b2dabeb44b545193428430d3265cff832beaf277f137e321540606f",
+    "cycle2**62": "971853f85b2dabeb44b545193428430d3265cff832beaf277f137e321540606f",
+}
+
+
+def star_matrix(n):
+    """Seeded star metric w_i + w_j - e_ij with mixed denominators: weights in
+    [50, 100] and defects in [0, 40], so every triangle holds."""
+    rng = random.Random(f"frozen-delta-star:{n}")
+    dens = (1, 2, 3, 5, 7, 12)
+    weights = [Q(rng.randint(50 * d, 100 * d), d) for d in (rng.choice(dens) for _ in range(n))]
+    matrix = [[Q(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = rng.choice(dens)
+            matrix[i][j] = matrix[j][i] = weights[i] + weights[j] - Q(rng.randint(0, 40 * d), d)
+    return [f"p{i}" for i in range(n)], matrix
+
+
+def grid_matrix(k, scale):
+    cells = [(r, c) for r in range(k) for c in range(k)]
+    labels = [f"g{r}_{c}" for r, c in cells]
+    return labels, [[scale * (abs(r - r2) + abs(c - c2)) for r2, c2 in cells] for r, c in cells]
+
+
+def cycle_matrix(peak):
+    """A 4-cycle with diagonals ``peak`` and coprime sides summing to it; delta is the short side."""
+    short = (peak - 1) // 2
+    long = peak - short
+    return list("abcd"), [[0, short, peak, long], [short, 0, long, peak],
+                          [peak, long, 0, short], [long, peak, short, 0]]
+
+
+def delta_metrics():
+    metrics = {f"star{n}": star_matrix(n) for n in (8, 24, 40)}
+    metrics["grid6"] = grid_matrix(6, Q(7, 12))
+    for name, (labels, matrix) in list(metrics.items()):
+        metrics[f"{name}x2**70"] = labels, [[x * 2**70 for x in row] for row in matrix]
+    for e in (14, 30, 61, 62):
+        metrics[f"cycle2**{e}-1"] = cycle_matrix(2**e - 1)
+        metrics[f"cycle2**{e}"] = cycle_matrix(2**e)
+    return metrics
+
+
+def metric_text(labels, matrix, rng):
+    """CSV of the metric with cells in the forms a file may hold: integers,
+    reduced and unreduced fractions, some padded with spaces."""
+    rows = [labels]
+    for row in matrix:
+        cells = []
+        for x in row:
+            x = Q(x)
+            k = rng.choice((1, 1, 2, 3))
+            text = str(x.numerator) if x.denominator == 1 and k == 1 else f"{x.numerator * k}/{x.denominator * k}"
+            cells.append(rng.choice(("", " ")) + text)
+        rows.append(cells)
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
+
+
+def test_delta_digests(capsys, tmp_path):
+    rng = random.Random("frozen-delta-cells")
+    path = tmp_path / "metric.csv"
+    digests = {}
+    for name, (labels, matrix) in delta_metrics().items():
+        path.write_text(metric_text(labels, matrix, rng), encoding="utf-8")
+        digests[name] = hashlib.sha256(stdout_of(capsys, ["delta", str(path)]).encode()).hexdigest()
+    assert digests == DELTA_SHA256
