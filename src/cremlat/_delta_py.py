@@ -1,7 +1,12 @@
-"""A metric as one scaled integer numpy array: scaled, built, checked and scanned.
+"""A metric as one primitive integer numpy array: scaled, built, checked and scanned.
 
-``scaled_array`` is the one place that picks both the scale (the least
-common denominator) and the dtype (int64, or object past its range).
+``scaled_array`` is the one builder of a metric's array.  From numerators
+and denominators it picks the unit, the largest rational of which every
+entry is an integer multiple (the gcd of the entries over their least
+common denominator), so the array is primitive: its entries have gcd 1.
+It then picks the narrowest dtype the checks and the scan cannot overflow:
+int16, int32 or int64 while twice the largest magnitude fits, Python ints
+(object dtype) past that.
 
 The four-point kernel is a numpy scan over doubled Gromov products
 (Fournier, Ismail and Vigneron, "Computing the Gromov hyperbolicity of a
@@ -19,42 +24,53 @@ numpy module, and numpy loads on its first use.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Sequence
 
 from ._exact import cut_repr
-
-# the checks and the scan stay within [-2 peak, 2 peak]: int64 while 2 peak is below this
-_INT64_SAFE = 2**62
 
 # elements of one min(P[x], P[y]) block; keeps the scan's memory O(n^2)
 _CHUNK = 2**17
 
 
-def scaled_array(rows: Sequence[Sequence]):
-    """The square matrix of rationals (ints or Fractions) as ``(array, scale)``.
+def scaled_array(numerators: Sequence[Sequence[int]], denominators: Sequence[Sequence[int]]):
+    """The square matrix of rationals numerators[i][j] / denominators[i][j] as ``(array, unit)``.
 
-    ``scale`` is the least common denominator and ``array`` the n x n entries
-    times it: int64 while every value the checks and the scan form fits,
-    Python ints (object dtype) past that, so they are exact.  The peak is a
-    magnitude over the Python ints: it cannot wrap, and a huge negative
-    entry reaches the positivity check.
+    ``unit`` is a positive Fraction and ``array`` the n x n primitive integer
+    entries with d(i, j) = array[i, j] * unit.  Every value the checks and the
+    scan form lies within twice the peak magnitude, so the dtype is the first
+    of int16, int32 and int64 whose maximum holds 2 * peak, and object dtype
+    (exact Python ints) past that.  The peak is taken over Python ints: it
+    cannot wrap, and a huge negative entry reaches the positivity check.
     """
     import numpy as np
 
-    scale = math.lcm(*{x.denominator for row in rows for x in row})
-    ints = [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
-    peak = max(max(map(max, ints), default=0), -min(map(min, ints), default=0))
-    dtype = np.int64 if 2 * peak < _INT64_SAFE else object
-    return np.array(ints, dtype=dtype).reshape(len(ints), len(ints)), scale
+    n = len(numerators)
+    dens = [d for row in denominators for d in row]
+    scale = math.lcm(*set(dens))
+    if not scale:
+        raise ValueError("zero denominator")
+    ints = [x for row in numerators for x in row]
+    if scale != 1:
+        factor = {d: scale // d for d in set(dens)}
+        ints = [x * factor[d] for x, d in zip(ints, dens)]
+    common = math.gcd(*ints) or 1
+    if common != 1:
+        ints = [x // common for x in ints]
+    peak = max(max(ints, default=0), -min(ints, default=0))
+    dtype = next((t for t in (np.int16, np.int32, np.int64) if 2 * peak <= np.iinfo(t).max), object)
+    return np.array(ints, dtype=dtype).reshape(n, n), Fraction(common, scale)
 
 
-def metric_array(rows: Sequence[Sequence], labels: Sequence):
-    """``scaled_array(rows)`` after checking the metric axioms on its array; a
-    failed axiom raises ValueError naming its first bad pair, row-major.  The
-    triangle check takes one row of min-plus sums at a time."""
+def metric_array(numerators: Sequence[Sequence[int]], denominators: Sequence[Sequence[int]],
+                 labels: Sequence):
+    """``scaled_array(numerators, denominators)`` after checking the metric
+    axioms on its array; a failed axiom raises ValueError naming its first bad
+    pair, row-major.  The triangle check takes one row of min-plus sums at a
+    time."""
     import numpy as np
 
-    arr, scale = scaled_array(rows)
+    arr, unit = scaled_array(numerators, denominators)
     bad = np.flatnonzero(np.diagonal(arr))
     if bad.size:
         raise ValueError(f"diagonal entry at {cut_repr(labels[bad[0]])} is nonzero")
@@ -67,7 +83,7 @@ def metric_array(rows: Sequence[Sequence], labels: Sequence):
             raise ValueError(
                 f"triangle inequality fails between {cut_repr(labels[i])} and {cut_repr(labels[j])}"
             )
-    return arr, scale
+    return arr, unit
 
 
 def max_defect(d) -> int:
@@ -78,11 +94,15 @@ def max_defect(d) -> int:
     largest).  Returns the maximum defect, 0 for fewer than four points.
     ``d`` must be a metric: the triangle law makes every choice with
     repeated points score <= 0.  It is an array from ``scaled_array``, as a
-    FiniteMetric stores it, or a square list of lists of ints.
+    FiniteMetric stores it, or a square list of lists of ints, whose own
+    defect is returned: the defect of its primitive array times the unit.
     """
     import numpy as np
 
-    arr = d if isinstance(d, np.ndarray) else scaled_array(d)[0]
+    if not isinstance(d, np.ndarray):
+        arr, unit = scaled_array(d, [[1] * len(row) for row in d])
+        return max_defect(arr) * unit.numerator
+    arr = d
     n = len(arr)
     best = 0
     # every quadruple is seen once from its smallest point w

@@ -26,7 +26,11 @@ def exact_int(value, what: str) -> int:
 
 
 def exact_rational(value, what: str) -> Fraction:
-    """``value`` as a Fraction, refusing a bool: Fraction(True) would read it as 1."""
+    """``value`` as a Fraction, refusing a bool: Fraction(True) would read it as 1.
+    A string Fraction cannot read is a ValueError that echoes the value cut."""
     if isinstance(value, bool):
         raise TypeError(f"{what} must be a number, got {cut_repr(value)}")
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except ValueError:  # Fraction's own message would echo the whole string
+        raise ValueError(f"{what} must be a number, got {cut_repr(value)}") from None

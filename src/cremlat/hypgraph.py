@@ -4,10 +4,10 @@ Three instruments:
 
 * four_point_delta: the exact four-point constant of a FiniteMetric,
   computed over every quadruple of the integers the metric stores (its
-  distances times their common denominator) as one numpy array, which
-  _delta_py scales, builds, checks and scans for doubled Gromov products
-  from each basepoint; the scan is exact and the result comes back as a
-  Fraction.
+  distances as multiples of one rational unit) as one primitive numpy
+  array, which _delta_py builds in the narrowest exact dtype, checks and
+  scans for doubled Gromov products from each basepoint; the scan is exact
+  and the result, times the unit, comes back as a Fraction.
   Trees give 0; an N x N grid gives at least N - 1, which is the finite
   shadow of a quasi-flat.
 
@@ -158,21 +158,32 @@ def grid_graph(rows: int, cols: int) -> Graph:
 
 
 class FiniteMetric:
-    """Rational metric with the axioms enforced, stored once as scaled integers.
+    """Rational metric with the axioms enforced, stored once as a primitive integer array.
 
-    Invariant: d(i, j) == Fraction(_ints[i, j], _scale), where (_ints, _scale) is the pair
-    one call of _delta_py.metric_array returns: _scale is the least common denominator and
-    _ints the checked array of the distances times it.  ``matrix`` is a derived view.
+    Invariant: d(i, j) == _ints[i, j] * _unit, where (_ints, _unit) is the pair one
+    call of _delta_py.metric_array returns: _unit is the largest rational of which
+    every distance is an integer multiple, and _ints the checked array of those
+    multiples in the narrowest exact dtype.  ``matrix`` is a derived view.
+
+    ``matrix`` holds rationals (ints, Fractions or anything Fraction reads
+    exactly).  With ``denominators``, a square matrix of nonzero ints, it holds
+    instead the int numerators of d(i, j) = matrix[i][j] / denominators[i][j]:
+    the pairs serialize.metric_from_csv reads, taken without a Fraction per entry.
     """
 
-    __slots__ = ("_labels", "_index", "_ints", "_scale")
+    __slots__ = ("_labels", "_index", "_ints", "_unit")
 
-    def __init__(self, matrix: Sequence[Sequence], labels: Optional[Sequence] = None) -> None:
-        # serialize.metric_from_csv hands over Fractions; ints have a denominator too
-        rows = [tuple(x if type(x) in (Q, int) else exact_rational(x, "distance") for x in row)
-                for row in matrix]
-        n = len(rows)
-        if any(len(row) != n for row in rows):
+    def __init__(self, matrix: Sequence[Sequence], labels: Optional[Sequence] = None,
+                 denominators: Optional[Sequence[Sequence[int]]] = None) -> None:
+        if denominators is None:
+            rows = [[x if type(x) in (Q, int) else exact_rational(x, "distance") for x in row]
+                    for row in matrix]
+            numerators = [[x.numerator for x in row] for row in rows]
+            denominators = [[x.denominator for x in row] for row in rows]
+        else:
+            numerators = matrix
+        n = len(numerators)
+        if len(denominators) != n or any(len(row) != n for row in (*numerators, *denominators)):
             raise ValueError("matrix must be square")
         if labels is None:
             labels = tuple(range(n))
@@ -180,7 +191,7 @@ class FiniteMetric:
             labels = tuple(labels)
             if len(labels) != n or len(set(labels)) != n:
                 raise ValueError("labels must be distinct and match the size")
-        self._ints, self._scale = _delta_py.metric_array(rows, labels)
+        self._ints, self._unit = _delta_py.metric_array(numerators, denominators, labels)
         self._labels = labels
         self._index = {label: i for i, label in enumerate(labels)}
 
@@ -203,20 +214,21 @@ class FiniteMetric:
 
     @property
     def matrix(self) -> Tuple[Tuple[Q, ...], ...]:
-        scale = self._scale
-        return tuple(tuple(Q(x, scale) for x in row) for row in self._ints.tolist())
+        step, scale = self._unit.numerator, self._unit.denominator
+        return tuple(tuple(Q(x * step, scale) for x in row) for row in self._ints.tolist())
 
     def distance(self, a, b) -> Q:
-        return Q(int(self._ints[self._index[a], self._index[b]]), self._scale)
+        return int(self._ints[self._index[a], self._index[b]]) * self._unit
 
 
 def four_point_delta(metric: FiniteMetric) -> Q:
     """Exact four-point constant: max over quadruples of (S1 - S2) / 2.
 
     S1 >= S2 >= S3 are the three pair-sums of the quadruple.  0 on any
-    tree metric; positive curvature-scale defects otherwise.
+    tree metric; positive curvature-scale defects otherwise.  The scan runs
+    on the metric's primitive array, and the unit scales its result back.
     """
-    return Q(_delta_py.max_defect(metric._ints), 2 * metric._scale)
+    return _delta_py.max_defect(metric._ints) * metric._unit / 2
 
 
 # ---------------------------------------------------------------------------

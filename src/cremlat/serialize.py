@@ -13,7 +13,7 @@ import json
 import re
 import sys
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from ._exact import cut_repr
 from .bubble import Configuration
@@ -26,6 +26,9 @@ Q = Fraction
 
 # the exponent of a numeral such as "1.5e-3", as Fraction reads it
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+# a row of plain metric cells, read without a Fraction: "12", "-3/4", "007/3"
+_PLAIN_ROW = re.compile(r"-?[0-9]+(?:/[0-9]+)?(?:,-?[0-9]+(?:/[0-9]+)?)*")
 
 
 def rational_to_str(value) -> str:
@@ -251,7 +254,11 @@ def load_runconfig(path: str) -> RunConfig:
 
 
 def metric_from_csv(path: str) -> FiniteMetric:
-    """Headered square matrix: label row, then one row of entries per label."""
+    """Headered square matrix: label row, then one row of entries per label.
+
+    The stripped cells are read as int (numerator, denominator) pairs, so the
+    metric is built without a Fraction per cell; see ``_metric_row``.
+    """
     with open(path, "r", encoding="utf-8", newline="") as handle:
         try:
             table = [row for row in csv.reader(handle) if row]
@@ -263,12 +270,37 @@ def metric_from_csv(path: str) -> FiniteMetric:
     body = table[1:]
     if len(body) != len(labels):
         raise ValueError(f"{path}: expected {len(labels)} data rows, found {len(body)}")
-    matrix = []
+    numerators, denominators = [], []
     for row in body:
         if len(row) != len(labels):
             raise ValueError(f"{path}: ragged row {cut_repr(row)}")
-        matrix.append([rational_from(cell.strip()) for cell in row])
-    return FiniteMetric(matrix, labels=labels)
+        nums, dens = _metric_row([cell.strip() for cell in row])
+        numerators.append(nums)
+        denominators.append(dens)
+    return FiniteMetric(numerators, labels=labels, denominators=denominators)
+
+
+def _metric_row(cells: Sequence[str]) -> Tuple[List[int], List[int]]:
+    """Stripped metric cells as int numerators and nonzero denominators.
+
+    A row of plain cells (optional minus, ASCII digits, optional "/digits")
+    is split and read by int().  Any other row, one with a zero denominator
+    and one int() refuses (a quoted comma inside a cell, or too many digits)
+    goes through rational_from cell by cell, so the accepted syntax and every
+    message are rational_from's.
+    """
+    if _PLAIN_ROW.fullmatch(",".join(cells)):
+        parts = [cell.partition("/") for cell in cells]
+        try:
+            nums = [int(num) for num, _, _ in parts]
+            dens = [int(den) if den else 1 for _, _, den in parts]
+        except ValueError:
+            pass
+        else:
+            if 0 not in dens:
+                return nums, dens
+    values = [rational_from(cell) for cell in cells]
+    return [q.numerator for q in values], [q.denominator for q in values]
 
 
 def csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:

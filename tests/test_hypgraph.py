@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 from fractions import Fraction as Q
@@ -169,13 +170,31 @@ class TestFiniteMetric:
         with pytest.raises(TypeError, match=r"^distance must be a number, got True$"):
             FiniteMetric([[0, True, 2], [True, 0, 1], [2, 1, 0]])
 
+    def test_unreadable_string_message_is_cut(self):
+        # Fraction's own message would echo all 100 000 characters
+        with pytest.raises(ValueError, match=r"^distance must be a number, got 'xxx") as info:
+            FiniteMetric([[0, "x" * 100000], [1, 0]])
+        assert len(str(info.value)) < 120
+
+    def test_numerators_and_denominators(self):
+        # the form metric_from_csv hands over: unreduced pairs, one unit for all
+        metric = FiniteMetric([[0, 2, 6], [-2, 0, 3], [6, 3, 0]],
+                              denominators=[[1, 4, 3], [-4, 1, 2], [3, 2, 1]])
+        assert metric.matrix == FiniteMetric([[0, Q(1, 2), 2], [Q(1, 2), 0, Q(3, 2)],
+                                              [2, Q(3, 2), 0]]).matrix
+        assert metric._unit == Q(1, 2) and metric._ints.tolist() == [[0, 1, 4], [1, 0, 3], [4, 3, 0]]
+        with pytest.raises(ValueError, match="^zero denominator$"):
+            FiniteMetric([[0, 1], [1, 0]], denominators=[[1, 0], [1, 1]])
+        with pytest.raises(ValueError, match="^matrix must be square$"):
+            FiniteMetric([[0, 1], [1, 0]], denominators=[[1, 1]])
+
     def test_triangle_check_big_values(self):
         big = 2**63
         with pytest.raises(ValueError):
             FiniteMetric([[0, big, 1], [big, 0, big - 2], [1, big - 2, 0]])
         FiniteMetric([[0, big, 1], [big, 0, big], [1, big, 0]])
 
-    @pytest.mark.parametrize("factor", [1, 2**62])  # int64, then object dtype
+    @pytest.mark.parametrize("factor", [1, 2**62])  # the common factor 2**62 divides out
     def test_triangle_check_matches_brute_force(self, factor):
         rng = random.Random(f"triangle:{factor}")
         accepted = rejected = 0
@@ -253,14 +272,20 @@ class TestFourPointDelta:
     def test_backend_reported(self):
         assert delta_backend() == "pure-python"
 
-    # 2**60 and 2**61 straddle the kernel's int64 threshold; adding one offset
-    # to every off-diagonal distance keeps the triangle law and makes the
-    # entries odd
+    # with offset 1, factors 2**13 and 2**14, 2**29 and 2**30, 2**60 and 2**61
+    # straddle the int16, int32 and int64 edges of the metric array (2 * peak
+    # within the dtype's maximum); with offset 0 the common factor is divided
+    # out.  Adding one offset to every off-diagonal distance keeps the
+    # triangle law and makes the entries odd
     @settings(max_examples=300, deadline=None)
-    @given(graph_metrics(), st.sampled_from([1, 2**60, 2**61, 2**70]), st.sampled_from([0, 1]))
+    @given(
+        graph_metrics(),
+        st.sampled_from([1, 2**13, 2**14, 2**29, 2**30, 2**60, 2**61, 2**70]),
+        st.sampled_from([0, 1]),
+    )
     @example(CYCLE4, 2**60 - 1, 0)  # largest entry 2**61 - 2: still int64
-    @example(CYCLE4, 2**60, 0)  # largest entry 2**61: object dtype
-    @example(CYCLE4, 2**60, 1)  # largest entry 2**61 + 1: object dtype
+    @example(CYCLE4, 2**60, 0)  # largest entry 2**61: the factor 2**60 divides out
+    @example(CYCLE4, 2**60, 1)  # largest entry 2**61 + 1: still int64
     def test_kernel_matches_quadruple_oracle(self, d, factor, offset):
         scaled = [[x * factor + offset if x else 0 for x in row] for row in d]
         assert _delta_py.max_defect(scaled) == quadruple_defect(scaled)
@@ -268,7 +293,7 @@ class TestFourPointDelta:
     def test_kernel_memory_is_quadratic(self):
         import numpy  # noqa: F401  (its import is not the kernel's memory)
 
-        ints = _delta_py.scaled_array(star_matrix(128, random.Random(128)))[0].tolist()
+        ints = star_metric(128, random.Random(128))._ints.tolist()
         tracemalloc.start()
         try:
             _delta_py.max_defect(ints)
@@ -289,27 +314,42 @@ class TestFourPointDelta:
         )
         assert four_point_delta(permuted) == four_point_delta(metric)
 
-    # the largest scaled entry on either side of the one int64/object rule, and
-    # the 4-cycle times 2**62 that this test held before the rule was shared
+    # a primitive array's largest entry on either side of each dtype edge
+    # (2 * peak <= iinfo.max), and past the int64 range
     @pytest.mark.parametrize(
         "peak, dtype",
-        [(2**61 - 1, "int64"), (2**61, "object"), (2**63, "object")],
-        ids=["2**61-1", "2**61", "2**63"],
+        [(2**14 - 1, "int16"), (2**14, "int32"), (2**30 - 1, "int32"), (2**30, "int64"),
+         (2**62 - 1, "int64"), (2**62, "object"), (2**63, "object")],
+        ids=["2**14-1", "2**14", "2**30-1", "2**30", "2**62-1", "2**62", "2**63"],
     )
     def test_huge_values_use_fallback(self, peak, dtype):
-        # a 4-cycle with its longest distance at the peak, then a broken triangle
-        short = peak // 2
+        # a 4-cycle with its longest distance at the peak and coprime sides
+        # summing to it, so the entries have gcd 1; then a broken triangle
+        short = (peak - 1) // 2
         long = peak - short
+        assert math.gcd(short, long) == 1
         d = [[0, short, peak, long], [short, 0, long, peak],
              [peak, long, 0, short], [long, peak, short, 0]]
         metric = FiniteMetric(d)
         assert metric._ints.dtype == dtype
+        assert metric._unit == 1
         assert first_triangle_violation(d) is None
         assert four_point_delta(metric) == Q(quadruple_defect(d), 2)
         bad = [[0, peak, 1], [peak, 0, peak - 2], [1, peak - 2, 0]]
         assert first_triangle_violation(bad) == (0, 1)
         with pytest.raises(ValueError, match="^triangle inequality fails between 0 and 1$"):
             FiniteMetric(bad)
+
+    @pytest.mark.parametrize("n", [24, 96])
+    def test_common_factor_keeps_the_dtype(self, n):
+        # the unit absorbs a common factor: a star times 2**70 is scanned in
+        # the star's own dtype, not on the object path
+        star = star_matrix(n, random.Random(n), denominator=3)
+        metric = FiniteMetric(star)
+        big = FiniteMetric([[x * 2**70 for x in row] for row in star])
+        assert big._ints.dtype == metric._ints.dtype == "int16"
+        assert four_point_delta(big) == 2**70 * four_point_delta(metric)
+        assert big.matrix == tuple(tuple(x * 2**70 for x in row) for row in star)
 
 
 class TestSubgraphFamily:

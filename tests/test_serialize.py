@@ -5,6 +5,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from cremlat import cli
 from cremlat.bubble import Configuration
 from cremlat.cremona import Characteristic, standard_quadratic
 from cremlat.lattice import PicardManinClass, line
@@ -20,6 +21,7 @@ from cremlat.serialize import (
     germset_from_record,
     germset_to_record,
     load_runconfig,
+    _metric_row,
     metric_from_csv,
     rational_from,
     rational_to_str,
@@ -234,6 +236,39 @@ class TestMetricCsv:
             metric_from_csv(self.write(tmp_path, "a,b\n0,1\n1,0,9\n"))
         with pytest.raises(ValueError):
             metric_from_csv(self.write(tmp_path, "a,b\n0,1\n2,0\n"))
+        # a quoted comma joins the plain row's pattern but not int()
+        with pytest.raises(ValueError, match="^not a rational: '1,2'$"):
+            metric_from_csv(self.write(tmp_path, 'a,b\n0,"1,2"\n"1,2",0\n'))
+
+
+    # cells the plain reader splits itself and cells it hands to rational_from;
+    # 5000 digits are past the int() limit
+    @pytest.mark.parametrize(
+        "cell",
+        ["3", "-3/4", "+3/4", " 3/4 ", "2/4", "007/3", "-0/5", "1.5", "1e2", "3_0/4", "\u0663/4",
+         "1/0", "0/0", "x", "3/-4", "3 / 4", "7" * 5000, "1e-5000"],
+        ids=lambda cell: repr(cell) if len(cell) < 20 else f"{len(cell)}-digits",
+    )
+    def test_cell_reader_agrees_with_rational_from(self, tmp_path, capsys, cell):
+        text = cell.strip()
+        path = self.write(tmp_path, f"a,b\n0,{cell}\n{cell},0\n")
+        code = cli.main(["delta", path])
+        out, err = capsys.readouterr()
+        try:
+            want = rational_from(text)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                _metric_row([text])
+            assert str(got.value) == str(exc)
+            assert (code, out, err) == (1, "", f"delta: bad input: {exc}\n")
+            return
+        (num,), (den,) = _metric_row([text])
+        assert Q(num, den) == want
+        if want > 0:
+            assert code == 0
+            assert metric_from_csv(path).distance("a", "b") == want
+        else:
+            assert (code, err) == (1, "delta: bad input: nonpositive distance at ('a', 'b')\n")
 
 
 class TestCsvText:
