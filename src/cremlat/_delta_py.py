@@ -47,12 +47,13 @@ def scaled_array(numerators: Sequence[Sequence[int]], denominators: Sequence[Seq
 
     n = len(numerators)
     dens = [d for row in denominators for d in row]
-    scale = math.lcm(*set(dens))
+    distinct = set(dens)
+    scale = math.lcm(*distinct)
     if not scale:
         raise ValueError("zero denominator")
     ints = [x for row in numerators for x in row]
     if scale != 1:
-        factor = {d: scale // d for d in set(dens)}
+        factor = {d: scale // d for d in distinct}
         ints = [x * factor[d] for x, d in zip(ints, dens)]
     common = math.gcd(*ints) or 1
     if common != 1:
