@@ -284,12 +284,16 @@ def _metric_row(cells: Sequence[str]) -> Tuple[List[int], List[int]]:
     """Stripped metric cells as int numerators and nonzero denominators.
 
     A row of plain cells (optional minus, ASCII digits, optional "/digits")
-    is split and read by int().  Any other row, one with a zero denominator
-    and one int() refuses (a quoted comma inside a cell, or too many digits)
-    goes through rational_from cell by cell, so the accepted syntax and every
-    message are rational_from's.
+    no longer than rational_from's digit limit is split and read by int().
+    Any other row, one with a zero denominator and one int() refuses (a
+    quoted comma inside a cell) goes through rational_from cell by cell, so
+    the accepted syntax and every message are rational_from's.  The length
+    bound holds rational_from's limit also where int() has none
+    (sys.set_int_max_str_digits(0)).
     """
-    if _PLAIN_ROW.fullmatch(",".join(cells)):
+    joined = ",".join(cells)
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    if _PLAIN_ROW.fullmatch(joined) and (len(joined) <= limit or max(map(len, cells)) <= limit):
         parts = [cell.partition("/") for cell in cells]
         try:
             nums = [int(num) for num, _, _ in parts]

@@ -194,9 +194,15 @@ class TestFiniteMetric:
             FiniteMetric([[0, big, 1], [big, 0, big - 2], [1, big - 2, 0]])
         FiniteMetric([[0, big, 1], [big, 0, big], [1, big, 0]])
 
-    @pytest.mark.parametrize("factor", [1, 2**62])  # the common factor 2**62 divides out
+    # factor 1 checks int16 arrays.  Factor 2**62 with 1 added to every
+    # distance checks object arrays: on three points or more no common factor
+    # divides these entries back into int64 (on two, one distance is its own
+    # gcd).  The added 1 keeps each triangle's verdict, as a broken triangle
+    # misses by at least 2**62 / 6 before it
+    @pytest.mark.parametrize("factor", [1, 2**62])
     def test_triangle_check_matches_brute_force(self, factor):
         rng = random.Random(f"triangle:{factor}")
+        offset = 0 if factor == 1 else 1
         accepted = rejected = 0
         for _ in range(300):
             n = rng.randint(1, 7)
@@ -204,8 +210,12 @@ class TestFiniteMetric:
             matrix = [[Q(0)] * n for _ in range(n)]
             for i in range(n):
                 for j in range(i + 1, n):
-                    d = Q(rng.randint(low, 12), rng.choice((1, 1, 2, 3))) * factor
+                    d = Q(rng.randint(low, 12), rng.choice((1, 1, 2, 3))) * factor + offset
                     matrix[i][j] = matrix[j][i] = d
+            nums = [[x.numerator for x in row] for row in matrix]
+            dens = [[x.denominator for x in row] for row in matrix]
+            dtype = "object" if factor > 1 and n >= 3 else "int16"
+            assert _delta_py.scaled_array(nums, dens)[0].dtype == dtype
             bad = first_triangle_violation(matrix)
             if bad is None:
                 assert FiniteMetric(matrix).matrix == tuple(map(tuple, matrix))
@@ -286,6 +296,7 @@ class TestFourPointDelta:
     @example(CYCLE4, 2**60 - 1, 0)  # largest entry 2**61 - 2: still int64
     @example(CYCLE4, 2**60, 0)  # largest entry 2**61: the factor 2**60 divides out
     @example(CYCLE4, 2**60, 1)  # largest entry 2**61 + 1: still int64
+    @example(CYCLE4, 2**61, 1)  # largest entry 2**62 + 1: object
     def test_kernel_matches_quadruple_oracle(self, d, factor, offset):
         scaled = [[x * factor + offset if x else 0 for x in row] for row in d]
         assert _delta_py.max_defect(scaled) == quadruple_defect(scaled)
@@ -293,7 +304,11 @@ class TestFourPointDelta:
     def test_kernel_memory_is_quadratic(self):
         import numpy  # noqa: F401  (its import is not the kernel's memory)
 
-        ints = star_metric(128, random.Random(128))._ints.tolist()
+        # a star's own array is int16; times 2**40 plus 1 (still a metric, gcd 1)
+        # it is int64, where a block sized by m instead of m^2 would take 16 MB
+        star = star_metric(128, random.Random(128))._ints.tolist()
+        ints = [[x * 2**40 + 1 if x else 0 for x in row] for row in star]
+        assert FiniteMetric(ints)._ints.dtype == "int64"
         tracemalloc.start()
         try:
             _delta_py.max_defect(ints)

@@ -243,13 +243,28 @@ class TestMetricCsv:
 
     # cells the plain reader splits itself and cells it hands to rational_from;
     # 5000 digits are past the int() limit
-    @pytest.mark.parametrize(
+    CELLS = pytest.mark.parametrize(
         "cell",
         ["3", "-3/4", "+3/4", " 3/4 ", "2/4", "007/3", "-0/5", "1.5", "1e2", "3_0/4", "\u0663/4",
          "1/0", "0/0", "x", "3/-4", "3 / 4", "7" * 5000, "1e-5000"],
         ids=lambda cell: repr(cell) if len(cell) < 20 else f"{len(cell)}-digits",
     )
+
+    @CELLS
     def test_cell_reader_agrees_with_rational_from(self, tmp_path, capsys, cell):
+        self.check_agreement(tmp_path, capsys, cell)
+
+    # with int()'s limit off, rational_from still holds the default limit
+    @CELLS
+    def test_cell_reader_agrees_without_int_digit_limit(self, tmp_path, capsys, cell):
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            self.check_agreement(tmp_path, capsys, cell)
+        finally:
+            sys.set_int_max_str_digits(saved)
+
+    def check_agreement(self, tmp_path, capsys, cell):
         text = cell.strip()
         path = self.write(tmp_path, f"a,b\n0,{cell}\n{cell},0\n")
         code = cli.main(["delta", path])
