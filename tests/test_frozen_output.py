@@ -5,10 +5,14 @@
 by its data row for quadratic towers 1..12 and for three lattice twists;
 `delta` is pinned by the sha256 of its stdout on seeded stars with mixed
 denominators, a rational-scaled grid, both times 2**70, and 4-cycles whose
-largest entry sits on either side of each dtype edge of the metric array.
+largest entry sits on either side of each dtype edge of the metric array;
+`in-e` is pinned by the sha256 of its exit code and stdout on one class per
+curve-witness kind and on seeded classes, members and not, with and without
+`--config`; `classify` is pinned the same way on seeded run configurations
+that reach all four verdicts.
 Any change to the lattice arithmetic, the greedy search, the lower bounds,
-the metric reader, the four-point scan or the table layout that alters a
-byte of output fails here.
+the metric reader, the four-point scan, the membership conditions, the
+classification or the table layout that alters a byte of output fails here.
 """
 
 import csv
@@ -17,6 +21,8 @@ import io
 import json
 import random
 from fractions import Fraction as Q
+
+import pytest
 
 from cremlat.cli import main
 from cremlat.cremona import compose_disjoint, standard_quadratic
@@ -242,3 +248,171 @@ def test_delta_digests(capsys, tmp_path):
         path.write_text(metric_text(labels, matrix, rng), encoding="utf-8")
         digests[name] = hashlib.sha256(stdout_of(capsys, ["delta", str(path)]).encode()).hexdigest()
     assert digests == DELTA_SHA256
+
+
+def run_digest(capsys, argv):
+    """sha256 of the exit code and stdout of one run."""
+    code = main(argv)
+    out = capsys.readouterr().out
+    return hashlib.sha256(f"{code}\n{out}".encode()).hexdigest(), code, out
+
+
+def write_json(tmp_path, name, payload):
+    path = tmp_path / name
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return str(path)
+
+
+def class_record(degree, mults):
+    return {
+        "degree": f"{degree.numerator}/{degree.denominator}",
+        "mults": [{"point": p, "mult": f"{v.numerator}/{v.denominator}"} for p, v in sorted(mults.items())],
+    }
+
+
+def config_record(parents, collinear=(), conics=()):
+    points = [{"id": p} if q is None else {"id": p, "parent": q} for p, q in parents.items()]
+    return {"configuration": {"points": points, "collinear": [list(s) for s in collinear],
+                              "conics": [list(s) for s in conics]}}
+
+
+NINE = {p: None for p in range(9)}
+
+# one class per witness kind, plus a negative point and an excess point; (class, config or None)
+IN_E_CASES = {
+    "member-generic": (class_record(Q(2), {1: Q(1), 2: Q(1), 3: Q(1)}), None),
+    "member-config": (class_record(Q(3), {0: Q(1), 1: Q(1, 2), 4: Q(1, 3)}),
+                      config_record({0: None, 1: 0, 2: None, 3: None, 4: None}, [(0, 2, 3)])),
+    "pair_line": (class_record(Q(1), {0: Q(3, 5), 1: Q(3, 5)}), None),
+    "declared_line": (class_record(Q(1), {p: Q(1, 2) for p in range(3)}),
+                      config_record(NINE, collinear=[(0, 1, 2)])),
+    "five_conic": (class_record(Q(1), {p: Q(5, 12) for p in range(6)}), None),
+    "declared_conic": (class_record(Q(1), {p: Q(3, 10) for p in range(7)}),
+                       config_record(NINE, conics=[tuple(range(7))])),
+    "negative": (class_record(Q(1), {0: Q(-1, 2)}), None),
+    "excess": (class_record(Q(1), {0: Q(1, 4), 1: Q(1, 2)}),
+               config_record({0: None, 1: 0, 2: None, 3: None, 4: None})),
+}
+
+IN_E_SHA256 = {
+    "member-generic": "70e7e3fa3d32e6b57cd829591b9d98d65c2bd688f8ac31a4f93fc3a78469c3ff",
+    "member-config": "4ada4528b6cb34ba8d4bfa91354925dd1fb0ae04d70ebc01ce8a99dc73aa1cc3",
+    "pair_line": "cc87ce08eb1bc5145ef73b768ce42337896956b6704de35a95952102407e2214",
+    "declared_line": "ca584c6910ed7ff45632044d3df686251c464d1d0bded11f280307d12f133aef",
+    "five_conic": "98c5414a40de71f5baab54542b916ec6566226b20acbe9d14cbb60afa5e45b25",
+    "declared_conic": "160e389f82b90e86f004c79f72028e7da7fcad7e216a2c6f42d5236d328b3e78",
+    "negative": "d3e6d4af664e7841baf026a1e4321a3243a049c4ba8775e539eb05f09ebef491",
+    "excess": "f00d8c789d9c6998e777e695b1f074bd711b8d806c4d27c359af8ac64d25a127",
+}
+
+# keyed by whether the runs pass --config; the sha256 of the runs' digests, in order
+IN_E_SEEDED_SHA256 = {
+    False: "ccdcb57b88afac3a89d72d24f0bfc674b6610c7e69232e5e30052c7cc561e88e",
+    True: "0b72435a4093584198dbf534ed33bac6092e5ff5866ff8481156afe054eaffd9",
+}
+
+
+def seeded_in_e_runs(with_config):
+    """Twenty seeded classes over at most eight points, with multiplicities a
+    signed fraction of the degree, so members and non-members both occur."""
+    rng = random.Random(f"frozen-in-e:{with_config}")
+    runs = []
+    for _ in range(20):
+        count = rng.randint(2, 8)
+        parents = {p: (rng.randrange(p) if p >= 2 and rng.random() < 0.3 else None) for p in range(count)}
+        degree = Q(rng.randint(1, 12), rng.choice((1, 2, 3)))
+        support = rng.sample(range(count), rng.randint(1, count))
+        mults = {p: Q(rng.randint(-1, 8), rng.choice((1, 2, 3))) * degree / 8 for p in support}
+        proper = [p for p, q in parents.items() if q is None]
+        collinear = [sorted(rng.sample(proper, 3))] if len(proper) >= 4 and rng.random() < 0.5 else []
+        conics = [sorted(rng.sample(proper, 6))] if len(proper) >= 6 and rng.random() < 0.5 else []
+        runs.append((class_record(degree, mults),
+                     config_record(parents, collinear, conics) if with_config else None))
+    return runs
+
+
+def in_e_run(capsys, tmp_path, cls, config):
+    argv = ["in-e", write_json(tmp_path, "class.json", cls)]
+    if config is not None:
+        argv += ["--config", write_json(tmp_path, "config.json", config)]
+    digest, code, out = run_digest(capsys, argv)
+    header, row = out.splitlines()
+    assert header.startswith("member,") and code == (0 if row.startswith("true,") else 2), out
+    return digest, code, row
+
+
+def test_in_e_digests(capsys, tmp_path):
+    digests, kinds = {}, set()
+    for name, (cls, config) in IN_E_CASES.items():
+        digests[name], _, row = in_e_run(capsys, tmp_path, cls, config)
+        kinds.add(row.split(",")[8])
+    assert kinds == {"", "pair_line", "declared_line", "five_conic", "declared_conic"}
+    assert digests == IN_E_SHA256
+
+
+@pytest.mark.parametrize("with_config", [False, True])
+def test_in_e_seeded_digests(capsys, tmp_path, with_config):
+    runs = [in_e_run(capsys, tmp_path, cls, config) for cls, config in seeded_in_e_runs(with_config)]
+    assert {code for _, code, _ in runs} == {0, 2}  # members and non-members
+    digest = hashlib.sha256("".join(d for d, _, _ in runs).encode()).hexdigest()
+    assert digest == IN_E_SEEDED_SHA256[with_config]
+
+
+# (degree, base multiset) of maps: pencil-preserving, not, and a nine-point twist
+CLASSIFY_PATTERNS = (
+    (2, [1, 1, 1]),
+    (3, [2, 1, 1, 1, 1]),
+    (5, [4, 1, 1, 1, 1, 1, 1, 1, 1]),
+    (4, [2, 2, 2, 1, 1, 1]),
+    (6, [3, 3, 2, 2, 2, 2, 1]),
+    (8, [3, 3, 3, 3, 3, 3, 3]),
+    (17, [6, 6, 6, 6, 6, 6, 6, 6]),
+    (28, [12, 12, 9, 9, 9, 9, 9, 9, 3]),
+)
+
+# keyed by the index of the run configuration in seeded_run_configs()
+CLASSIFY_SHA256 = {
+    0: "7d7dec618208cd8e458c7a0f5b8fc983f0829795e864fbf1759b377caece3611",
+    1: "3e89a6ef23526d933b088bc1d36dcf3d7c35563c0d8d805aba3fb4eb715992e6",
+    2: "901d6d81e5d94612f34be6787926f1094b5fdb1bef6256b2a7e0134f648bd06f",
+    3: "459c33428c8e2ad48ecc2d71d8d0d17cc5e62170c5279fdada218e74b7e11e84",
+    4: "8330775d7a8aa8842d9f69763af508aac1af6b9a8c6502e61a9472ede7e2c1e1",
+    5: "27bd47d54df554c07fce3b8b783928704d32acf3b1e4186d257a5ba6f330f461",
+}
+
+
+def seeded_run_configs():
+    """Six seeded run configurations: nine proper points, up to three points
+    infinitely near them, a declared line and conic, and six maps each."""
+    rng = random.Random("frozen-classify")
+    configs = []
+    for _ in range(6):
+        parents = dict(NINE)
+        parents.update({9 + i: rng.randrange(9 + i) for i in range(rng.randint(0, 3))})
+        collinear = [sorted(rng.sample(range(9), rng.randint(3, 5)))]
+        conics = [sorted(rng.sample(range(9), 7))] if rng.random() < 0.5 else []
+        characteristics = []
+        for i in range(6):
+            degree, mults = rng.choice(CLASSIFY_PATTERNS)
+            base = rng.sample(sorted(parents), len(mults))
+            characteristics.append({
+                "label": f"map{i}",
+                "degree": degree,
+                "base": [{"point": p, "mult": m} for p, m in zip(base, mults)],
+                "inverse_base": [{"point": 100 + j, "mult": m} for j, m in enumerate(mults)],
+            })
+        record = config_record(parents, collinear, conics)
+        record["characteristics"] = characteristics
+        configs.append(record)
+    return configs
+
+
+def test_classify_digests(capsys, tmp_path):
+    digests, verdicts = {}, set()
+    for i, record in enumerate(seeded_run_configs()):
+        digest, code, out = run_digest(capsys, ["classify", "--config", write_json(tmp_path, "run.json", record)])
+        assert code == 0, out
+        digests[i] = digest
+        verdicts |= {row.rsplit(",", 1)[1] for row in out.splitlines()[1:]}
+    assert verdicts == {"jonquieres_adjacent", "general_adjacent", "quasi_adjacent_only", "unclassified"}
+    assert digests == CLASSIFY_SHA256
