@@ -278,7 +278,7 @@ def config_record(parents, collinear=(), conics=()):
 
 NINE = {p: None for p in range(9)}
 
-# one class per witness kind, plus a negative point and an excess point; (class, config or None)
+# one class per witness kind, plus negative and excess points; (class, config or None)
 IN_E_CASES = {
     "member-generic": (class_record(Q(2), {1: Q(1), 2: Q(1), 3: Q(1)}), None),
     "member-config": (class_record(Q(3), {0: Q(1), 1: Q(1, 2), 4: Q(1, 3)}),
@@ -292,6 +292,9 @@ IN_E_CASES = {
     "negative": (class_record(Q(1), {0: Q(-1, 2)}), None),
     "excess": (class_record(Q(1), {0: Q(1, 4), 1: Q(1, 2)}),
                config_record({0: None, 1: 0, 2: None, 3: None, 4: None})),
+    "two-negative-two-excess": (class_record(Q(2), {0: Q(1, 8), 1: Q(1, 4), 2: Q(1, 8), 3: Q(1, 4),
+                                                    4: Q(-1, 8), 5: Q(-1, 4)}),
+                                config_record({0: None, 1: 0, 2: None, 3: 2, 4: None, 5: None})),
 }
 
 IN_E_SHA256 = {
@@ -303,6 +306,7 @@ IN_E_SHA256 = {
     "declared_conic": "160e389f82b90e86f004c79f72028e7da7fcad7e216a2c6f42d5236d328b3e78",
     "negative": "d3e6d4af664e7841baf026a1e4321a3243a049c4ba8775e539eb05f09ebef491",
     "excess": "f00d8c789d9c6998e777e695b1f074bd711b8d806c4d27c359af8ac64d25a127",
+    "two-negative-two-excess": "24172452bb10a56c314ac2c8e8cbb211f9791235db4e0efacfff7e3f7d33be6c",
 }
 
 # keyed by whether the runs pass --config; the sha256 of the runs' digests, in order
