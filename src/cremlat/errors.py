@@ -17,10 +17,6 @@ class InvalidPair(CremlatError):
     """Two classes cannot be at finite hyperbolic distance (pairing < 1)."""
 
 
-class DegenerateSegment(CremlatError):
-    """Geodesic endpoints coincide."""
-
-
 class InvalidCharacteristic(CremlatError):
     """A characteristic fails validation where a valid one is required."""
 

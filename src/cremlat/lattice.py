@@ -6,35 +6,28 @@ orthogonal, so the form has signature (1, k) on any finite support.
 Classes of self-intersection 1 with n > 0 form the hyperboloid model, with
 distance argcosh of the pairing.
 
-All arithmetic is exact over Fraction; only distance and geodesic
-evaluation produce floats.
+Every coefficient is a Fraction and all arithmetic is exact; only distance
+produces a float.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, NamedTuple, Optional, Tuple, Union
+from typing import Dict, Mapping, NamedTuple, Optional, Tuple, Union
 
-from ._exact import exact_int
+from ._exact import cut_repr, exact_int, exact_rational
 from .bubble import Configuration, PointId
-from .errors import (
-    DegenerateSegment,
-    InvalidPair,
-    NotOnHyperboloid,
-    UnknownPoint,
-)
+from .errors import InvalidPair, NotOnHyperboloid, UnknownPoint
 
 Q = Fraction
-Scalar = Union[int, Fraction, float]
+Scalar = Union[int, Fraction]
 
 
-def _coerce(value: Scalar) -> Scalar:
-    if isinstance(value, bool):  # Fraction(True) would read it as 1
-        raise TypeError(f"class coefficient must be a number, got {value!r}")
-    if isinstance(value, float):
-        return value
-    return Q(value)
+def _coerce(value: Scalar) -> Fraction:
+    if isinstance(value, float):  # a float coefficient would make every pairing inexact
+        raise TypeError(f"class coefficient must be exact, got {cut_repr(value)}")
+    return exact_rational(value, "class coefficient")
 
 
 class PicardManinClass:
@@ -42,15 +35,13 @@ class PicardManinClass:
 
     ``mults[p]`` is the multiplicity lambda_p, so the class equals
     degree * l - sum(mults[p] * e_p).  Zero multiplicities are dropped.
-    Coefficients are Fractions unless the class was produced by a float
-    construction such as geodesic_point.
     """
 
     __slots__ = ("_degree", "_mults")
 
     def __init__(self, degree: Scalar, mults: Optional[Mapping[PointId, Scalar]] = None) -> None:
         self._degree = _coerce(degree)
-        items: Dict[PointId, Scalar] = {}
+        items: Dict[PointId, Fraction] = {}
         if mults:
             for p, v in mults.items():
                 p, v = exact_int(p, "point id"), _coerce(v)
@@ -59,25 +50,19 @@ class PicardManinClass:
         self._mults = dict(sorted(items.items()))
 
     @property
-    def degree(self) -> Scalar:
+    def degree(self) -> Fraction:
         return self._degree
 
     @property
-    def mults(self) -> Dict[PointId, Scalar]:
+    def mults(self) -> Dict[PointId, Fraction]:
         return dict(self._mults)
 
     @property
     def support(self) -> Tuple[PointId, ...]:
         return tuple(self._mults)
 
-    def mult(self, p: PointId) -> Scalar:
+    def mult(self, p: PointId) -> Fraction:
         return self._mults.get(exact_int(p, "point id"), Q(0))
-
-    @property
-    def is_exact(self) -> bool:
-        return isinstance(self._degree, Fraction) and all(
-            isinstance(v, Fraction) for v in self._mults.values()
-        )
 
     def __add__(self, other: "PicardManinClass") -> "PicardManinClass":
         if not isinstance(other, PicardManinClass):
@@ -96,7 +81,7 @@ class PicardManinClass:
         return PicardManinClass(self._degree - other._degree, mults)
 
     def __rmul__(self, scalar: Scalar) -> "PicardManinClass":
-        if isinstance(scalar, bool) or not isinstance(scalar, (int, Fraction, float)):
+        if isinstance(scalar, bool) or not isinstance(scalar, (int, Fraction)):
             return NotImplemented
         return PicardManinClass(
             scalar * self._degree, {p: scalar * v for p, v in self._mults.items()}
@@ -130,7 +115,7 @@ def exceptional(p: PointId) -> PicardManinClass:
     return PicardManinClass(0, {p: -1})
 
 
-def intersect(c: PicardManinClass, d: PicardManinClass) -> Scalar:
+def intersect(c: PicardManinClass, d: PicardManinClass) -> Fraction:
     """Exact pairing n*n' - sum over common support of lambda*lambda'."""
     total = c.degree * d.degree
     small, large = (c, d) if len(c.support) <= len(d.support) else (d, c)
@@ -141,41 +126,26 @@ def intersect(c: PicardManinClass, d: PicardManinClass) -> Scalar:
     return total
 
 
-def self_intersection(c: PicardManinClass) -> Scalar:
+def self_intersection(c: PicardManinClass) -> Fraction:
     return intersect(c, c)
 
 
 def distance(c: PicardManinClass, d: PicardManinClass) -> float:
-    """Hyperbolic distance argcosh(c . d) between hyperboloid classes."""
+    """Hyperbolic distance argcosh(c . d) between hyperboloid classes.
+
+    Past the float range argcosh(p) is log 2 + log p to within one ulp, and
+    log reads the numerator and denominator of the exact pairing as they are.
+    """
     for label, cls in (("first", c), ("second", d)):
         if self_intersection(cls) != 1:
             raise NotOnHyperboloid(f"{label} class has self-intersection {self_intersection(cls)}")
     product = intersect(c, d)
     if product < 1:
         raise InvalidPair(f"pairing {product} < 1")
-    return math.acosh(float(product))
-
-
-def geodesic_point(c: PicardManinClass, d: PicardManinClass, t: float) -> PicardManinClass:
-    """Point at parameter t in [0,1] on the hyperboloid geodesic from c to d.
-
-    Returns a float-coefficient class; its self-intersection is 1 up to
-    roundoff (about 1e-9 at desk scale).
-    """
-    if c == d:
-        raise DegenerateSegment("geodesic endpoints coincide")
-    big_d = distance(c, d)
-    t = float(t)
-    if t == 0.0:
-        return PicardManinClass(float(c.degree), {p: float(v) for p, v in c._mults.items()})
-    if t == 1.0:
-        return PicardManinClass(float(d.degree), {p: float(v) for p, v in d._mults.items()})
-    wc = math.sinh((1.0 - t) * big_d) / math.sinh(big_d)
-    wd = math.sinh(t * big_d) / math.sinh(big_d)
-    mults = {p: wc * float(v) for p, v in c._mults.items()}
-    for p, v in d._mults.items():
-        mults[p] = mults.get(p, 0.0) + wd * float(v)
-    return PicardManinClass(wc * float(c.degree) + wd * float(d.degree), mults)
+    try:
+        return math.acosh(float(product))
+    except OverflowError:
+        return math.log(2) + math.log(product.numerator) - math.log(product.denominator)
 
 
 class CurveWitness(NamedTuple):
@@ -246,7 +216,7 @@ def _bezout_witness(c: PicardManinClass, config: Configuration) -> Optional[Curv
             return None
         residual = curve_degree * n - sum(c.mult(p) for p in chosen)
         if residual < 0:
-            return CurveWitness(kind, tuple(sorted(chosen)), Q(residual))
+            return CurveWitness(kind, tuple(sorted(chosen)), residual)
         return None
 
     witness = extremal(2, 1, "pair_line")
@@ -255,15 +225,21 @@ def _bezout_witness(c: PicardManinClass, config: Configuration) -> Optional[Curv
     for line_set in sorted(config.collinear_sets, key=sorted):
         residual = n - sum(c.mult(p) for p in line_set)
         if residual < 0:
-            return CurveWitness("declared_line", tuple(sorted(line_set)), Q(residual))
+            return CurveWitness("declared_line", tuple(sorted(line_set)), residual)
     witness = extremal(5, 2, "five_conic")
     if witness:
         return witness
     for conic_set in sorted(config.conic_sets, key=sorted):
         residual = 2 * n - sum(c.mult(p) for p in conic_set)
         if residual < 0:
-            return CurveWitness("declared_conic", tuple(sorted(conic_set)), Q(residual))
+            return CurveWitness("declared_conic", tuple(sorted(conic_set)), residual)
     return None
+
+
+def _require_support(c: PicardManinClass, config: Configuration) -> None:
+    for p in c.support:
+        if p not in config:
+            raise UnknownPoint(f"class supported at {p}, absent from configuration")
 
 
 def in_E(c: PicardManinClass, config: Configuration) -> ECheckReport:
@@ -276,9 +252,7 @@ def in_E(c: PicardManinClass, config: Configuration) -> ECheckReport:
     (1), so it is not re-checked); (4) the product count against the
     implemented curve family is nonnegative.
     """
-    for p in c.support:
-        if p not in config:
-            raise UnknownPoint(f"class supported at {p}, absent from configuration")
+    _require_support(c, config)
 
     negative = [p for p in c.support if c.mult(p) < 0]
     margin = 3 * c.degree - sum(c._mults.values())
@@ -295,7 +269,7 @@ def in_E(c: PicardManinClass, config: Configuration) -> ECheckReport:
 
     return ECheckReport(
         negative_point=min(negative, default=None),
-        anticanonical_margin=Q(margin),
+        anticanonical_margin=margin,
         excess_point=excess_witness,
         bezout_witness=_bezout_witness(c, config),
     )
@@ -308,9 +282,7 @@ def is_special(c: PicardManinClass, config: Configuration) -> bool:
     three points p0, p1, p2, and requires p1 and p2 to be adherent to p0
     with n - lambda_0 - lambda_1 - lambda_2 < 0.
     """
-    for p in c.support:
-        if p not in config:
-            raise UnknownPoint(f"class supported at {p}, absent from configuration")
+    _require_support(c, config)
     if len(c.support) < 3:
         return False
     ranked = sorted(c.support, key=lambda p: (-c.mult(p), p))

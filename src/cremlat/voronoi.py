@@ -65,8 +65,9 @@ def cell_member(c: PicardManinClass, idx: int, germs: GermSet) -> bool:
 
     Compares pairings exactly.  The comparison is invariant under positive
     scaling of c, so any class with positive self-intersection is accepted;
-    hyperboloid normalization is not required (rational representatives of
-    irrational-norm midpoints stay usable).
+    hyperboloid normalization is not required.  That makes c + d usable as
+    the exact midpoint of two germs c and d: it pairs equally with both, and
+    its norm, 2 + 2(c . d), is seldom a rational square.
     """
     idx = exact_int(idx, "germ index")
     if not 0 <= idx < len(germs):

@@ -7,24 +7,19 @@ from hypothesis import given, strategies as st
 
 from cremlat.bubble import Configuration
 from cremlat.cremona import apply, jonquieres_characteristic, standard_quadratic
-from cremlat.errors import (
-    DegenerateSegment,
-    InvalidPair,
-    NotOnHyperboloid,
-    UnknownPoint,
-)
+from cremlat.errors import InvalidPair, NotOnHyperboloid, UnknownPoint
 from cremlat.lattice import (
     CurveWitness,
     PicardManinClass,
     distance,
     exceptional,
-    geodesic_point,
     in_E,
     intersect,
     is_special,
     line,
     self_intersection,
 )
+from cremlat.voronoi import GermSet, cell_member
 
 CONIC = PicardManinClass(2, {1: 1, 2: 1, 3: 1})  # 2l - e1 - e2 - e3
 
@@ -40,11 +35,19 @@ class TestClassArithmetic:
         assert c.mult(0) == 0 and c.mult(1) == 2
 
     def test_coercion(self):
-        c = PicardManinClass(1, {0: Q(1, 2)})
-        assert isinstance(c.degree, Q) and isinstance(c.mult(0), Q)
-        assert c.is_exact
-        f = PicardManinClass(1.0, {0: 0.5})
-        assert not f.is_exact
+        c = PicardManinClass(1, {0: Q(1, 2), 1: "3/4"})
+        assert isinstance(c.degree, Q) and all(isinstance(v, Q) for v in c.mults.values())
+        assert isinstance((Q(1, 3) * c).degree, Q) and isinstance(intersect(c, c), Q)
+        # a float coefficient used to build a class on which every pairing was inexact
+        message = re.escape("class coefficient must be exact, got 0.5")
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            PicardManinClass(0.5)
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            PicardManinClass(1, {0: 0.5})
+        with pytest.raises(TypeError):
+            0.5 * line()
+        with pytest.raises(TypeError, match="^class coefficient must be exact, got 0.0$"):
+            PicardManinClass(1, {0: 0.0})  # checked even though the entry is dropped
 
     def test_point_ids_are_integers(self):
         # int() used to read point 1.7 as point 1
@@ -136,6 +139,26 @@ class TestDistance:
             image = apply(char, line())
             assert distance(line(), image) == pytest.approx(math.acosh(char.degree), abs=1e-12)
 
+    @staticmethod
+    def far_class(k):
+        """(2k**2 + 1) l - 2k**2 e0 - 2k e1: on the hyperboloid, pairing 2k**2 + 1 with l."""
+        c = PicardManinClass(2 * k * k + 1, {0: 2 * k * k, 1: 2 * k})
+        assert self_intersection(c) == 1 and intersect(line(), c) == 2 * k * k + 1
+        return c
+
+    def test_past_float_range(self):
+        # float() of the pairing used to escape as an OverflowError
+        for k, log_k in ((10**200, 200 * math.log(10)), (Q(10**200, 3), 200 * math.log(10) - math.log(3))):
+            assert distance(line(), self.far_class(k)) == pytest.approx(math.log(4) + 2 * log_k, rel=1e-15)
+
+    def test_float_range_edge(self):
+        # 2k**2 + 1 is 1.62e308 inside the float range and 2e308 past it
+        inside, past = self.far_class(9 * 10**153), self.far_class(10**154)
+        near = distance(line(), inside)
+        assert near == math.acosh(float(2 * (9 * 10**153) ** 2 + 1))
+        assert near == pytest.approx(math.log(2) + math.log(1.62e308), rel=1e-15)
+        assert distance(line(), past) - near == pytest.approx(math.log(2 / 1.62), rel=1e-9)
+
     def test_not_on_hyperboloid(self):
         with pytest.raises(NotOnHyperboloid):
             distance(2 * line(), line())
@@ -147,31 +170,37 @@ class TestDistance:
             distance(line(), -1 * line())
 
 
-class TestGeodesic:
-    def test_endpoints(self):
-        g0 = geodesic_point(line(), CONIC, 0)
-        g1 = geodesic_point(line(), CONIC, 1)
-        assert g0.degree == 1.0 and g0.support == ()
-        assert g1.degree == 2.0 and g1.mult(1) == 1.0
+# the line class and two disjoint quadratic images of it: germs of the hyperboloid
+GERMS = [
+    line(),
+    apply(standard_quadratic((0, 1, 2), (3, 4, 5)), line()),
+    apply(standard_quadratic((6, 7, 8), (9, 10, 11)), line()),
+]
+GERM_PAIRS = [(g, h) for g in GERMS for h in GERMS if g != h]
 
-    def test_degenerate(self):
-        with pytest.raises(DegenerateSegment):
-            geodesic_point(line(), line(), 0.5)
+
+class TestBisector:
+    """g + h is the midpoint of the segment from g to h, up to scale, exactly."""
 
     def test_midpoint(self):
-        mid = geodesic_point(line(), CONIC, 0.5)
-        assert self_intersection(mid) == pytest.approx(1.0, abs=1e-9)
-        # equal distance to both endpoints, evaluated through the pairing
-        d0 = math.acosh(intersect(mid, line()))
-        d1 = math.acosh(intersect(mid, CONIC))
-        assert d0 == pytest.approx(d1, abs=1e-9)
-        assert d0 + d1 == pytest.approx(distance(line(), CONIC), abs=1e-9)
+        for g, h in GERM_PAIRS:
+            mid = g + h
+            assert intersect(mid, g) == intersect(mid, h)
+            assert isinstance(mid.degree, Q)
 
-    def test_interpolation_law(self):
-        big_d = distance(line(), CONIC)
-        for t in (0.25, 0.5, 0.75):
-            g = geodesic_point(line(), CONIC, t)
-            assert intersect(g, line()) == pytest.approx(math.cosh(t * big_d), abs=1e-9)
+    def test_half_distance_law(self):
+        # cosh(D/2)**2 = (1 + cosh D)/2, read at the midpoint scaled onto the hyperboloid
+        for g, h in GERM_PAIRS:
+            mid = g + h
+            assert 2 * intersect(mid, g) ** 2 == self_intersection(mid) * (1 + intersect(g, h))
+            half = math.acosh(float(intersect(mid, g)) / math.sqrt(self_intersection(mid)))
+            assert 2 * half == pytest.approx(distance(g, h), abs=1e-12)
+
+    def test_cell_member(self):
+        for g, h in GERM_PAIRS:
+            germs = GermSet([("g", g), ("h", h)])
+            assert cell_member(g + h, 0, germs) and cell_member(g + h, 1, germs)
+            assert not cell_member(2 * g + h, 1, germs)
 
 
 class TestMembership:
