@@ -1,16 +1,20 @@
-"""A metric as one primitive integer numpy array: scaled, built, checked and scanned.
+"""A metric as one primitive integer matrix: scaled, built, checked and scanned.
 
-``scaled_array`` is the one builder of a metric's array.  From numerators
-and denominators it picks the unit, the largest rational of which every
-entry is an integer multiple (the gcd of the entries over their least
-common denominator), so the array is primitive: its entries have gcd 1.
-It then picks the narrowest dtype the checks and the scan cannot overflow:
-int16, int32 or int64 while twice the largest magnitude fits, Python ints
-(object dtype) past that.
+The unit of a metric is the largest rational of which every entry is an
+integer multiple (the gcd of the entries over their least common
+denominator), so its matrix is primitive: the entries have gcd 1.
 
-The four-point kernel is a numpy scan over doubled Gromov products
-(Fournier, Ismail and Vigneron, "Computing the Gromov hyperbolicity of a
-discrete metric space", IPL 2015): seen from a basepoint w,
+One size rule picks the matrix's form.  A metric of at most ``_SMALL``
+points is a list of rows of Python ints, checked and scanned in plain
+Python, and numpy is never imported for it: numpy's import costs more than
+the whole scan at that size.  A larger metric is a numpy array in the
+narrowest dtype the checks and the scan cannot overflow: int16, int32 or
+int64 while twice the largest magnitude fits, Python ints (object dtype)
+past that.  Both forms are exact, and numpy loads on the first large metric.
+
+The four-point kernel scans doubled Gromov products (Fournier, Ismail and
+Vigneron, "Computing the Gromov hyperbolicity of a discrete metric space",
+IPL 2015): seen from a basepoint w,
 
     P[x, y] = d(x, w) + d(y, w) - d(x, y)
     defect(x, y, z, w) = min(P[x, z], P[y, z]) - P[x, y]
@@ -18,19 +22,52 @@ discrete metric space", IPL 2015): seen from a basepoint w,
 is the pair-sum d(x, y) + d(z, w) minus the larger of the other two, so the
 maximum over the three choices of {x, y} among {x, y, z} is the quadruple's
 largest pair-sum minus its second largest.  This is the package's only
-numpy module, and numpy loads on its first use.
+numpy module.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
+from operator import add
+from typing import List, Sequence, Tuple
 
 from ._exact import cut_repr
 
-# elements of one min(P[x], P[y]) block; keeps the scan's memory O(n^2)
+# the largest metric checked and scanned on Python int rows; at 32 points the
+# pure check and scan take ~17 ms, against ~2 ms in numpy after its ~100 ms import
+_SMALL = 32
+
+# elements of one min(P[x], P[y]) block; keeps the numpy scan's memory O(n^2)
 _CHUNK = 2**17
+
+
+def _primitive(numerators: Sequence[Sequence[int]],
+               denominators: Sequence[Sequence[int]]) -> Tuple[List[int], Fraction]:
+    """The entries numerators[i][j] / denominators[i][j], row-major, as
+    ``(ints, unit)``: the primitive integers and the positive Fraction unit
+    with entry == int * unit."""
+    dens = [d for row in denominators for d in row]
+    distinct = set(dens)
+    scale = math.lcm(*distinct)
+    if not scale:
+        raise ValueError("zero denominator")
+    ints = [x for row in numerators for x in row]
+    if scale != 1:
+        factor = {d: scale // d for d in distinct}
+        ints = [x * factor[d] for x, d in zip(ints, dens)]
+    common = math.gcd(*ints) or 1
+    if common != 1:
+        ints = [x // common for x in ints]
+    return ints, Fraction(common, scale)
+
+
+def scaled_rows(numerators: Sequence[Sequence[int]], denominators: Sequence[Sequence[int]]):
+    """The square matrix of rationals numerators[i][j] / denominators[i][j] as
+    ``(rows, unit)``: n lists of primitive Python ints, d(i, j) = rows[i][j] * unit."""
+    ints, unit = _primitive(numerators, denominators)
+    n = len(numerators)
+    return [ints[i * n : i * n + n] for i in range(n)], unit
 
 
 def scaled_array(numerators: Sequence[Sequence[int]], denominators: Sequence[Sequence[int]]):
@@ -45,33 +82,60 @@ def scaled_array(numerators: Sequence[Sequence[int]], denominators: Sequence[Seq
     """
     import numpy as np
 
+    ints, unit = _primitive(numerators, denominators)
     n = len(numerators)
-    dens = [d for row in denominators for d in row]
-    distinct = set(dens)
-    scale = math.lcm(*distinct)
-    if not scale:
-        raise ValueError("zero denominator")
-    ints = [x for row in numerators for x in row]
-    if scale != 1:
-        factor = {d: scale // d for d in distinct}
-        ints = [x * factor[d] for x, d in zip(ints, dens)]
-    common = math.gcd(*ints) or 1
-    if common != 1:
-        ints = [x // common for x in ints]
     peak = max(max(ints, default=0), -min(ints, default=0))
     dtype = next((t for t in (np.int16, np.int32, np.int64) if 2 * peak <= np.iinfo(t).max), object)
-    return np.array(ints, dtype=dtype).reshape(n, n), Fraction(common, scale)
+    return np.array(ints, dtype=dtype).reshape(n, n), unit
 
 
 def metric_array(numerators: Sequence[Sequence[int]], denominators: Sequence[Sequence[int]],
                  labels: Sequence):
-    """``scaled_array(numerators, denominators)`` after checking the metric
-    axioms on its array; a failed axiom raises ValueError naming its first bad
-    pair, row-major.  The triangle check takes one row of min-plus sums at a
-    time."""
+    """The checked primitive matrix of a metric and its unit: ``scaled_rows``
+    for at most ``_SMALL`` points, ``scaled_array`` past that.  A failed axiom
+    raises ValueError naming its first bad pair, row-major, in either form."""
+    if len(numerators) <= _SMALL:
+        rows, unit = scaled_rows(numerators, denominators)
+        check_rows(rows, labels)
+        return rows, unit
+    arr, unit = scaled_array(numerators, denominators)
+    check_array(arr, labels)
+    return arr, unit
+
+
+def check_rows(rows: List[List[int]], labels: Sequence) -> None:
+    """The metric axioms on rows of ints: zero diagonal, symmetry, positivity
+    above the diagonal, then the triangle law, each naming its first bad pair."""
+    n = len(rows)
+    for i in range(n):
+        if rows[i][i]:
+            raise ValueError(f"diagonal entry at {cut_repr(labels[i])} is nonzero")
+    # an asymmetric pair's mirror is asymmetric too, so the first, row-major, has i < j
+    for i, row in enumerate(rows):
+        for j in range(i + 1, n):
+            if row[j] != rows[j][i]:
+                raise ValueError(f"asymmetry at ({cut_repr(labels[i])}, {cut_repr(labels[j])})")
+    for i, row in enumerate(rows):
+        for j in range(i + 1, n):
+            if row[j] <= 0:
+                raise ValueError(
+                    f"nonpositive distance at ({cut_repr(labels[i])}, {cut_repr(labels[j])})"
+                )
+    # with symmetry, min over k of d(i, k) + d(j, k) is the shortest two-step path
+    # from i to j; a failure at (i, j) is one at (j, i), so the first has i < j
+    for i, row in enumerate(rows):
+        for j in range(i + 1, n):
+            if min(map(add, row, rows[j])) < row[j]:
+                raise ValueError(
+                    f"triangle inequality fails between {cut_repr(labels[i])} and {cut_repr(labels[j])}"
+                )
+
+
+def check_array(arr, labels: Sequence) -> None:
+    """``check_rows`` on a numpy array; the triangle check takes one row of
+    min-plus sums at a time."""
     import numpy as np
 
-    arr, unit = scaled_array(numerators, denominators)
     bad = np.flatnonzero(np.diagonal(arr))
     if bad.size:
         raise ValueError(f"diagonal entry at {cut_repr(labels[bad[0]])} is nonzero")
@@ -84,7 +148,6 @@ def metric_array(numerators: Sequence[Sequence[int]], denominators: Sequence[Seq
             raise ValueError(
                 f"triangle inequality fails between {cut_repr(labels[i])} and {cut_repr(labels[j])}"
             )
-    return arr, unit
 
 
 def max_defect(d) -> int:
@@ -94,16 +157,40 @@ def max_defect(d) -> int:
     d[i][k]+d[j][l], d[i][l]+d[j][k]; the defect is (largest - second
     largest).  Returns the maximum defect, 0 for fewer than four points.
     ``d`` must be a metric: the triangle law makes every choice with
-    repeated points score <= 0.  It is an array from ``scaled_array``, as a
-    FiniteMetric stores it, or a square list of lists of ints, whose own
-    defect is returned: the defect of its primitive array times the unit.
+    repeated points score <= 0.  It is what ``metric_array`` returns, as a
+    FiniteMetric stores it (rows up to ``_SMALL`` points, an array past
+    that), or any square list of lists of ints, whose own defect is
+    returned.
     """
+    if not isinstance(d, list):
+        return array_defect(d)
+    if len(d) <= _SMALL:
+        return rows_defect(d)
+    arr, unit = scaled_array(d, [[1] * len(row) for row in d])
+    return array_defect(arr) * unit.numerator
+
+
+def rows_defect(rows: Sequence[Sequence[int]]) -> int:
+    """``max_defect`` of rows of ints, by the basepoint scan in plain Python."""
+    n = len(rows)
+    best = 0
+    # every quadruple is seen once from its smallest point w
+    for w in range(n - 3):
+        r = rows[w][w + 1 :]
+        prod = [[a + b - c for b, c in zip(r, rows[x][w + 1 :])] for x, a in enumerate(r, w + 1)]
+        for x, px in enumerate(prod):
+            # the score is symmetric in x and y, and 0 at most when y == x
+            for y in range(x + 1, len(prod)):
+                top = max([p if p < q else q for p, q in zip(px, prod[y])]) - px[y]
+                if top > best:
+                    best = top
+    return best
+
+
+def array_defect(arr) -> int:
+    """``max_defect`` of a numpy array, by the basepoint scan in row chunks."""
     import numpy as np
 
-    if not isinstance(d, np.ndarray):
-        arr, unit = scaled_array(d, [[1] * len(row) for row in d])
-        return max_defect(arr) * unit.numerator
-    arr = d
     n = len(arr)
     best = 0
     # every quadruple is seen once from its smallest point w

@@ -4,10 +4,11 @@ Three instruments:
 
 * four_point_delta: the exact four-point constant of a FiniteMetric,
   computed over every quadruple of the integers the metric stores (its
-  distances as multiples of one rational unit) as one primitive numpy
-  array, which _delta_py builds in the narrowest exact dtype, checks and
-  scans for doubled Gromov products from each basepoint; the scan is exact
-  and the result, times the unit, comes back as a Fraction.
+  distances as multiples of one rational unit) as one primitive matrix,
+  which _delta_py builds, checks and scans for doubled Gromov products from
+  each basepoint: rows of Python ints up to 32 points, a numpy array in the
+  narrowest exact dtype past that.  The scan is exact and the result, times
+  the unit, comes back as a Fraction.
   Trees give 0; an N x N grid gives at least N - 1, which is the finite
   shadow of a quasi-flat.
 
@@ -158,12 +159,13 @@ def grid_graph(rows: int, cols: int) -> Graph:
 
 
 class FiniteMetric:
-    """Rational metric with the axioms enforced, stored once as a primitive integer array.
+    """Rational metric with the axioms enforced, stored once as a primitive integer matrix.
 
-    Invariant: d(i, j) == _ints[i, j] * _unit, where (_ints, _unit) is the pair one
+    Invariant: d(i, j) == _ints[i][j] * _unit, where (_ints, _unit) is the pair one
     call of _delta_py.metric_array returns: _unit is the largest rational of which
-    every distance is an integer multiple, and _ints the checked array of those
-    multiples in the narrowest exact dtype.  ``matrix`` is a derived view.
+    every distance is an integer multiple, and _ints the checked matrix of those
+    multiples, rows of Python ints up to 32 points and a numpy array in the
+    narrowest exact dtype past that.  ``matrix`` is a derived view.
 
     ``matrix`` holds rationals (ints, Fractions or anything Fraction reads
     exactly).  With ``denominators``, a square matrix of nonzero ints, it holds
@@ -215,10 +217,11 @@ class FiniteMetric:
     @property
     def matrix(self) -> Tuple[Tuple[Q, ...], ...]:
         step, scale = self._unit.numerator, self._unit.denominator
-        return tuple(tuple(Q(x * step, scale) for x in row) for row in self._ints.tolist())
+        rows = self._ints if isinstance(self._ints, list) else self._ints.tolist()
+        return tuple(tuple(Q(x * step, scale) for x in row) for row in rows)
 
     def distance(self, a, b) -> Q:
-        return int(self._ints[self._index[a], self._index[b]]) * self._unit
+        return int(self._ints[self._index[a]][self._index[b]]) * self._unit
 
 
 def four_point_delta(metric: FiniteMetric) -> Q:
@@ -226,7 +229,7 @@ def four_point_delta(metric: FiniteMetric) -> Q:
 
     S1 >= S2 >= S3 are the three pair-sums of the quadruple.  0 on any
     tree metric; positive curvature-scale defects otherwise.  The scan runs
-    on the metric's primitive array, and the unit scales its result back.
+    on the metric's primitive matrix, and the unit scales its result back.
     """
     return _delta_py.max_defect(metric._ints) * metric._unit / 2
 

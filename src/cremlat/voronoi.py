@@ -26,7 +26,7 @@ UNCLASSIFIED = "unclassified"
 
 
 class GermSet:
-    """Labeled hyperboloid classes serving as cell centers."""
+    """Labeled classes of the upper hyperboloid sheet serving as cell centers."""
 
     __slots__ = ("_labels", "_classes")
 
@@ -38,6 +38,8 @@ class GermSet:
                 raise NotOnHyperboloid(
                     f"germ {label!r} has self-intersection {self_intersection(cls)}"
                 )
+            if cls.degree <= 0:
+                raise NotOnHyperboloid(f"germ {label!r} has degree {cls.degree}, off the upper sheet")
             labels.append(str(label))
             classes.append(cls)
         if len(set(labels)) != len(labels):
@@ -64,10 +66,13 @@ def cell_member(c: PicardManinClass, idx: int, germs: GermSet) -> bool:
     """Whether no germ is strictly closer to c than germs[idx].
 
     Compares pairings exactly.  The comparison is invariant under positive
-    scaling of c, so any class with positive self-intersection is accepted;
-    hyperboloid normalization is not required.  That makes c + d usable as
-    the exact midpoint of two germs c and d: it pairs equally with both, and
-    its norm, 2 + 2(c . d), is seldom a rational square.
+    scaling of c, so any class with positive self-intersection and positive
+    degree is accepted; hyperboloid normalization is not required.  That
+    makes c + d usable as the exact midpoint of two germs c and d: it pairs
+    equally with both, and its norm, 2 + 2(c . d), is seldom a rational
+    square.  A class of negative degree lies on the lower sheet, where every
+    pairing with a germ is negative and the smallest would pick the farthest
+    germ, so it is refused.
     """
     idx = exact_int(idx, "germ index")
     if not 0 <= idx < len(germs):
@@ -76,6 +81,8 @@ def cell_member(c: PicardManinClass, idx: int, germs: GermSet) -> bool:
         raise NotOnHyperboloid(
             f"membership needs a class of positive self-intersection, got {self_intersection(c)}"
         )
+    if c.degree <= 0:
+        raise NotOnHyperboloid(f"membership needs a class of positive degree, got {c.degree}")
     own = intersect(c, germs[idx])
     return all(own <= intersect(c, other) for other in germs.classes)
 

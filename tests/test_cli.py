@@ -487,11 +487,20 @@ def test_unknown_point_is_bad_input(capsys, tmp_path, case):
     assert err == f"{prefix[0]}: bad input: {message}\n"
 
 
+def path_metric_csv(tmp_path, n):
+    """A metric CSV of the path on n points: delta 0."""
+    metric = tmp_path / f"path{n}.csv"
+    rows = [",".join(f"p{i}" for i in range(n))]
+    rows += [",".join(str(abs(i - j)) for j in range(n)) for i in range(n)]
+    metric.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return metric
+
+
 def test_numpy_loads_only_for_metrics(tmp_path):
-    # numpy's import is most of the start-up time of a job that builds no metric;
-    # dataclasses (it loads inspect) would cost every job. Only what the import adds counts.
-    metric = tmp_path / "three.csv"
-    metric.write_text("a,b,c\n0,1,2\n1,0,1\n2,1,0\n", encoding="utf-8")
+    # numpy's import is most of the start-up time of a job that builds no
+    # metric or one of at most 32 points, which is checked and scanned on
+    # Python ints; dataclasses (it loads inspect) would cost every job. Only
+    # what the import adds counts.
     script = (
         "import io, sys, contextlib\n"
         "before = set(sys.modules)\n"
@@ -501,15 +510,15 @@ def test_numpy_loads_only_for_metrics(tmp_path):
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert cremlat.cli.main(['halphen-table', '--nmax', '1']) == 0\n"
         "    seen.append('numpy' in sys.modules)\n"
-        "    assert cremlat.cli.main(['delta', sys.argv[1]]) == 0\n"
-        "    seen.append('numpy' in sys.modules)\n"
+        "    for metric in sys.argv[1:]:\n"
+        "        assert cremlat.cli.main(['delta', metric]) == 0\n"
+        "        seen.append('numpy' in sys.modules)\n"
         "print(*seen)\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", script, str(metric)], capture_output=True, text=True
-    )
+    metrics = [str(path_metric_csv(tmp_path, n)) for n in (3, 32, 33)]
+    proc = subprocess.run([sys.executable, "-c", script, *metrics], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[] False False True\n"
+    assert proc.stdout == "[] False False False False True\n"
 
 
 # runs `python -m cremlat ARGS`, then reports what the child saw on stderr
@@ -526,9 +535,9 @@ BLAS_PROBE = (
 
 
 def test_blas_starts_single_threaded(tmp_path):
-    # the package does no BLAS work, so numpy's worker threads only cost start-up
-    metric = tmp_path / "three.csv"
-    metric.write_text("a,b,c\n0,1,2\n1,0,1\n2,1,0\n", encoding="utf-8")
+    # the package does no BLAS work, so numpy's worker threads only cost
+    # start-up; 33 points is the smallest metric that loads numpy
+    metric = path_metric_csv(tmp_path, 33)
     base = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
     seen = []
     for preset in ({}, {"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": "2"}):
@@ -539,7 +548,7 @@ def test_blas_starts_single_threaded(tmp_path):
         assert proc.returncode == 0, proc.stderr
         seen.append((proc.stdout, json.loads(proc.stderr)))
     (unset_out, unset), (preset_out, preset) = seen
-    assert unset_out == preset_out == "points,delta,delta_real\n3,0/1,0\n"
+    assert unset_out == preset_out == "points,delta,delta_real\n33,0/1,0\n"
     assert unset["numpy"]
     assert unset["env"] == ["1", "1"]  # defaults when the user set nothing
     assert preset["env"] == ["3", "2"]  # a user's own setting wins

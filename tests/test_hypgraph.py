@@ -33,6 +33,7 @@ from cremlat.hypgraph import (
 
 
 CYCLE4 = [[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]]
+PATH36 = [[abs(i - j) for j in range(36)] for i in range(36)]
 
 
 def star_matrix(n, rng, denominator=1):
@@ -64,12 +65,12 @@ def quadruple_defect(d):
 
 
 @st.composite
-def graph_metrics(draw):
+def graph_metrics(draw, max_size=10):
     """Shortest-path distances of a connected graph with edge lengths 1..3.
 
     Short integer lengths make ties between pair-sums common.
     """
-    n = draw(st.integers(0, 10))
+    n = draw(st.integers(0, max_size))
     far = 10 * n
     d = [[0 if i == j else far for j in range(n)] for i in range(n)]
     edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]  # a spanning tree
@@ -79,11 +80,15 @@ def graph_metrics(draw):
     for a, b in edges:
         if a != b:
             d[a][b] = d[b][a] = min(d[a][b], draw(st.integers(1, 3)))
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                d[i][j] = min(d[i][j], d[i][k] + d[k][j])
+    for k in range(n):  # Floyd-Warshall, one row at a time
+        through = d[k]
+        d = [[min(x, row[k] + y) for x, y in zip(row, through)] for row in d]
     return d
+
+
+def parts(matrix):
+    """The numerators and denominators of a matrix of Fractions."""
+    return [[x.numerator for x in row] for row in matrix], [[x.denominator for x in row] for row in matrix]
 
 
 def first_triangle_violation(matrix):
@@ -182,7 +187,10 @@ class TestFiniteMetric:
                               denominators=[[1, 4, 3], [-4, 1, 2], [3, 2, 1]])
         assert metric.matrix == FiniteMetric([[0, Q(1, 2), 2], [Q(1, 2), 0, Q(3, 2)],
                                               [2, Q(3, 2), 0]]).matrix
-        assert metric._unit == Q(1, 2) and metric._ints.tolist() == [[0, 1, 4], [1, 0, 3], [4, 3, 0]]
+        assert metric._unit == Q(1, 2) and metric._ints == [[0, 1, 4], [1, 0, 3], [4, 3, 0]]
+        arr, unit = _delta_py.scaled_array([[0, 2, 6], [-2, 0, 3], [6, 3, 0]],
+                                           [[1, 4, 3], [-4, 1, 2], [3, 2, 1]])
+        assert unit == Q(1, 2) and arr.dtype == "int16" and arr.tolist() == metric._ints
         with pytest.raises(ValueError, match="^zero denominator$"):
             FiniteMetric([[0, 1], [1, 0]], denominators=[[1, 0], [1, 1]])
         with pytest.raises(ValueError, match="^matrix must be square$"):
@@ -194,11 +202,13 @@ class TestFiniteMetric:
             FiniteMetric([[0, big, 1], [big, 0, big - 2], [1, big - 2, 0]])
         FiniteMetric([[0, big, 1], [big, 0, big], [1, big, 0]])
 
-    # factor 1 checks int16 arrays.  Factor 2**62 with 1 added to every
-    # distance checks object arrays: on three points or more no common factor
-    # divides these entries back into int64 (on two, one distance is its own
-    # gcd).  The added 1 keeps each triangle's verdict, as a broken triangle
-    # misses by at least 2**62 / 6 before it
+    # FiniteMetric checks these small matrices on Python int rows; the numpy
+    # check runs on each one's array too.  Factor 1 checks int16 arrays.
+    # Factor 2**62 with 1 added to every distance checks object arrays: on
+    # three points or more no common factor divides these entries back into
+    # int64 (on two, one distance is its own gcd).  The added 1 keeps each
+    # triangle's verdict, as a broken triangle misses by at least 2**62 / 6
+    # before it
     @pytest.mark.parametrize("factor", [1, 2**62])
     def test_triangle_check_matches_brute_force(self, factor):
         rng = random.Random(f"triangle:{factor}")
@@ -212,18 +222,19 @@ class TestFiniteMetric:
                 for j in range(i + 1, n):
                     d = Q(rng.randint(low, 12), rng.choice((1, 1, 2, 3))) * factor + offset
                     matrix[i][j] = matrix[j][i] = d
-            nums = [[x.numerator for x in row] for row in matrix]
-            dens = [[x.denominator for x in row] for row in matrix]
-            dtype = "object" if factor > 1 and n >= 3 else "int16"
-            assert _delta_py.scaled_array(nums, dens)[0].dtype == dtype
+            arr = _delta_py.scaled_array(*parts(matrix))[0]
+            assert arr.dtype == ("object" if factor > 1 and n >= 3 else "int16")
             bad = first_triangle_violation(matrix)
             if bad is None:
                 assert FiniteMetric(matrix).matrix == tuple(map(tuple, matrix))
+                _delta_py.check_array(arr, range(n))
                 accepted += 1
             else:
                 message = "^triangle inequality fails between %d and %d$" % bad
                 with pytest.raises(ValueError, match=message):
                     FiniteMetric(matrix)
+                with pytest.raises(ValueError, match=message):
+                    _delta_py.check_array(arr, range(n))
                 rejected += 1
         assert accepted >= 50 and rejected >= 50
 
@@ -299,7 +310,10 @@ class TestFourPointDelta:
     @example(CYCLE4, 2**61, 1)  # largest entry 2**62 + 1: object
     def test_kernel_matches_quadruple_oracle(self, d, factor, offset):
         scaled = [[x * factor + offset if x else 0 for x in row] for row in d]
-        assert _delta_py.max_defect(scaled) == quadruple_defect(scaled)
+        arr, unit = _delta_py.scaled_array(scaled, [[1] * len(row) for row in scaled])
+        oracle = quadruple_defect(scaled)
+        assert _delta_py.max_defect(scaled) == _delta_py.rows_defect(scaled) == oracle
+        assert _delta_py.max_defect(arr) * unit.numerator == oracle
 
     def test_kernel_memory_is_quadratic(self):
         import numpy  # noqa: F401  (its import is not the kernel's memory)
@@ -330,7 +344,8 @@ class TestFourPointDelta:
         assert four_point_delta(permuted) == four_point_delta(metric)
 
     # a primitive array's largest entry on either side of each dtype edge
-    # (2 * peak <= iinfo.max), and past the int64 range
+    # (2 * peak <= iinfo.max), and past the int64 range.  A metric of four
+    # points is stored as Python int rows, so the array is built directly
     @pytest.mark.parametrize(
         "peak, dtype",
         [(2**14 - 1, "int16"), (2**14, "int32"), (2**30 - 1, "int32"), (2**30, "int64"),
@@ -345,8 +360,14 @@ class TestFourPointDelta:
         assert math.gcd(short, long) == 1
         d = [[0, short, peak, long], [short, 0, long, peak],
              [peak, long, 0, short], [long, peak, short, 0]]
+        ones = [[1] * 4 for _ in range(4)]
+        arr, unit = _delta_py.scaled_array(d, ones)
+        assert arr.dtype == dtype
+        assert unit == 1
+        _delta_py.check_array(arr, range(4))
+        assert _delta_py.array_defect(arr) == quadruple_defect(d)
         metric = FiniteMetric(d)
-        assert metric._ints.dtype == dtype
+        assert metric._ints == d
         assert metric._unit == 1
         assert first_triangle_violation(d) is None
         assert four_point_delta(metric) == Q(quadruple_defect(d), 2)
@@ -354,17 +375,101 @@ class TestFourPointDelta:
         assert first_triangle_violation(bad) == (0, 1)
         with pytest.raises(ValueError, match="^triangle inequality fails between 0 and 1$"):
             FiniteMetric(bad)
+        with pytest.raises(ValueError, match="^triangle inequality fails between 0 and 1$"):
+            _delta_py.check_array(_delta_py.scaled_array(bad, ones[:3])[0], range(3))
 
     @pytest.mark.parametrize("n", [24, 96])
     def test_common_factor_keeps_the_dtype(self, n):
-        # the unit absorbs a common factor: a star times 2**70 is scanned in
-        # the star's own dtype, not on the object path
+        # the unit absorbs a common factor: a star times 2**70 gets the star's
+        # own array, in int16 and not on the object path (n = 96 stores it,
+        # n = 24 stores the same entries as Python int rows)
         star = star_matrix(n, random.Random(n), denominator=3)
-        metric = FiniteMetric(star)
-        big = FiniteMetric([[x * 2**70 for x in row] for row in star])
-        assert big._ints.dtype == metric._ints.dtype == "int16"
+        big_star = [[x * 2**70 for x in row] for row in star]
+        arr, unit = _delta_py.scaled_array(*parts(star))
+        big_arr, big_unit = _delta_py.scaled_array(*parts(big_star))
+        assert big_arr.dtype == arr.dtype == "int16"
+        assert big_arr.tolist() == arr.tolist() and big_unit == 2**70 * unit
+        metric, big = FiniteMetric(star), FiniteMetric(big_star)
         assert four_point_delta(big) == 2**70 * four_point_delta(metric)
-        assert big.matrix == tuple(tuple(x * 2**70 for x in row) for row in star)
+        assert big.matrix == tuple(map(tuple, big_star))
+
+
+def faults():
+    """One broken axiom: (kind, a, b, amount), with a and b read modulo the size."""
+    return st.tuples(st.sampled_from(["diagonal", "asymmetry", "nonpositive", "triangle"]),
+                     st.integers(0, 39), st.integers(0, 39), st.integers(0, 2**70))
+
+
+def apply_fault(d, kind, a, b, amount):
+    n = len(d)
+    if kind == "diagonal" and n:
+        d[a % n][a % n] = amount or 1
+    elif kind in ("asymmetry", "nonpositive") and n >= 2:
+        i, j = a % n, (a + 1 + b % (n - 1)) % n  # i != j
+        if kind == "asymmetry":
+            d[i][j] += amount or 1
+        else:
+            d[i][j] = d[j][i] = -amount
+    elif kind == "triangle" and n >= 3:
+        i, k, j = a % n, (a + 1) % n, (a + 2 + b % (n - 2)) % n  # distinct
+        d[i][j] = d[j][i] = d[i][k] + d[k][j] + amount + 1
+
+
+def outcome(build, check, scan, numerators, denominators, labels):
+    """What one path makes of a matrix: its entries, unit and defect, or its error."""
+    try:
+        matrix, unit = build(numerators, denominators)
+        check(matrix, labels)
+    except ValueError as error:
+        return str(error)
+    entries = matrix if isinstance(matrix, list) else matrix.tolist()
+    return entries, unit, scan(matrix)
+
+
+class TestPathsAgree:
+    """The Python int rows (metrics of up to 32 points) and the numpy array
+    (past 32) are two implementations of one builder, checker and kernel:
+    called directly on the same inputs, at every size up to 40, they agree."""
+
+    # factors 2**61 and 2**70 with offset 1 put entries past 2**62, where the
+    # array is object dtype; each fault breaks one axiom, and two faults race
+    # for which message comes first
+    @settings(max_examples=120, deadline=None)
+    @given(
+        graph_metrics(40),
+        st.sampled_from([1, 2**13, 2**61, 2**70]),
+        st.sampled_from([0, 1]),
+        st.lists(faults(), max_size=2),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(CYCLE4, 2**61, 1, [], 0)  # valid, entries past 2**62
+    @example(CYCLE4, 1, 0, [("diagonal", 2, 0, 5)], 0)
+    @example(CYCLE4, 1, 0, [("asymmetry", 3, 1, 1)], 0)
+    @example(CYCLE4, 2**70, 1, [("nonpositive", 1, 1, 0)], 0)
+    @example(CYCLE4, 2**70, 1, [("triangle", 0, 0, 0)], 0)
+    @example(CYCLE4, 1, 0, [("triangle", 1, 0, 0), ("nonpositive", 0, 1, 0)], 0)
+    @example(CYCLE4, 1, 0, [("triangle", 3, 1, 2**70), ("triangle", 0, 0, 0)], 0)
+    @example(PATH36, 2**61, 1, [], 0)
+    @example(PATH36, 1, 0, [("triangle", 3, 5, 0)], 0)
+    @example(PATH36, 2**70, 1, [("triangle", 30, 1, 7)], 1)
+    def test_builders_checkers_and_kernels(self, d, factor, offset, broken, seed):
+        d = [[x * factor + offset if x else 0 for x in row] for row in d]
+        for fault in broken:
+            apply_fault(d, *fault)
+        # unreduced pairs: each value d[i][j] written over a drawn denominator
+        rng = random.Random(seed)
+        n = len(d)
+        dens = [[1] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                dens[i][j] = dens[j][i] = rng.choice((1, 1, 2, 3, 6))
+        nums = [[x * q for x, q in zip(row, qs)] for row, qs in zip(d, dens)]
+        labels = tuple(range(n))
+        pure = outcome(_delta_py.scaled_rows, _delta_py.check_rows, _delta_py.rows_defect,
+                       nums, dens, labels)
+        array = outcome(_delta_py.scaled_array, _delta_py.check_array, _delta_py.array_defect,
+                        nums, dens, labels)
+        assert pure == array
 
 
 class TestSubgraphFamily:

@@ -67,6 +67,13 @@ class TestGermSet:
         with pytest.raises(NotOnHyperboloid):
             GermSet([("bad", exceptional(0))])
 
+    def test_rejects_lower_sheet(self):
+        # self-intersection 1, but on the sheet of negative degree
+        for label, cls in (("neg", -1 * line()), ("sigma", -1 * CONIC)):
+            message = f"^germ '{label}' has degree -\\d+, off the upper sheet$"
+            with pytest.raises(NotOnHyperboloid, match=message):
+                GermSet([("identity", line()), (label, cls)])
+
     def test_rejects_duplicate_labels(self):
         with pytest.raises(ValueError):
             GermSet([("a", line()), ("a", CONIC)])
@@ -118,6 +125,19 @@ class TestCellMember:
             cell_member(exceptional(0), 0, germs)
         with pytest.raises(NotOnHyperboloid):
             cell_member(boundary_class(range(9)), 0, germs)
+
+    def test_refuses_lower_sheet(self):
+        # -(2g + h) pairs negatively with both germs, so the smallest pairing
+        # would put it in h's cell, the farthest from its antipode 2g + h
+        g = line()
+        h = cremona.apply(standard_quadratic(), g)
+        germs = GermSet([("g", g), ("h", h)])
+        c = 2 * g + h
+        assert cell_member(c, 0, germs) and not cell_member(c, 1, germs)
+        for idx in (0, 1):
+            message = "^membership needs a class of positive degree, got -4$"
+            with pytest.raises(NotOnHyperboloid, match=message):
+                cell_member(-1 * c, idx, germs)
 
 
 class TestClassifyGerm:
