@@ -35,7 +35,8 @@ from typing import List, Sequence, Tuple
 from ._exact import cut_repr
 
 # the largest metric checked and scanned on Python int rows; at 32 points the
-# pure check and scan take ~17 ms, against ~2 ms in numpy after its ~100 ms import
+# pure check and scan take ~17 ms, against ~2 ms in numpy after its ~100 ms
+# import (a star metric on a 2-vCPU Xeon VM, Python 3.11, numpy 2.4)
 _SMALL = 32
 
 # elements of one min(P[x], P[y]) block; keeps the numpy scan's memory O(n^2)

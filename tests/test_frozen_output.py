@@ -5,7 +5,8 @@
 by its data row for quadratic towers 1..12 and for three lattice twists;
 `delta` is pinned by the sha256 of its stdout on seeded stars with mixed
 denominators, a rational-scaled grid, both times 2**70, and 4-cycles whose
-largest entry sits on either side of each dtype edge of the metric array;
+largest entry sits on either side of each dtype edge of the numpy array
+(metrics of at most 32 points, these among them, run on Python int rows);
 `in-e` is pinned by the sha256 of its exit code and stdout on one class per
 curve-witness kind and on seeded classes, members and not, with and without
 `--config`; `classify` is pinned the same way on seeded run configurations
