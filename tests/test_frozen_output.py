@@ -4,9 +4,10 @@
 1..20 and `halphen-table --nmax N` for every N in 1..32; `length` is pinned
 by its data row for quadratic towers 1..12 and for three lattice twists;
 `delta` is pinned by the sha256 of its stdout on seeded stars with mixed
-denominators, a rational-scaled grid, both times 2**70, and 4-cycles whose
-largest entry sits on either side of each dtype edge of the numpy array
-(metrics of at most 32 points, these among them, run on Python int rows);
+denominators (8 to 72 points), rational-scaled grids of 6x6 to 9x9, stars and
+the 6x6 grid times 2**70, and 4-cycles whose largest entry sits on either
+side of each dtype edge of the numpy array (metrics of at most 32 points,
+these among them, run on Python int rows);
 `in-e` is pinned by the sha256 of its exit code and stdout on one class per
 curve-witness kind and on seeded classes, members and not, with and without
 `--config`; `classify` is pinned the same way on seeded run configurations
@@ -182,6 +183,14 @@ DELTA_SHA256 = {
     "cycle2**61": "056ca13e027627416db8d66cf99b2caf0da47cc3a0d14beec5e1384b82b373e2",
     "cycle2**62-1": "971853f85b2dabeb44b545193428430d3265cff832beaf277f137e321540606f",
     "cycle2**62": "971853f85b2dabeb44b545193428430d3265cff832beaf277f137e321540606f",
+    "star48": "81b60264cbdec02235702314f62ee391e8cb8d506ef2af800e7b86642513d9fb",
+    "star48x2**70": "43e90a2a5a27fd7b49a33e05f8759d870453b4aa40b5853c1ae6eb11226849cd",
+    "star64": "b82049350ca050ae42b43293ac29d61c9db4ab6f94597a046339d2d74787457d",
+    "star64x2**70": "6085ffb11f6c0b90210bd3336a91d1b9f4bcd29062dd5019cfb18460ef261eb9",
+    "star72": "4abe19ef27d2b4b4a7eb2f722d90e08ccc55f3cc104c0df74b1cce5510908bdb",
+    "star72x2**70": "d7e0257b550d862b40595dde922c76ced92f6677d85c184016e51bea33d24b2a",
+    "grid8": "b115e9ccc44af7d8fb52128b0df14400590fb1349589e13efd5ceae9da7aef06",
+    "grid9": "81607730f89d5e7bde5b519009fc45557b6d39061a71a01221f41c6cb72048eb",
 }
 
 
@@ -221,6 +230,12 @@ def delta_metrics():
     for e in (14, 30, 61, 62):
         metrics[f"cycle2**{e}-1"] = cycle_matrix(2**e - 1)
         metrics[f"cycle2**{e}"] = cycle_matrix(2**e)
+    # appended last, so the cells drawn for the metrics above stay the same
+    for n in (48, 64, 72):
+        metrics[f"star{n}"] = labels, matrix = star_matrix(n)
+        metrics[f"star{n}x2**70"] = labels, [[x * 2**70 for x in row] for row in matrix]
+    for k in (8, 9):
+        metrics[f"grid{k}"] = grid_matrix(k, Q(7, 12))
     return metrics
 
 
