@@ -7,7 +7,8 @@ denominator), so its matrix is primitive: the entries have gcd 1.
 One size rule picks the matrix's form.  A metric of at most ``_SMALL``
 points is a list of rows of Python ints, checked and scanned in plain
 Python, and numpy is never imported for it: numpy's import costs more than
-the whole scan at that size.  A larger metric is a numpy array in the
+the whole check and scan at that size, where the scan tests each pair of
+points with one AND of two bitsets.  A larger metric is a numpy array in the
 narrowest dtype the checks and the scan cannot overflow: int16, int32 or
 int64 while twice the largest magnitude fits, Python ints (object dtype)
 past that.  Both forms are exact, and numpy loads on the first large metric.
@@ -28,16 +29,19 @@ numpy module.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
-from operator import add
+from itertools import accumulate
+from operator import add, or_
 from typing import List, Sequence, Tuple
 
 from ._exact import cut_repr
 
-# the largest metric checked and scanned on Python int rows; at 32 points the
-# pure check and scan take ~17 ms, against ~2 ms in numpy after its ~100 ms
-# import (a star metric on a 2-vCPU Xeon VM, Python 3.11, numpy 2.4)
-_SMALL = 32
+# the largest metric checked and scanned on Python int rows; at 64 points the
+# pure check and scan take ~50-70 ms, against ~6-9 ms in numpy after its
+# ~90-100 ms import, and at 72 points ~95-100 ms against ~10 ms (seeded star
+# metrics on a 2-vCPU Xeon VM, Python 3.11, numpy 2.4)
+_SMALL = 64
 
 # elements of one min(P[x], P[y]) block; keeps the numpy scan's memory O(n^2)
 _CHUNK = 2**17
@@ -172,19 +176,36 @@ def max_defect(d) -> int:
 
 
 def rows_defect(rows: Sequence[Sequence[int]]) -> int:
-    """``max_defect`` of rows of ints, by the basepoint scan in plain Python."""
+    """``max_defect`` of rows of ints, by the basepoint scan in plain Python.
+
+    A pair (x, y) beats ``best`` exactly when some z has both P[x, z] and
+    P[y, z] at least t = P[x, y] + best + 1.  With each row's indices sorted
+    by value, the z holding a row's entries >= t are its top k for k found by
+    bisection, kept as one bitset per k, so the pair is tested by one AND of
+    two Python ints.  Only a hit re-scores the pair, exactly, over every z.
+    Nothing is rounded, so the test is exact for ints of any size.
+    """
     n = len(rows)
     best = 0
     # every quadruple is seen once from its smallest point w
     for w in range(n - 3):
         r = rows[w][w + 1 :]
         prod = [[a + b - c for b, c in zip(r, rows[x][w + 1 :])] for x, a in enumerate(r, w + 1)]
+        m = len(prod)
+        one = [1 << z for z in range(m)]
+        # asc[x]: row x ascending; tops[x][k]: the bitset of the z holding its k largest
+        asc, tops = [], []
+        for px in prod:
+            order = sorted(range(m), key=px.__getitem__)
+            asc.append(list(map(px.__getitem__, order)))
+            tops.append([0, *accumulate(map(one.__getitem__, reversed(order)), or_)])
         for x, px in enumerate(prod):
+            ax, tx = asc[x], tops[x]
             # the score is symmetric in x and y, and 0 at most when y == x
-            for y in range(x + 1, len(prod)):
-                top = max([p if p < q else q for p, q in zip(px, prod[y])]) - px[y]
-                if top > best:
-                    best = top
+            for y in range(x + 1, m):
+                t = px[y] + best + 1
+                if tx[m - bisect_left(ax, t)] & tops[y][m - bisect_left(asc[y], t)]:
+                    best = max([p if p < q else q for p, q in zip(px, prod[y])]) - px[y]
     return best
 
 

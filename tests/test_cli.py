@@ -498,7 +498,7 @@ def path_metric_csv(tmp_path, n):
 
 def test_numpy_loads_only_for_metrics(tmp_path):
     # numpy's import is most of the start-up time of a job that builds no
-    # metric or one of at most 32 points, which is checked and scanned on
+    # metric or one of at most 64 points, which is checked and scanned on
     # Python ints; dataclasses (it loads inspect) would cost every job. Only
     # what the import adds counts.
     script = (
@@ -515,7 +515,7 @@ def test_numpy_loads_only_for_metrics(tmp_path):
         "        seen.append('numpy' in sys.modules)\n"
         "print(*seen)\n"
     )
-    metrics = [str(path_metric_csv(tmp_path, n)) for n in (3, 32, 33)]
+    metrics = [str(path_metric_csv(tmp_path, n)) for n in (3, 64, 65)]
     proc = subprocess.run([sys.executable, "-c", script, *metrics], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[] False False False False True\n"
@@ -536,8 +536,8 @@ BLAS_PROBE = (
 
 def test_blas_starts_single_threaded(tmp_path):
     # the package does no BLAS work, so numpy's worker threads only cost
-    # start-up; 33 points is the smallest metric that loads numpy
-    metric = path_metric_csv(tmp_path, 33)
+    # start-up; 65 points is the smallest metric that loads numpy
+    metric = path_metric_csv(tmp_path, 65)
     base = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
     seen = []
     for preset in ({}, {"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": "2"}):
@@ -548,7 +548,7 @@ def test_blas_starts_single_threaded(tmp_path):
         assert proc.returncode == 0, proc.stderr
         seen.append((proc.stdout, json.loads(proc.stderr)))
     (unset_out, unset), (preset_out, preset) = seen
-    assert unset_out == preset_out == "points,delta,delta_real\n33,0/1,0\n"
+    assert unset_out == preset_out == "points,delta,delta_real\n65,0/1,0\n"
     assert unset["numpy"]
     assert unset["env"] == ["1", "1"]  # defaults when the user set nothing
     assert preset["env"] == ["3", "2"]  # a user's own setting wins

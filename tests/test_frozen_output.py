@@ -6,8 +6,9 @@ by its data row for quadratic towers 1..12 and for three lattice twists;
 `delta` is pinned by the sha256 of its stdout on seeded stars with mixed
 denominators (8 to 72 points), rational-scaled grids of 6x6 to 9x9, stars and
 the 6x6 grid times 2**70, and 4-cycles whose largest entry sits on either
-side of each dtype edge of the numpy array (metrics of at most 32 points,
-these among them, run on Python int rows);
+side of each dtype edge of the numpy array; metrics of at most 64 points (the
+4-cycles, the stars up to 64 points and the grids up to 8x8) run on Python
+int rows, and the 72-point stars and the 9x9 grid on the numpy array;
 `in-e` is pinned by the sha256 of its exit code and stdout on one class per
 curve-witness kind and on seeded classes, members and not, with and without
 `--config`; `classify` is pinned the same way on seeded run configurations

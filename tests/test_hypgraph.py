@@ -33,6 +33,7 @@ from cremlat.hypgraph import (
 
 
 CYCLE4 = [[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]]
+CHORD4 = [[0, 1, 1, 1], [1, 0, 1, 2], [1, 1, 0, 1], [1, 2, 1, 0]]  # a 4-cycle and one diagonal
 PATH36 = [[abs(i - j) for j in range(36)] for i in range(36)]
 
 
@@ -308,6 +309,7 @@ class TestFourPointDelta:
     @example(CYCLE4, 2**60, 0)  # largest entry 2**61: the factor 2**60 divides out
     @example(CYCLE4, 2**60, 1)  # largest entry 2**61 + 1: still int64
     @example(CYCLE4, 2**61, 1)  # largest entry 2**62 + 1: object
+    @example(CHORD4, 1, 0)  # defect 1, the smallest a scan can miss
     def test_kernel_matches_quadruple_oracle(self, d, factor, offset):
         scaled = [[x * factor + offset if x else 0 for x in row] for row in d]
         arr, unit = _delta_py.scaled_array(scaled, [[1] * len(row) for row in scaled])
@@ -330,6 +332,20 @@ class TestFourPointDelta:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+    @pytest.mark.parametrize("factor", [1, 2**70], ids=["1", "2**70+1"])
+    def test_pure_kernel_memory(self, factor):
+        # the pure scan keeps one basepoint's sorted rows and bitsets at a
+        # time, ~0.5 MB at 64 points; every basepoint's at once takes ~10 MB
+        star = [[int(x) for x in row] for row in star_matrix(64, random.Random(64))]
+        ints = [[x * factor + (factor > 1) if x else 0 for x in row] for row in star]
+        tracemalloc.start()
+        try:
+            _delta_py.rows_defect(ints)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(4, 10), st.integers(0, 2**32 - 1))
@@ -427,9 +443,10 @@ def outcome(build, check, scan, numerators, denominators, labels):
 
 
 class TestPathsAgree:
-    """The Python int rows (metrics of up to 32 points) and the numpy array
-    (past 32) are two implementations of one builder, checker and kernel:
-    called directly on the same inputs, at every size up to 40, they agree."""
+    """The Python int rows (metrics of up to 64 points) and the numpy array
+    (past 64) are two implementations of one builder, checker and kernel:
+    called directly on the same inputs, at every size up to 40 and on stars
+    and grids on either side of 64 points, they agree."""
 
     # factors 2**61 and 2**70 with offset 1 put entries past 2**62, where the
     # array is object dtype; each fault breaks one axiom, and two faults race
@@ -470,6 +487,23 @@ class TestPathsAgree:
         array = outcome(_delta_py.scaled_array, _delta_py.check_array, _delta_py.array_defect,
                         nums, dens, labels)
         assert pure == array
+
+    # grids with many ties, stars with few; times 2**70 plus 1 the entries
+    # pass 2**62 with gcd 1, so the array is object dtype
+    @pytest.mark.parametrize("factor", [1, 2**70], ids=["1", "2**70+1"])
+    @pytest.mark.parametrize("shape", ["star", "grid"])
+    @pytest.mark.parametrize("n", [56, 64, 65, 72])
+    def test_kernels_across_the_cutoff(self, n, shape, factor):
+        if shape == "star":
+            d = [[int(x) for x in row] for row in star_matrix(n, random.Random(n))]
+        else:
+            r, c = {56: (7, 8), 64: (8, 8), 65: (5, 13), 72: (8, 9)}[n]
+            cells = [(i, j) for i in range(r) for j in range(c)]
+            d = [[abs(i - k) + abs(j - l) for k, l in cells] for i, j in cells]
+        d = [[x * factor + (factor > 1) if x else 0 for x in row] for row in d]
+        arr, unit = _delta_py.scaled_array(d, [[1] * n for _ in range(n)])
+        assert arr.dtype == ("int16" if factor == 1 else "object")
+        assert _delta_py.rows_defect(d) == _delta_py.array_defect(arr) * unit.numerator
 
 
 class TestSubgraphFamily:
