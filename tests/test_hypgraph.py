@@ -333,12 +333,13 @@ class TestFourPointDelta:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
-    @pytest.mark.parametrize("factor", [1, 2**70], ids=["1", "2**70+1"])
-    def test_pure_kernel_memory(self, factor):
-        # the pure scan keeps one basepoint's sorted rows and bitsets at a
-        # time, ~0.5 MB at 64 points; every basepoint's at once takes ~10 MB
+    @pytest.mark.parametrize("factor, offset", [(1, 0), (2**70, 1)], ids=["1", "2**70+1"])
+    def test_pure_kernel_memory(self, factor, offset):
+        # the pure scan keeps one basepoint's products, sorted rows and
+        # bitsets at a time: 0.3-0.6 MB at 64 points, against 5-8 MB for
+        # every basepoint's at once
         star = [[int(x) for x in row] for row in star_matrix(64, random.Random(64))]
-        ints = [[x * factor + (factor > 1) if x else 0 for x in row] for row in star]
+        ints = [[x * factor + offset if x else 0 for x in row] for row in star]
         tracemalloc.start()
         try:
             _delta_py.rows_defect(ints)
@@ -490,19 +491,19 @@ class TestPathsAgree:
 
     # grids with many ties, stars with few; times 2**70 plus 1 the entries
     # pass 2**62 with gcd 1, so the array is object dtype
-    @pytest.mark.parametrize("factor", [1, 2**70], ids=["1", "2**70+1"])
+    @pytest.mark.parametrize("factor, offset", [(1, 0), (2**70, 1)], ids=["1", "2**70+1"])
     @pytest.mark.parametrize("shape", ["star", "grid"])
     @pytest.mark.parametrize("n", [56, 64, 65, 72])
-    def test_kernels_across_the_cutoff(self, n, shape, factor):
+    def test_kernels_across_the_cutoff(self, n, shape, factor, offset):
         if shape == "star":
             d = [[int(x) for x in row] for row in star_matrix(n, random.Random(n))]
         else:
             r, c = {56: (7, 8), 64: (8, 8), 65: (5, 13), 72: (8, 9)}[n]
             cells = [(i, j) for i in range(r) for j in range(c)]
             d = [[abs(i - k) + abs(j - l) for k, l in cells] for i, j in cells]
-        d = [[x * factor + (factor > 1) if x else 0 for x in row] for row in d]
+        d = [[x * factor + offset if x else 0 for x in row] for row in d]
         arr, unit = _delta_py.scaled_array(d, [[1] * n for _ in range(n)])
-        assert arr.dtype == ("int16" if factor == 1 else "object")
+        assert arr.dtype == ("object" if offset else "int16")
         assert _delta_py.rows_defect(d) == _delta_py.array_defect(arr) * unit.numerator
 
 
