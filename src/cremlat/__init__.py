@@ -11,192 +11,67 @@ Submodules:
 * hypgraph: four-point constants, thin-triangle checks, quasi-flat growth.
 * voronoi: cell membership against germ sets, adjacency classification.
 * serialize / cli: file formats and the batch front-end.
+
+``import cremlat`` loads none of them.  Each public name is listed once, in
+``_NAMES`` under the module that defines it, and that module is imported the
+first time the name is read (PEP 562), so ``cremlat.in_E`` loads the lattice
+leg and nothing of the Halphen or hyperbolicity legs.
 """
 
-from .bubble import (
-    Configuration,
-    PointId,
-    almost_general_position,
-    is_adherent,
-)
-from .cremona import (
-    Characteristic,
-    CharacteristicReport,
-    NoetherViolation,
-    apply,
-    compose_disjoint,
-    identity_characteristic,
-    inverse,
-    is_jonquieres,
-    jonquieres_characteristic,
-    md,
-    standard_quadratic,
-    validate,
-)
-from .errors import (
-    BasePointCollision,
-    CremlatError,
-    IdentityTwist,
-    IndexOutOfRange,
-    InvalidCharacteristic,
-    InvalidPair,
-    MalformedFamily,
-    MissingResolutionData,
-    NoDecrease,
-    NotInKPerp,
-    NotOnHyperboloid,
-    TooManyBasePoints,
-    UnknownPoint,
-    UnsupportedClassSupport,
-    WrongArity,
-)
-from .halphen import (
-    HalphenVector,
-    TwistParam,
-    canonical,
-    generator_a1,
-    generator_a2,
-    line_vector,
-    point_vector,
-    translate,
-    twist_characteristic,
-    twist_degree,
-)
-from .hypgraph import (
-    BowditchResult,
-    FiniteMetric,
-    FlatCertificate,
-    FlatRow,
-    FlatTable,
-    Graph,
-    SubgraphFamily,
-    bowditch_check,
-    complete_graph,
-    cycle_graph,
-    delta_backend,
-    flat_certificate,
-    flat_growth,
-    four_point_delta,
-    geodesic_family,
-    grid_graph,
-    path_graph,
-    staircase_family,
-)
-from .lattice import (
-    CurveWitness,
-    ECheckReport,
-    PicardManinClass,
-    distance,
-    exceptional,
-    in_E,
-    intersect,
-    is_special,
-    line,
-    self_intersection,
-)
-from .length import (
-    GreedyStep,
-    LengthBounds,
-    greedy_length,
-    greedy_predecessor,
-    length_lower_deg,
-    length_lower_md,
-)
-from .voronoi import (
-    GENERAL_ADJACENT,
-    JONQUIERES_ADJACENT,
-    QUASI_ADJACENT_ONLY,
-    UNCLASSIFIED,
-    GermSet,
-    boundary_class,
-    cell_member,
-    classify_germ,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BasePointCollision",
-    "BowditchResult",
-    "Characteristic",
-    "CharacteristicReport",
-    "Configuration",
-    "CremlatError",
-    "CurveWitness",
-    "ECheckReport",
-    "FiniteMetric",
-    "FlatCertificate",
-    "FlatRow",
-    "FlatTable",
-    "GENERAL_ADJACENT",
-    "GermSet",
-    "Graph",
-    "GreedyStep",
-    "HalphenVector",
-    "IdentityTwist",
-    "IndexOutOfRange",
-    "InvalidCharacteristic",
-    "InvalidPair",
-    "JONQUIERES_ADJACENT",
-    "LengthBounds",
-    "MalformedFamily",
-    "MissingResolutionData",
-    "NoDecrease",
-    "NoetherViolation",
-    "NotInKPerp",
-    "NotOnHyperboloid",
-    "PicardManinClass",
-    "PointId",
-    "QUASI_ADJACENT_ONLY",
-    "SubgraphFamily",
-    "TooManyBasePoints",
-    "TwistParam",
-    "UNCLASSIFIED",
-    "UnknownPoint",
-    "UnsupportedClassSupport",
-    "WrongArity",
-    "almost_general_position",
-    "apply",
-    "boundary_class",
-    "bowditch_check",
-    "canonical",
-    "cell_member",
-    "classify_germ",
-    "complete_graph",
-    "compose_disjoint",
-    "cycle_graph",
-    "delta_backend",
-    "distance",
-    "exceptional",
-    "flat_certificate",
-    "flat_growth",
-    "four_point_delta",
-    "generator_a1",
-    "generator_a2",
-    "geodesic_family",
-    "greedy_length",
-    "greedy_predecessor",
-    "grid_graph",
-    "identity_characteristic",
-    "in_E",
-    "intersect",
-    "inverse",
-    "is_adherent",
-    "is_jonquieres",
-    "is_special",
-    "jonquieres_characteristic",
-    "length_lower_deg",
-    "length_lower_md",
-    "line",
-    "line_vector",
-    "md",
-    "path_graph",
-    "point_vector",
-    "self_intersection",
-    "staircase_family",
-    "standard_quadratic",
-    "translate",
-    "twist_characteristic",
-    "twist_degree",
-    "validate",
-]
+_NAMES = {
+    "bubble": ("Configuration", "PointId", "almost_general_position", "is_adherent"),
+    "cremona": (
+        "Characteristic", "CharacteristicReport", "NoetherViolation", "apply", "compose_disjoint",
+        "identity_characteristic", "inverse", "is_jonquieres", "jonquieres_characteristic", "md",
+        "standard_quadratic", "validate",
+    ),
+    "errors": (
+        "BasePointCollision", "CremlatError", "IdentityTwist", "IndexOutOfRange",
+        "InvalidCharacteristic", "InvalidPair", "MalformedFamily", "MissingResolutionData",
+        "NoDecrease", "NotInKPerp", "NotOnHyperboloid", "TooManyBasePoints", "UnknownPoint",
+        "UnsupportedClassSupport", "WrongArity",
+    ),
+    "halphen": (
+        "HalphenVector", "TwistParam", "canonical", "generator_a1", "generator_a2", "line_vector",
+        "point_vector", "translate", "twist_characteristic", "twist_degree",
+    ),
+    "hypgraph": (
+        "BowditchResult", "FiniteMetric", "FlatCertificate", "FlatRow", "FlatTable", "Graph",
+        "SubgraphFamily", "bowditch_check", "complete_graph", "cycle_graph", "delta_backend",
+        "flat_certificate", "flat_growth", "four_point_delta", "geodesic_family", "grid_graph",
+        "path_graph", "staircase_family",
+    ),
+    "lattice": (
+        "CurveWitness", "ECheckReport", "PicardManinClass", "distance", "exceptional", "in_E",
+        "intersect", "is_special", "line", "self_intersection",
+    ),
+    "length": (
+        "GreedyStep", "LengthBounds", "greedy_length", "greedy_predecessor", "length_lower_deg",
+        "length_lower_md",
+    ),
+    "voronoi": (
+        "GENERAL_ADJACENT", "JONQUIERES_ADJACENT", "QUASI_ADJACENT_ONLY", "UNCLASSIFIED",
+        "GermSet", "boundary_class", "cell_member", "classify_germ",
+    ),
+}
+
+_MODULE = {name: module for module, names in _NAMES.items() for name in names}
+
+__all__ = sorted(_MODULE)
+
+
+def __getattr__(name: str):
+    module = _MODULE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later reads skip this hook
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -164,15 +164,10 @@ def max_defect(d) -> int:
     ``d`` must be a metric: the triangle law makes every choice with
     repeated points score <= 0.  It is what ``metric_array`` returns, as a
     FiniteMetric stores it (rows up to ``_SMALL`` points, an array past
-    that), or any square list of lists of ints, whose own defect is
-    returned.
+    that), or any square list of lists of ints; both scans are exact at
+    any size.
     """
-    if not isinstance(d, list):
-        return array_defect(d)
-    if len(d) <= _SMALL:
-        return rows_defect(d)
-    arr, unit = scaled_array(d, [[1] * len(row) for row in d])
-    return array_defect(arr) * unit.numerator
+    return rows_defect(d) if isinstance(d, list) else array_defect(d)
 
 
 def rows_defect(rows: Sequence[Sequence[int]]) -> int:

@@ -22,23 +22,10 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from .bubble import Configuration
+# Each cmd_* imports the legs it runs, so a job loads only its own: delta
+# never loads the Cremona or Halphen code, halphen-table never hypgraph.
+# (The module docstring is the --help text, so this note lives here.)
 from .errors import CremlatError, UnknownPoint
-from .halphen import twist_degree
-from .hypgraph import flat_growth, four_point_delta
-from .lattice import in_E
-from .length import greedy_length
-from .serialize import (
-    characteristic_from_record,
-    class_from_record,
-    csv_text,
-    load_json,
-    load_runconfig,
-    metric_from_csv,
-    rational_to_str,
-    real_to_str,
-)
-from .voronoi import classify_germ
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -84,6 +71,9 @@ def _flag(value: bool) -> str:
 
 
 def cmd_halphen_table(args) -> int:
+    from .halphen import twist_degree
+    from .serialize import csv_text
+
     rows = []
     mismatched = False
     for n in range(-args.nmax, args.nmax + 1):
@@ -101,6 +91,9 @@ def cmd_halphen_table(args) -> int:
 
 
 def cmd_flat_growth(args) -> int:
+    from .hypgraph import flat_growth
+    from .serialize import csv_text
+
     table = flat_growth(args.kmax)
     certificate = table.certificate
     body = csv_text(
@@ -119,6 +112,9 @@ def cmd_flat_growth(args) -> int:
 
 
 def cmd_delta(args) -> int:
+    from .hypgraph import four_point_delta
+    from .serialize import csv_text, metric_from_csv, rational_to_str, real_to_str
+
     metric = metric_from_csv(args.metric)
     value = four_point_delta(metric)
     row = [[metric.size, rational_to_str(value), real_to_str(value)]]
@@ -127,6 +123,9 @@ def cmd_delta(args) -> int:
 
 
 def cmd_length(args) -> int:
+    from .length import greedy_length
+    from .serialize import characteristic_from_record, csv_text, load_json
+
     char = characteristic_from_record(load_json(args.char))
     bounds = greedy_length(char)  # raises InvalidCharacteristic on bad input
     degrees = [char.degree] + [degree for _, degree in bounds.decomposition]
@@ -146,6 +145,10 @@ def cmd_length(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from .bubble import Configuration
+    from .serialize import csv_text, load_runconfig
+    from .voronoi import classify_germ
+
     run = load_runconfig(args.config)
     config = run.configuration
     if config is None:
@@ -159,6 +162,10 @@ def cmd_classify(args) -> int:
 
 
 def cmd_in_e(args) -> int:
+    from .bubble import Configuration
+    from .lattice import in_E
+    from .serialize import class_from_record, csv_text, load_json, load_runconfig, rational_to_str
+
     cls = class_from_record(load_json(args.cls))
     if args.config is not None:
         config = load_runconfig(args.config).configuration

@@ -18,6 +18,8 @@ Three instruments:
 * flat_growth: the degree lower bound of the twist family grows linearly
   in |m| + |n|, so word length does too; the table's certificate is read
   off its own lower bounds, and flat_certificate returns that certificate.
+  Only flat_growth runs the Halphen and length legs, and it imports them
+  when it runs, so the metric and graph code load no Cremona code.
 """
 
 from __future__ import annotations
@@ -28,8 +30,6 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optiona
 from ._exact import exact_int, exact_rational
 from .errors import MalformedFamily
 from . import _delta_py
-from .halphen import twist_characteristic
-from .length import greedy_length
 
 Q = Fraction
 
@@ -464,6 +464,9 @@ def flat_growth(k_max: int) -> FlatTable:
 
     The twist rows follow the identity row, sorted by |m| + |n|, then m, then n.
     """
+    from .halphen import twist_characteristic
+    from .length import greedy_length
+
     k_max = exact_int(k_max, "k_max")
     if k_max < 1:
         raise ValueError("k_max must be at least 1")

@@ -3,6 +3,9 @@
 Rationals travel as "num/den" strings (integers are accepted on input).
 All writers are deterministic: fixed key order, fixed column order, "\n"
 line endings, reals printed with 12 significant digits.
+
+Only the readers that build a domain object import its module, so reading
+a metric CSV loads the metric code and none of the Cremona or lattice code.
 """
 
 from __future__ import annotations
@@ -11,21 +14,19 @@ import csv
 import io
 import json
 import re
-import sys
 from fractions import Fraction
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple
 
-from ._exact import cut_repr
-from .bubble import Configuration
-from .cremona import Characteristic
-from .hypgraph import FiniteMetric
-from .lattice import PicardManinClass
-from .voronoi import GermSet
+from ._exact import bounded_fraction, cut_repr, digit_limit
+
+if TYPE_CHECKING:
+    from .bubble import Configuration
+    from .cremona import Characteristic
+    from .hypgraph import FiniteMetric
+    from .lattice import PicardManinClass
+    from .voronoi import GermSet
 
 Q = Fraction
-
-# the exponent of a numeral such as "1.5e-3", as Fraction reads it
-_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 # a row of plain metric cells, read without a Fraction: "12", "-3/4", "007/3"
 _PLAIN_ROW = re.compile(r"-?[0-9]+(?:/[0-9]+)?(?:,-?[0-9]+(?:/[0-9]+)?)*")
@@ -42,34 +43,11 @@ def rational_from(value) -> Q:
     if isinstance(value, int):
         return Q(value)
     if isinstance(value, str):
-        # 1e999999999 would build a ~400 MB integer: bound exponents like int() bounds digits
-        exponent = _EXPONENT.search(value)
-        limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
-        if exponent and (len(exponent[1]) > limit or abs(int(exponent[1])) > limit):
-            raise ValueError(f"exponent out of range in {cut_repr(value)}: "
-                             f"its magnitude must be at most {limit}")
         try:
-            q = Q(value)
+            return bounded_fraction(value, "not a rational: {}")
         except ZeroDivisionError:
             raise ValueError(f"zero denominator: {cut_repr(value)}") from None
-        except ValueError:  # Fraction's own message would echo the whole string
-            raise ValueError(f"not a rational: {cut_repr(value)}") from None
-        # 1e4300 is inside the exponent bound, but its 4301 digits could not be printed
-        if not (_printable(q.numerator, limit) and _printable(q.denominator, limit)):
-            raise ValueError(
-                f"too many digits in {cut_repr(value)}: its numerator and denominator may have "
-                f"at most {limit} each"
-            )
-        return q
     raise ValueError(f"not a rational: {cut_repr(value)}")
-
-
-def _printable(n: int, limit: int) -> bool:
-    """Whether n has at most ``limit`` decimal digits, i.e. |n| < 10**limit.
-
-    |n| < 2**bits <= 8**limit < 10**limit settles every ordinary n without
-    building 10**limit."""
-    return abs(n).bit_length() <= 3 * limit or abs(n) < 10**limit
 
 
 def integer_from(value, what: str) -> int:
@@ -114,6 +92,8 @@ def class_to_record(c: PicardManinClass) -> dict:
 
 
 def class_from_record(record: dict) -> PicardManinClass:
+    from .lattice import PicardManinClass
+
     record = _object(record, "class")
     mults = {}
     for entry in _list(record.get("mults", []), "mults"):
@@ -135,6 +115,8 @@ def configuration_to_record(config: Configuration) -> dict:
 
 
 def configuration_from_record(record: dict) -> Configuration:
+    from .bubble import Configuration
+
     record = _object(record, "configuration")
     points = []
     for entry in _list(record.get("points", []), "points"):
@@ -169,6 +151,8 @@ def characteristic_to_record(char: Characteristic) -> dict:
 
 
 def characteristic_from_record(record: dict) -> Characteristic:
+    from .cremona import Characteristic
+
     resolution = record.get("resolution")
     if resolution is not None:
         resolution = [
@@ -202,6 +186,8 @@ def germset_to_record(germs: GermSet) -> dict:
 
 
 def germset_from_record(record: dict) -> GermSet:
+    from .voronoi import GermSet
+
     germs = []
     for entry in _list(record.get("germs", []), "germs"):
         entry = _object(entry, "germs entry")
@@ -259,6 +245,8 @@ def metric_from_csv(path: str) -> FiniteMetric:
     The stripped cells are read as int (numerator, denominator) pairs, so the
     metric is built without a Fraction per cell; see ``_metric_row``.
     """
+    from .hypgraph import FiniteMetric
+
     with open(path, "r", encoding="utf-8", newline="") as handle:
         try:
             table = [row for row in csv.reader(handle) if row]
@@ -292,7 +280,7 @@ def _metric_row(cells: Sequence[str]) -> Tuple[List[int], List[int]]:
     (sys.set_int_max_str_digits(0)).
     """
     joined = ",".join(cells)
-    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    limit = digit_limit()
     if _PLAIN_ROW.fullmatch(joined) and (len(joined) <= limit or max(map(len, cells)) <= limit):
         parts = [cell.partition("/") for cell in cells]
         try:

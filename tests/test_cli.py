@@ -521,6 +521,42 @@ def test_numpy_loads_only_for_metrics(tmp_path):
     assert proc.stdout == "[] False False False False True\n"
 
 
+# the cremlat modules a job loads: its own leg and nothing of the others
+# (delta loads no Cremona, lattice or Halphen code; halphen-table, length,
+# classify and in-e no hypgraph); see also test_exports for `import cremlat`
+LEGS = {
+    "delta": "_delta_py _exact cli errors hypgraph serialize",
+    "halphen-table": "_exact bubble cli cremona errors halphen lattice serialize",
+    "flat-growth": "_delta_py _exact bubble cli cremona errors halphen hypgraph lattice length serialize",
+    "length": "_exact bubble cli cremona errors lattice length serialize",
+    "classify": "_exact bubble cli cremona errors lattice serialize voronoi",
+    "in-e": "_exact bubble cli errors lattice serialize",
+}
+
+
+@pytest.mark.parametrize("command", sorted(LEGS))
+def test_job_loads_only_its_legs(tmp_path, command):
+    argv = {
+        "delta": [str(path_metric_csv(tmp_path, 4))],
+        "halphen-table": ["--nmax", "1"],
+        "flat-growth": ["--kmax", "2"],
+        "length": [write_json(tmp_path, "char.json", TOWER2_CHAR)],
+        "classify": ["--config", write_json(tmp_path, "run.json", RUN_CONFIG)],
+        "in-e": [write_json(tmp_path, "conic.json", CONIC_CLASS)],
+    }[command]
+    script = (
+        "import io, sys, contextlib\n"
+        "import cremlat.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cremlat.cli.main(sys.argv[1:])\n"
+        "print(code, *sorted(name[8:] for name in sys.modules if name.startswith('cremlat.')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, command, *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"0 {LEGS[command]}\n"
+
+
 # runs `python -m cremlat ARGS`, then reports what the child saw on stderr
 BLAS_PROBE = (
     "import json, os, runpy, sys\n"

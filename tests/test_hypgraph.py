@@ -1,12 +1,13 @@
 import math
 import random
+import sys
 import tracemalloc
 from fractions import Fraction as Q
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cremlat import cli, hypgraph
+from cremlat import cli, halphen, hypgraph
 from cremlat.errors import MalformedFamily
 from cremlat.halphen import twist_characteristic
 from cremlat.hypgraph import (
@@ -182,6 +183,17 @@ class TestFiniteMetric:
             FiniteMetric([[0, "x" * 100000], [1, 0]])
         assert len(str(info.value)) < 120
 
+    def test_string_entries_keep_the_digit_bound(self):
+        # read like serialize.rational_from: "1e5000" would be a 16 610-bit
+        # distance, and "1e999999999" a ~415 MB one, were the exponent unbounded
+        limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+        with pytest.raises(ValueError, match=f"^exponent out of range in '1e5000': its "
+                                             f"magnitude must be at most {limit}$"):
+            FiniteMetric([[0, "1e5000"], ["1e5000", 0]])
+        with pytest.raises(ValueError, match=r"^too many digits in '1e4300': "):
+            FiniteMetric([[0, "1e4300"], ["1e4300", 0]])
+        assert FiniteMetric([[0, "1.5e2"], ["150", 0]]).distance(0, 1) == 150
+
     def test_numerators_and_denominators(self):
         # the form metric_from_csv hands over: unreduced pairs, one unit for all
         metric = FiniteMetric([[0, 2, 6], [-2, 0, 3], [6, 3, 0]],
@@ -323,11 +335,11 @@ class TestFourPointDelta:
         # a star's own array is int16; times 2**40 plus 1 (still a metric, gcd 1)
         # it is int64, where a block sized by m instead of m^2 would take 16 MB
         star = star_metric(128, random.Random(128))._ints.tolist()
-        ints = [[x * 2**40 + 1 if x else 0 for x in row] for row in star]
-        assert FiniteMetric(ints)._ints.dtype == "int64"
+        arr = FiniteMetric([[x * 2**40 + 1 if x else 0 for x in row] for row in star])._ints
+        assert arr.dtype == "int64"
         tracemalloc.start()
         try:
-            _delta_py.max_defect(ints)
+            _delta_py.max_defect(arr)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -632,7 +644,7 @@ class TestFlatGrowth:
         def refused(k_max):
             raise AssertionError("flat-growth must not call flat_certificate")
 
-        monkeypatch.setattr(hypgraph, "twist_characteristic", counted)
+        monkeypatch.setattr(halphen, "twist_characteristic", counted)  # flat_growth imports it here
         monkeypatch.setattr(hypgraph, "flat_certificate", refused)
         monkeypatch.setattr(cli, "flat_certificate", refused, raising=False)  # a re-import
         assert cli.main(["flat-growth", "--kmax", "5"]) == 0

@@ -71,6 +71,14 @@ class TestClassArithmetic:
             True * line()
         assert 1 * line() == line()
 
+    def test_string_coefficients_keep_the_digit_bound(self):
+        # read like serialize.rational_from, so "1e5000" builds no 16 610-bit degree
+        with pytest.raises(ValueError, match=r"^exponent out of range in '1e5000': "):
+            PicardManinClass("1e5000")
+        with pytest.raises(ValueError, match=r"^too many digits in '1e-4300': "):
+            PicardManinClass(1, {0: "1e-4300"})
+        assert PicardManinClass("3/2", {0: "1e2"}).mult(0) == 100
+
     def test_ops(self):
         a = small_class(1, 1)
         b = small_class(2, 0, 1)
