@@ -75,14 +75,12 @@ class TestConstruction:
     @pytest.mark.parametrize("entry, message", [
         ("1e4300", r"^too many digits in '1e4300': its numerator and denominator may have "),
         ("1e5000", r"^exponent out of range in '1e5000': its magnitude must be at most "),
-        ("x" * 100000, r"^resolution entry must be a number, got 'xxx"),
-    ], ids=["digits", "exponent", "unreadable"])
+    ], ids=["digits", "exponent"])
     def test_resolution_string_bounds(self, entry, message):
-        # the same bounds as serialize.rational_from, and a cut echo
-        with pytest.raises(ValueError, match=message) as info:
+        # the same bounds as serialize.rational_from
+        with pytest.raises(ValueError, match=message):
             Characteristic(2, base=[(0, 1), (1, 1), (2, 1)], inverse_base=[(3, 1), (4, 1), (5, 1)],
                            resolution=[[entry, 0, 0], [0, 0, 0], [0, 0, 0]])
-        assert len(str(info.value)) < 180
 
     def test_accessors(self):
         c = char(3, (2, 1, 1, 1, 1))
