@@ -7,8 +7,9 @@ denominator), so its matrix is primitive: the entries have gcd 1.
 One size rule picks the matrix's form.  A metric of at most ``_SMALL``
 points is a list of rows of Python ints, checked and scanned in plain
 Python, and numpy is never imported for it: numpy's import costs more than
-the whole check and scan at that size, where the scan tests each pair of
-points with one AND of two bitsets.  A larger metric is a numpy array in the
+the whole check and scan at that size, where a bound per row of each
+basepoint rules out most pairs of points and the scan tests each other pair
+with one AND of two bitsets.  A larger metric is a numpy array in the
 narrowest dtype the checks and the scan cannot overflow: int16, int32 or
 int64 while twice the largest magnitude fits, Python ints (object dtype)
 past that.  Both forms are exact, and numpy loads on the first large metric.
@@ -31,16 +32,18 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import accumulate
-from operator import add, or_
+from itertools import accumulate, repeat
+from operator import add, or_, sub
 from typing import List, Sequence, Tuple
 
 from ._exact import cut_repr
 
-# the largest metric checked and scanned on Python int rows; at 64 points the
-# pure check and scan take ~50-70 ms, against ~6-9 ms in numpy after its
-# ~90-100 ms import, and at 72 points ~95-100 ms against ~10 ms (seeded star
-# metrics on a 2-vCPU Xeon VM, Python 3.11, numpy 2.4)
+# the largest metric checked and scanned on Python int rows.  At 64 points the
+# pure check and scan take ~12-20 ms on star, grid and random-band metrics,
+# ~35 ms on rounded Euclidean ones and ~40-50 ms on a tree, where the row
+# bound rules out the fewest pairs, against ~6-8 ms in numpy after its
+# ~90-170 ms import; at 96 points ~30-55 ms (~150 ms on a tree) against
+# ~13-16 ms (seeded metrics on a 2-vCPU Xeon VM, Python 3.11, numpy 2.4)
 _SMALL = 64
 
 # elements of one min(P[x], P[y]) block; keeps the numpy scan's memory O(n^2)
@@ -127,10 +130,15 @@ def check_rows(rows: List[List[int]], labels: Sequence) -> None:
                     f"nonpositive distance at ({cut_repr(labels[i])}, {cut_repr(labels[j])})"
                 )
     # with symmetry, min over k of d(i, k) + d(j, k) is the shortest two-step path
-    # from i to j; a failure at (i, j) is one at (j, i), so the first has i < j
+    # from i to j; a failure at (i, j) is one at (j, i), so the first has i < j.
+    # Every two-step path from i to j is at least near[i] + near[j], the
+    # distances from i and from j to their nearest other points, so a pair no
+    # longer than that meets the law and needs no min-plus row
+    near = [min(row[:i] + row[i + 1 :], default=0) for i, row in enumerate(rows)]
     for i, row in enumerate(rows):
+        ni = near[i]
         for j in range(i + 1, n):
-            if min(map(add, row, rows[j])) < row[j]:
+            if row[j] - near[j] > ni and min(map(add, row, rows[j])) < row[j]:
                 raise ValueError(
                     f"triangle inequality fails between {cut_repr(labels[i])} and {cut_repr(labels[j])}"
                 )
@@ -173,35 +181,62 @@ def max_defect(d) -> int:
 def rows_defect(rows: Sequence[Sequence[int]]) -> int:
     """``max_defect`` of rows of ints, by the basepoint scan in plain Python.
 
-    A pair (x, y) beats ``best`` exactly when some z has both P[x, z] and
-    P[y, z] at least t = P[x, y] + best + 1.  With each row's indices sorted
-    by value, the z holding a row's entries >= t are its top k for k found by
-    bisection, kept as one bitset per k, so the pair is tested by one AND of
-    two Python ints.  Only a hit re-scores the pair, exactly, over every z.
-    Nothing is rounded, so the test is exact for ints of any size.
+    From basepoint w, let V[x][z] = d(z, w) - d(x, z), so that P[x, z] =
+    d(x, w) + V[x][z], and let U[x] be the largest V[x][z] over z != x.  A
+    pair (x, y) beats ``best`` exactly when some z has both P[x, z] and
+    P[y, z] at least t = P[x, y] + best + 1, so only if t <= d(x, w) + U[x]
+    and t <= d(y, w) + U[y].  Each x is paired with the points after it in
+    the order of d(x, w) + U[x], where the first bound is the smaller: a pair
+    needs V[x][y] + best + 1 <= U[x], and that one comparison drops most
+    pairs.  A pair it keeps is tested by one AND of two bitsets: with a row's
+    indices sorted by value, the z holding its entries >= t are its top k for
+    k found by bisection, kept as one Python int per k and built the first
+    time a kept pair needs the row.  Only a hit re-scores the pair, exactly,
+    over every z.  Nothing is rounded, so the scan is exact for ints of any
+    size.
     """
     n = len(rows)
     best = 0
     # every quadruple is seen once from its smallest point w
     for w in range(n - 3):
         r = rows[w][w + 1 :]
-        prod = [[a + b - c for b, c in zip(r, rows[x][w + 1 :])] for x, a in enumerate(r, w + 1)]
-        m = len(prod)
+        m = len(r)
+        vs = [list(map(sub, r, row[w + 1 :])) for row in rows[w + 1 :]]
+        # z == x never helps a pair (x, y).  -d(x, w) <= V[x][z] by the
+        # triangle law, so V[x][x] = -d(x, w) leaves U[x] the largest over
+        # z != x, and puts P[x, x] at 0, below every t
+        for x, vx in enumerate(vs):
+            vx[x] = -r[x]
+        us = list(map(max, vs))
+        order = sorted(range(m), key=list(map(add, r, us)).__getitem__)
         one = [1 << z for z in range(m)]
-        # asc[x]: row x ascending; tops[x][k]: the bitset of the z holding its k largest
-        asc, tops = [], []
-        for px in prod:
-            order = sorted(range(m), key=px.__getitem__)
-            asc.append(list(map(px.__getitem__, order)))
-            tops.append([0, *accumulate(map(one.__getitem__, reversed(order)), or_)])
-        for x, px in enumerate(prod):
-            ax, tx = asc[x], tops[x]
+        # row x's _sorted_tops, from the first kept pair that needs it
+        tables = [None] * m
+        for i, x in enumerate(order):
+            vx, ux, rx = vs[x], us[x], r[x]
+            tx = None
             # the score is symmetric in x and y, and 0 at most when y == x
-            for y in range(x + 1, m):
-                t = px[y] + best + 1
-                if tx[m - bisect_left(ax, t)] & tops[y][m - bisect_left(asc[y], t)]:
-                    best = max([p if p < q else q for p, q in zip(px, prod[y])]) - px[y]
+            for y in order[i + 1 :]:
+                # s = t - d(x, w), and t - d(y, w) = s + d(x, w) - d(y, w);
+                # the row bound keeps the pair while s <= U[x]
+                s = vx[y] + best + 1
+                if s > ux:
+                    continue
+                if tx is None:
+                    tx = tables[x] = tables[x] or _sorted_tops(vx, one)
+                ty = tables[y] = tables[y] or _sorted_tops(vs[y], one)
+                if tx[1][m - bisect_left(tx[0], s)] & ty[1][m - bisect_left(ty[0], s + rx - r[y])]:
+                    # P[x, z] - P[x, y] = V[x][z] - V[x][y], and so for y
+                    vy = vs[y]
+                    best = max(map(min, map(sub, vx, repeat(vx[y])), map(sub, vy, repeat(vy[x]))))
     return best
+
+
+def _sorted_tops(row: List[int], one: List[int]):
+    """``row`` ascending, and the bitsets of the indices of its k largest
+    entries for k = 0..len(row), where one[z] is the bit of index z."""
+    order = sorted(range(len(row)), key=row.__getitem__)
+    return sorted(row), [0, *accumulate(map(one.__getitem__, reversed(order)), or_)]
 
 
 def array_defect(arr) -> int:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import operator
 import re
 import sys
+from decimal import Decimal  # fractions imports it already
 from fractions import Fraction
 
 # the exponent of a numeral such as "1.5e-3", as Fraction reads it
@@ -32,15 +33,16 @@ def exact_int(value, what: str) -> int:
 
 def exact_rational(value, what: str) -> Fraction:
     """``value`` as a Fraction, refusing a bool: Fraction(True) would read it as 1.
-    A string is read by ``bounded_fraction``; one Fraction cannot read is a
-    ValueError that echoes the value cut."""
+    A string, or a Decimal through its string, is read by ``bounded_fraction``,
+    so Decimal("1e5000") is refused as "1e5000" is; any other value Fraction
+    cannot read (NaN, an infinity) is a ValueError that echoes it cut."""
     if isinstance(value, bool):
         raise TypeError(f"{what} must be a number, got {cut_repr(value)}")
-    if isinstance(value, str):
-        return bounded_fraction(value, f"{what} must be a number, got {{}}")
+    if isinstance(value, (str, Decimal)):
+        return bounded_fraction(str(value), f"{what} must be a number, got {{}}")
     try:
         return Fraction(value)
-    except ValueError:  # NaN, and the like
+    except (ValueError, OverflowError):
         raise ValueError(f"{what} must be a number, got {cut_repr(value)}") from None
 
 

@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction as Q
 
 import pytest
@@ -78,6 +79,18 @@ class TestConstruction:
     ], ids=["digits", "exponent"])
     def test_resolution_string_bounds(self, entry, message):
         # the same bounds as serialize.rational_from
+        with pytest.raises(ValueError, match=message):
+            Characteristic(2, base=[(0, 1), (1, 1), (2, 1)], inverse_base=[(3, 1), (4, 1), (5, 1)],
+                           resolution=[[entry, 0, 0], [0, 0, 0], [0, 0, 0]])
+
+    @pytest.mark.parametrize("entry, message", [
+        (float("inf"), r"^resolution entry must be a number, got inf$"),
+        (Decimal("-Infinity"), r"^resolution entry must be a number, got '-Infinity'$"),
+        (Decimal("1e5000"), r"^exponent out of range in '1E\+5000': its magnitude must be at most "),
+    ], ids=["inf", "decimal-inf", "decimal-exponent"])
+    def test_resolution_infinite_and_decimal_entries(self, entry, message):
+        # an infinity used to escape as Fraction's OverflowError; a Decimal
+        # is read through its string, with the string bounds
         with pytest.raises(ValueError, match=message):
             Characteristic(2, base=[(0, 1), (1, 1), (2, 1)], inverse_base=[(3, 1), (4, 1), (5, 1)],
                            resolution=[[entry, 0, 0], [0, 0, 0], [0, 0, 0]])

@@ -2,6 +2,7 @@ import math
 import random
 import sys
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction as Q
 
 import pytest
@@ -33,6 +34,9 @@ from cremlat.hypgraph import (
 )
 
 
+# a star metric on which the pure scan's best rises twice in its first row
+STAR5 = [[0, 153, 170, 135, 136], [153, 0, 163, 135, 139], [170, 163, 0, 140, 125],
+         [135, 135, 140, 0, 130], [136, 139, 125, 130, 0]]
 CYCLE4 = [[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]]
 CHORD4 = [[0, 1, 1, 1], [1, 0, 1, 2], [1, 1, 0, 1], [1, 2, 1, 0]]  # a 4-cycle and one diagonal
 PATH36 = [[abs(i - j) for j in range(36)] for i in range(36)]
@@ -51,6 +55,35 @@ def star_matrix(n, rng, denominator=1):
 
 def star_metric(n, rng, denominator=1):
     return FiniteMetric(star_matrix(n, rng, denominator))
+
+
+def tree_matrix(n, rng):
+    """Distances of a random tree with edge lengths 1..20: every defect is 0."""
+    d = [[0]]
+    for v in range(1, n):
+        length = rng.randint(1, 20)
+        row = [x + length for x in d[rng.randrange(v)]]
+        for u, x in enumerate(row):
+            d[u].append(x)
+        d.append(row + [0])
+    return d
+
+
+def euclid_matrix(n, rng):
+    """Euclidean distances between distinct integer points, rounded up, exactly:
+    the ceiling of a sum is at most the sum of the ceilings, so this is a metric."""
+    points = rng.sample([(x, y) for x in range(100) for y in range(100)], n)
+    return [[math.isqrt((x - u) ** 2 + (y - v) ** 2 - 1) + 1 if (x, y) != (u, v) else 0
+             for u, v in points] for x, y in points]
+
+
+def band_matrix(n, rng, low):
+    """Random distances in [low, 2 low]: any two sum to at least a third."""
+    d = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            d[i][j] = d[j][i] = rng.randint(low, 2 * low)
+    return d
 
 
 def quadruple_defect(d):
@@ -85,6 +118,20 @@ def graph_metrics(draw, max_size=10):
     for k in range(n):  # Floyd-Warshall, one row at a time
         through = d[k]
         d = [[min(x, row[k] + y) for x, y in zip(row, through)] for row in d]
+    return d
+
+
+@st.composite
+def star_metrics(draw, max_size=12):
+    """d(i, j) = w_i + w_j - e_ij with w in [50, 100] and e in [0, 40], as
+    ``star_matrix`` draws them: few ties, so the best score seen often rises
+    more than once along one row of the scan."""
+    n = draw(st.integers(4, max_size))
+    weights = draw(st.lists(st.integers(50, 100), min_size=n, max_size=n))
+    d = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            d[i][j] = d[j][i] = weights[i] + weights[j] - draw(st.integers(0, 40))
     return d
 
 
@@ -193,6 +240,18 @@ class TestFiniteMetric:
         with pytest.raises(ValueError, match=r"^too many digits in '1e4300': "):
             FiniteMetric([[0, "1e4300"], ["1e4300", 0]])
         assert FiniteMetric([[0, "1.5e2"], ["150", 0]]).distance(0, 1) == 150
+
+    def test_infinite_and_decimal_entries(self):
+        # Fraction(inf) raises OverflowError, which used to escape as it was
+        with pytest.raises(ValueError, match=r"^distance must be a number, got inf$"):
+            FiniteMetric([[0, float("inf")], [float("inf"), 0]])
+        # a Decimal is read through its string, so it keeps the string bounds:
+        # Decimal("1e5000") used to store a 16 610-bit distance
+        with pytest.raises(ValueError, match=r"^exponent out of range in '1E\+5000': "):
+            FiniteMetric([[0, Decimal("1e5000")], [Decimal("1e5000"), 0]])
+        with pytest.raises(ValueError, match=r"^distance must be a number, got 'Infinity'$"):
+            FiniteMetric([[0, Decimal("Infinity")], [1, 0]])
+        assert FiniteMetric([[0, Decimal("1.50")], [Q(3, 2), 0]]).distance(0, 1) == Q(3, 2)
 
     def test_numerators_and_denominators(self):
         # the form metric_from_csv hands over: unreduced pairs, one unit for all
@@ -347,9 +406,10 @@ class TestFourPointDelta:
 
     @pytest.mark.parametrize("factor, offset", [(1, 0), (2**70, 1)], ids=["1", "2**70+1"])
     def test_pure_kernel_memory(self, factor, offset):
-        # the pure scan keeps one basepoint's products, sorted rows and
-        # bitsets at a time: 0.3-0.6 MB at 64 points, against 5-8 MB for
-        # every basepoint's at once
+        # the pure scan keeps one basepoint's rows, and the sorted rows and
+        # bitsets its kept pairs need, at a time: 0.2-0.4 MB on this star
+        # and up to ~0.55 MB on a 64-point tree, which needs every row's,
+        # against 6-8 MB for every basepoint's at once
         star = [[int(x) for x in row] for row in star_matrix(64, random.Random(64))]
         ints = [[x * factor + offset if x else 0 for x in row] for row in star]
         tracemalloc.start()
@@ -517,6 +577,29 @@ class TestPathsAgree:
         arr, unit = _delta_py.scaled_array(d, [[1] * n for _ in range(n)])
         assert arr.dtype == ("object" if offset else "int16")
         assert _delta_py.rows_defect(d) == _delta_py.array_defect(arr) * unit.numerator
+
+    # the pure scan's row bound keeps most pairs of a tree, where best never
+    # rises past 0, and few on the other shapes
+    @pytest.mark.parametrize("shape, n", [("tree", 48), ("tree", 64), ("euclid", 48),
+                                          ("band", 48), ("wide band", 48)])
+    def test_kernels_match_quadruple_oracle_on_shapes(self, shape, n):
+        rng = random.Random(f"{shape}:{n}")
+        d = {"tree": lambda: tree_matrix(n, rng), "euclid": lambda: euclid_matrix(n, rng),
+             "band": lambda: band_matrix(n, rng, 100), "wide band": lambda: band_matrix(n, rng, 1000)}[shape]()
+        arr, unit = _delta_py.scaled_array(d, [[1] * n for _ in range(n)])
+        oracle = quadruple_defect(d)
+        assert (oracle == 0) == (shape == "tree")
+        assert _delta_py.rows_defect(d) == _delta_py.array_defect(arr) * unit.numerator == oracle
+
+    # each hit of the pure scan raises best, and with it the cut on the rest
+    # of the row
+    @settings(max_examples=150, deadline=None)
+    @given(star_metrics())
+    @example(STAR5)
+    def test_kernels_match_quadruple_oracle_as_best_rises(self, d):
+        arr, unit = _delta_py.scaled_array(d, [[1] * len(d) for _ in d])
+        oracle = quadruple_defect(d)
+        assert _delta_py.rows_defect(d) == _delta_py.array_defect(arr) * unit.numerator == oracle
 
 
 class TestSubgraphFamily:

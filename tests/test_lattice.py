@@ -1,5 +1,6 @@
 import math
 import re
+from decimal import Decimal
 from fractions import Fraction as Q
 
 import pytest
@@ -78,6 +79,15 @@ class TestClassArithmetic:
         with pytest.raises(ValueError, match=r"^too many digits in '1e-4300': "):
             PicardManinClass(1, {0: "1e-4300"})
         assert PicardManinClass("3/2", {0: "1e2"}).mult(0) == 100
+
+    def test_decimal_coefficients_are_read_through_their_string(self):
+        # Fraction(Decimal("Infinity")) raises OverflowError, which used to
+        # escape as it was, and Decimal("1e5000") built a 16 610-bit degree
+        with pytest.raises(ValueError, match=r"^class coefficient must be a number, got 'Infinity'$"):
+            PicardManinClass(Decimal("Infinity"))
+        with pytest.raises(ValueError, match=r"^exponent out of range in '1E\+5000': "):
+            PicardManinClass(1, {0: Decimal("1e5000")})
+        assert PicardManinClass(Decimal("1.5"), {0: Decimal("1E+2")}) == PicardManinClass("3/2", {0: 100})
 
     def test_ops(self):
         a = small_class(1, 1)
