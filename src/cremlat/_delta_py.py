@@ -39,11 +39,12 @@ from typing import List, Sequence, Tuple
 from ._exact import cut_repr
 
 # the largest metric checked and scanned on Python int rows.  At 64 points the
-# pure check and scan take ~12-20 ms on star, grid and random-band metrics,
-# ~35 ms on rounded Euclidean ones and ~40-50 ms on a tree, where the row
-# bound rules out the fewest pairs, against ~6-8 ms in numpy after its
-# ~90-170 ms import; at 96 points ~30-55 ms (~150 ms on a tree) against
-# ~13-16 ms (seeded metrics on a 2-vCPU Xeon VM, Python 3.11, numpy 2.4)
+# pure check and scan take ~9-20 ms on star, grid and random-band metrics,
+# ~27-35 ms on rounded Euclidean ones and ~38-50 ms on a tree, where the row
+# bound rules out the fewest pairs, against ~5-8 ms in numpy after its
+# ~90-170 ms import; at 96 points ~28-55 ms (~85 ms Euclidean, ~150-165 ms
+# on a tree) against ~13-16 ms (seeded metrics on a 2-vCPU Xeon VM, Python
+# 3.11, numpy 2.4)
 _SMALL = 64
 
 # elements of one min(P[x], P[y]) block; keeps the numpy scan's memory O(n^2)
@@ -232,7 +233,7 @@ def rows_defect(rows: Sequence[Sequence[int]]) -> int:
     return best
 
 
-def _sorted_tops(row: List[int], one: List[int]):
+def _sorted_tops(row: List[int], one: List[int]) -> Tuple[List[int], List[int]]:
     """``row`` ascending, and the bitsets of the indices of its k largest
     entries for k = 0..len(row), where one[z] is the bit of index z."""
     order = sorted(range(len(row)), key=row.__getitem__)

@@ -580,15 +580,15 @@ class TestPathsAgree:
 
     # the pure scan's row bound keeps most pairs of a tree, where best never
     # rises past 0, and few on the other shapes
-    @pytest.mark.parametrize("shape, n", [("tree", 48), ("tree", 64), ("euclid", 48),
-                                          ("band", 48), ("wide band", 48)])
-    def test_kernels_match_quadruple_oracle_on_shapes(self, shape, n):
-        rng = random.Random(f"{shape}:{n}")
-        d = {"tree": lambda: tree_matrix(n, rng), "euclid": lambda: euclid_matrix(n, rng),
-             "band": lambda: band_matrix(n, rng, 100), "wide band": lambda: band_matrix(n, rng, 1000)}[shape]()
+    @pytest.mark.parametrize("build, n", [
+        (tree_matrix, 48), (tree_matrix, 64), (euclid_matrix, 48),
+        (lambda n, rng: band_matrix(n, rng, 100), 48), (lambda n, rng: band_matrix(n, rng, 1000), 48),
+    ], ids=["tree-48", "tree-64", "euclid-48", "band-100-48", "band-1000-48"])
+    def test_kernels_match_quadruple_oracle_on_shapes(self, build, n):
+        d = build(n, random.Random(n))
         arr, unit = _delta_py.scaled_array(d, [[1] * n for _ in range(n)])
         oracle = quadruple_defect(d)
-        assert (oracle == 0) == (shape == "tree")
+        assert (oracle == 0) == (build is tree_matrix)
         assert _delta_py.rows_defect(d) == _delta_py.array_defect(arr) * unit.numerator == oracle
 
     # each hit of the pure scan raises best, and with it the cut on the rest
