@@ -174,7 +174,10 @@ def max_defect(d) -> int:
     repeated points score <= 0.  It is what ``metric_array`` returns, as a
     FiniteMetric stores it (rows up to ``_SMALL`` points, an array past
     that), or any square list of lists of ints; both scans are exact at
-    any size.
+    any size.  The size rule holds only through ``FiniteMetric`` and
+    ``metric_array``: a list is always scanned in pure Python, so a list of
+    more than ``_SMALL`` rows gets the pure scan, 2-11x slower than numpy's
+    at 96 points.
     """
     return rows_defect(d) if isinstance(d, list) else array_defect(d)
 

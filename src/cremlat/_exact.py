@@ -1,4 +1,5 @@
-"""Integer and rational arguments read exactly; a leaf module, so every layer can import it."""
+"""The package's one reader of numbers, for arguments and file fields alike;
+a leaf module, so every layer can import it."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import re
 import sys
 from decimal import Decimal  # fractions imports it already
 from fractions import Fraction
+from numbers import Rational  # fractions imports it already
 
 # the exponent of a numeral such as "1.5e-3", as Fraction reads it
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
@@ -20,9 +22,18 @@ def cut_repr(value) -> str:
 
 def exact_int(value, what: str) -> int:
     """``value`` as an int, refusing anything int() would round or misread:
-    1.5 and Fraction(3, 2) are not integers, and True is not point 1."""
+    1.5 and Fraction(3, 2) are not integers, and True is not point 1.  An
+    integer string ("12", " -3 ") is read by int(), held to ``digit_limit()``
+    characters also where int() has no limit."""
     if type(value) is int:
         return value
+    if isinstance(value, str):
+        if len(value) <= digit_limit():
+            try:
+                return int(value)
+            except ValueError:
+                pass
+        raise ValueError(f"{what} must be an integer, got {cut_repr(value)}")
     if not isinstance(value, bool):
         try:
             return operator.index(value)
@@ -32,18 +43,30 @@ def exact_int(value, what: str) -> int:
 
 
 def exact_rational(value, what: str) -> Fraction:
-    """``value`` as a Fraction, refusing a bool: Fraction(True) would read it as 1.
-    A string, or a Decimal through its string, is read by ``bounded_fraction``,
-    so Decimal("1e5000") is refused as "1e5000" is; any other value Fraction
-    cannot read (NaN, an infinity) is a ValueError that echoes it cut."""
-    if isinstance(value, bool):
-        raise TypeError(f"{what} must be a number, got {cut_repr(value)}")
-    if isinstance(value, (str, Decimal)):
-        return bounded_fraction(str(value), f"{what} must be a number, got {{}}")
-    try:
+    """``value`` as a Fraction: the one reader of a rational, for arguments and files alike.
+
+    An int, a Fraction or any other rational number (a numpy int) is taken as
+    it is.  A string, or a Decimal through its string, is read by
+    ``bounded_fraction``, so Decimal("1e5000") is refused as "1e5000" is.  A
+    float, NaN and the infinities included, is refused: its binary value would
+    make 0.1 a fraction over 2**55.  So is a bool, which Fraction would read as 1.
+    Every refusal is a TypeError or ValueError that echoes the value cut."""
+    if type(value) is int:
         return Fraction(value)
-    except (ValueError, OverflowError):
-        raise ValueError(f"{what} must be a number, got {cut_repr(value)}") from None
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, (str, Decimal)):
+        text = str(value)
+        try:
+            return bounded_fraction(text, f"{what} must be a number, got {{}}")
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator: {cut_repr(text)}") from None
+    if isinstance(value, float):
+        raise TypeError(f"{what} must be exact, got {cut_repr(value)}")
+    if isinstance(value, Rational) and not isinstance(value, bool):
+        # operator.index: Fraction(numpy.int64(3)) would keep numpy ints inside
+        return Fraction(operator.index(value.numerator), operator.index(value.denominator))
+    raise TypeError(f"{what} must be a number, got {cut_repr(value)}")
 
 
 def digit_limit() -> int:
@@ -60,7 +83,7 @@ def bounded_fraction(text: str, unreadable: str) -> Fraction:
     bound, but its 4301 digits could not be printed.  A string Fraction cannot
     read is a ValueError of ``unreadable`` formatted with the cut string (its
     own message would echo the whole string); a zero denominator is
-    Fraction's ZeroDivisionError."""
+    Fraction's ZeroDivisionError, which ``exact_rational`` words."""
     limit = digit_limit()
     exponent = _EXPONENT.search(text)
     if exponent and (len(exponent[1]) > limit or abs(int(exponent[1])) > limit):

@@ -332,7 +332,7 @@ def bowditch_check(graph: Graph, family: SubgraphFamily, h) -> BowditchResult:
     diam Gamma(x, y) <= h in the ambient graph.  Returns the first
     violation in vertex order.
     """
-    h = Q(h)
+    h = exact_rational(h, "h")
     order = graph.vertices
     n = len(order)
     dists = graph.all_distances()
@@ -467,9 +467,7 @@ def flat_growth(k_max: int) -> FlatTable:
     from .halphen import twist_characteristic
     from .length import greedy_length
 
-    k_max = exact_int(k_max, "k_max")
-    if k_max < 1:
-        raise ValueError("k_max must be at least 1")
+    k_max = _size(k_max, "k_max", 1)
     rows = [FlatRow(m=0, n=0, degree=1, lower=0, upper=0)]
     for k in range(1, k_max + 1):
         for m in range(-k, k + 1):

@@ -16,18 +16,12 @@ import math
 from fractions import Fraction
 from typing import Dict, Mapping, NamedTuple, Optional, Tuple, Union
 
-from ._exact import cut_repr, exact_int, exact_rational
+from ._exact import exact_int, exact_rational
 from .bubble import Configuration, PointId
 from .errors import InvalidPair, NotOnHyperboloid, UnknownPoint
 
 Q = Fraction
 Scalar = Union[int, Fraction]
-
-
-def _coerce(value: Scalar) -> Fraction:
-    if isinstance(value, float):  # a float coefficient would make every pairing inexact
-        raise TypeError(f"class coefficient must be exact, got {cut_repr(value)}")
-    return exact_rational(value, "class coefficient")
 
 
 class PicardManinClass:
@@ -40,11 +34,11 @@ class PicardManinClass:
     __slots__ = ("_degree", "_mults")
 
     def __init__(self, degree: Scalar, mults: Optional[Mapping[PointId, Scalar]] = None) -> None:
-        self._degree = _coerce(degree)
+        self._degree = exact_rational(degree, "class coefficient")
         items: Dict[PointId, Fraction] = {}
         if mults:
             for p, v in mults.items():
-                p, v = exact_int(p, "point id"), _coerce(v)
+                p, v = exact_int(p, "point id"), exact_rational(v, "class coefficient")
                 if v != 0:
                     items[p] = v
         self._mults = dict(sorted(items.items()))

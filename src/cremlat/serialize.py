@@ -17,7 +17,7 @@ import re
 from fractions import Fraction
 from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple
 
-from ._exact import bounded_fraction, cut_repr, digit_limit
+from ._exact import cut_repr, digit_limit, exact_int, exact_rational
 
 if TYPE_CHECKING:
     from .bubble import Configuration
@@ -26,39 +26,13 @@ if TYPE_CHECKING:
     from .lattice import PicardManinClass
     from .voronoi import GermSet
 
-Q = Fraction
-
 # a row of plain metric cells, read without a Fraction: "12", "-3/4", "007/3"
 _PLAIN_ROW = re.compile(r"-?[0-9]+(?:/[0-9]+)?(?:,-?[0-9]+(?:/[0-9]+)?)*")
 
 
 def rational_to_str(value) -> str:
-    q = Q(value)
+    q = Fraction(value)
     return f"{q.numerator}/{q.denominator}"
-
-
-def rational_from(value) -> Q:
-    if isinstance(value, bool):
-        raise ValueError(f"not a rational: {cut_repr(value)}")
-    if isinstance(value, int):
-        return Q(value)
-    if isinstance(value, str):
-        try:
-            return bounded_fraction(value, "not a rational: {}")
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator: {cut_repr(value)}") from None
-    raise ValueError(f"not a rational: {cut_repr(value)}")
-
-
-def integer_from(value, what: str) -> int:
-    """A non-bool int or an integer string: int() would truncate 5.5,
-    overflow on 1e999 and read true as 1."""
-    if not isinstance(value, bool) and isinstance(value, (int, str)):
-        try:
-            return int(value)
-        except ValueError:
-            pass
-    raise ValueError(f"{what} must be an integer, got {cut_repr(value)}")
 
 
 def _object(value, what: str) -> dict:
@@ -98,8 +72,8 @@ def class_from_record(record: dict) -> PicardManinClass:
     mults = {}
     for entry in _list(record.get("mults", []), "mults"):
         entry = _object(entry, "mults entry")
-        mults[integer_from(entry["point"], "point id")] = rational_from(entry["mult"])
-    return PicardManinClass(rational_from(record["degree"]), mults)
+        mults[exact_int(entry["point"], "point id")] = exact_rational(entry["mult"], "mult")
+    return PicardManinClass(exact_rational(record["degree"], "degree"), mults)
 
 
 def configuration_to_record(config: Configuration) -> dict:
@@ -123,8 +97,8 @@ def configuration_from_record(record: dict) -> Configuration:
         entry = _object(entry, "points entry")
         parent = entry.get("parent")
         if parent is not None:
-            parent = integer_from(parent, "point id")
-        points.append((integer_from(entry["id"], "point id"), parent))
+            parent = exact_int(parent, "point id")
+        points.append((exact_int(entry["id"], "point id"), parent))
     return Configuration(
         points,
         collinear=_id_sets(record.get("collinear", []), "collinear"),
@@ -134,7 +108,7 @@ def configuration_from_record(record: dict) -> Configuration:
 
 def _id_sets(sets, name: str) -> list:
     return [
-        [integer_from(p, "point id") for p in _list(s, f"{name} set")]
+        [exact_int(p, "point id") for p in _list(s, f"{name} set")]
         for s in _list(sets, name)
     ]
 
@@ -156,11 +130,11 @@ def characteristic_from_record(record: dict) -> Characteristic:
     resolution = record.get("resolution")
     if resolution is not None:
         resolution = [
-            [rational_from(x) for x in _list(row, "resolution row")]
+            [exact_rational(x, "resolution entry") for x in _list(row, "resolution row")]
             for row in _list(resolution, "resolution")
         ]
     return Characteristic(
-        integer_from(record["degree"], "degree"),
+        exact_int(record["degree"], "degree"),
         base=_weighted_side(record.get("base", []), "base"),
         inverse_base=_weighted_side(record.get("inverse_base", []), "inverse_base"),
         resolution=resolution,
@@ -171,8 +145,8 @@ def _weighted_side(entries, name: str) -> list:
     side = []
     for entry in _list(entries, name):
         entry = _object(entry, f"{name} entry")
-        point = integer_from(entry["point"], "point id")
-        side.append((point, integer_from(entry["mult"], "multiplicity")))
+        point = exact_int(entry["point"], "point id")
+        side.append((point, exact_int(entry["mult"], "multiplicity")))
     return side
 
 
@@ -272,11 +246,11 @@ def _metric_row(cells: Sequence[str]) -> Tuple[List[int], List[int]]:
     """Stripped metric cells as int numerators and nonzero denominators.
 
     A row of plain cells (optional minus, ASCII digits, optional "/digits")
-    no longer than rational_from's digit limit is split and read by int().
-    Any other row, one with a zero denominator and one int() refuses (a
-    quoted comma inside a cell) goes through rational_from cell by cell, so
-    the accepted syntax and every message are rational_from's.  The length
-    bound holds rational_from's limit also where int() has none
+    no longer than ``digit_limit()`` is split and read by int().  Any other
+    row, one with a zero denominator and one int() refuses (a quoted comma
+    inside a cell) goes through ``exact_rational(cell, "distance")`` cell by
+    cell, so the accepted syntax and every message are the library's.  The
+    length bound holds that limit also where int() has none
     (sys.set_int_max_str_digits(0)).
     """
     joined = ",".join(cells)
@@ -291,7 +265,7 @@ def _metric_row(cells: Sequence[str]) -> Tuple[List[int], List[int]]:
         else:
             if 0 not in dens:
                 return nums, dens
-    values = [rational_from(cell) for cell in cells]
+    values = [exact_rational(cell, "distance") for cell in cells]
     return [q.numerator for q in values], [q.denominator for q in values]
 
 

@@ -1,4 +1,5 @@
 import re
+from fractions import Fraction as Q
 
 import pytest
 from hypothesis import given, strategies as st
@@ -76,13 +77,20 @@ class TestConfiguration:
             ([(2, True)], {}, "parent of point 2 must be an integer, got True"),
             ([0, (2, 0.0)], {}, "parent of point 2 must be an integer, got 0.0"),
             (range(3), {"collinear": [(0, 1, 2.0)]}, "collinear point id must be an integer, got 2.0"),
-            (range(6), {"conics": [(0, 1, 2, 3, 4, "5")]}, "conic point id must be an integer, got '5'"),
+            (range(6), {"conics": [(0, 1, 2, 3, 4, Q(5))]}, "conic point id must be an integer, got Fraction(5, 1)"),
         ],
     )
     def test_non_integers_are_refused(self, points, sets, message):
         # int() used to read point 1.5 as point 1 and parent True as point 1
         with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
             Configuration(points, **sets)
+
+    def test_integer_strings_are_read(self):
+        # as a JSON record's ids are: "5" is point 5, "5.0" is refused
+        config = Configuration(range(6), conics=[(0, 1, 2, 3, 4, "5")])
+        assert config.conic_sets == Configuration(range(6), conics=[range(6)]).conic_sets
+        with pytest.raises(ValueError, match=r"^conic point id must be an integer, got '5\.0'$"):
+            Configuration(range(6), conics=[(0, 1, 2, 3, 4, "5.0")])
 
 
 class TestAdherent:

@@ -78,20 +78,21 @@ class TestConstruction:
         ("1e5000", r"^exponent out of range in '1e5000': its magnitude must be at most "),
     ], ids=["digits", "exponent"])
     def test_resolution_string_bounds(self, entry, message):
-        # the same bounds as serialize.rational_from
+        # the bounds of every string exact_rational reads, in a file or an argument
         with pytest.raises(ValueError, match=message):
             Characteristic(2, base=[(0, 1), (1, 1), (2, 1)], inverse_base=[(3, 1), (4, 1), (5, 1)],
                            resolution=[[entry, 0, 0], [0, 0, 0], [0, 0, 0]])
 
-    @pytest.mark.parametrize("entry, message", [
-        (float("inf"), r"^resolution entry must be a number, got inf$"),
-        (Decimal("-Infinity"), r"^resolution entry must be a number, got '-Infinity'$"),
-        (Decimal("1e5000"), r"^exponent out of range in '1E\+5000': its magnitude must be at most "),
+    @pytest.mark.parametrize("entry, error, message", [
+        (float("inf"), TypeError, r"^resolution entry must be exact, got inf$"),
+        (Decimal("-Infinity"), ValueError, r"^resolution entry must be a number, got '-Infinity'$"),
+        (Decimal("1e5000"), ValueError, r"^exponent out of range in '1E\+5000': its magnitude must be at most "),
     ], ids=["inf", "decimal-inf", "decimal-exponent"])
-    def test_resolution_infinite_and_decimal_entries(self, entry, message):
-        # an infinity used to escape as Fraction's OverflowError; a Decimal
-        # is read through its string, with the string bounds
-        with pytest.raises(ValueError, match=message):
+    def test_resolution_infinite_and_decimal_entries(self, entry, error, message):
+        # an infinity used to escape as Fraction's OverflowError, and is now
+        # refused as every float is; a Decimal is read through its string,
+        # with the string bounds
+        with pytest.raises(error, match=message):
             Characteristic(2, base=[(0, 1), (1, 1), (2, 1)], inverse_base=[(3, 1), (4, 1), (5, 1)],
                            resolution=[[entry, 0, 0], [0, 0, 0], [0, 0, 0]])
 

@@ -51,7 +51,7 @@ def test_all_lists_every_public_name():
 
 
 def test_unknown_name_is_an_attribute_error():
-    assert not hasattr(cremlat, "rational_from")  # a serialize name, not exported
+    assert not hasattr(cremlat, "csv_text")  # a serialize name, not exported
     assert set(EXPORTED) <= set(dir(cremlat))
 
 

@@ -231,7 +231,7 @@ class TestFiniteMetric:
         assert len(str(info.value)) < 120
 
     def test_string_entries_keep_the_digit_bound(self):
-        # read like serialize.rational_from: "1e5000" would be a 16 610-bit
+        # read by exact_rational, as a CSV cell is: "1e5000" would be a 16 610-bit
         # distance, and "1e999999999" a ~415 MB one, were the exponent unbounded
         limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
         with pytest.raises(ValueError, match=f"^exponent out of range in '1e5000': its "
@@ -242,8 +242,9 @@ class TestFiniteMetric:
         assert FiniteMetric([[0, "1.5e2"], ["150", 0]]).distance(0, 1) == 150
 
     def test_infinite_and_decimal_entries(self):
-        # Fraction(inf) raises OverflowError, which used to escape as it was
-        with pytest.raises(ValueError, match=r"^distance must be a number, got inf$"):
+        # Fraction(inf) raises OverflowError, which used to escape as it was;
+        # now every float is refused, as a class coefficient is
+        with pytest.raises(TypeError, match=r"^distance must be exact, got inf$"):
             FiniteMetric([[0, float("inf")], [float("inf"), 0]])
         # a Decimal is read through its string, so it keeps the string bounds:
         # Decimal("1e5000") used to store a 16 610-bit distance
@@ -660,6 +661,19 @@ class TestBowditch:
         result = bowditch_check(g, SubgraphFamily(members), 1)
         assert not result.passed
         assert result.condition == 3
+
+    @pytest.mark.parametrize("h, error, message", [
+        (True, TypeError, r"^h must be a number, got True$"),
+        (0.5, TypeError, r"^h must be exact, got 0\.5$"),
+        ("1/0", ValueError, r"^zero denominator: '1/0'$"),
+    ], ids=["bool", "float", "zero-denominator"])
+    def test_h_is_read_exactly(self, h, error, message):
+        # Q(h) used to run True as h = 1, 0.5 at its binary value and "1/0"
+        # into a raw ZeroDivisionError
+        tree = path_graph(3)
+        with pytest.raises(error, match=message):
+            bowditch_check(tree, geodesic_family(tree), h)
+        assert bowditch_check(tree, geodesic_family(tree), "3/2").passed
 
     def test_verdict_is_read_off_the_condition(self):
         with pytest.raises(TypeError):

@@ -51,8 +51,11 @@ class TestClassArithmetic:
             PicardManinClass(1, {0: 0.0})  # checked even though the entry is dropped
 
     def test_point_ids_are_integers(self):
-        # int() used to read point 1.7 as point 1
-        for bad in (1.7, Q(3, 2), True, "1"):
+        # int() used to read point 1.7 as point 1; an integer string is read
+        # as the file readers read it
+        assert PicardManinClass(1, {"1": 2}) == PicardManinClass(1, {1: 2})
+        assert CONIC.mult(" 1 ") == CONIC.mult(1)
+        for bad in (1.7, Q(3, 2), True):
             message = re.escape(f"point id must be an integer, got {bad!r}")
             with pytest.raises(TypeError, match=f"^{message}$"):
                 PicardManinClass(1, {bad: 1})
@@ -73,7 +76,7 @@ class TestClassArithmetic:
         assert 1 * line() == line()
 
     def test_string_coefficients_keep_the_digit_bound(self):
-        # read like serialize.rational_from, so "1e5000" builds no 16 610-bit degree
+        # read by exact_rational, as a JSON field is, so "1e5000" builds no 16 610-bit degree
         with pytest.raises(ValueError, match=r"^exponent out of range in '1e5000': "):
             PicardManinClass("1e5000")
         with pytest.raises(ValueError, match=r"^too many digits in '1e-4300': "):

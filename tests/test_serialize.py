@@ -1,11 +1,13 @@
 import json
 import math
+import re
 import sys
 from fractions import Fraction as Q
 
 import pytest
 
 from cremlat import cli
+from cremlat._exact import exact_rational
 from cremlat.bubble import Configuration
 from cremlat.cremona import Characteristic, standard_quadratic
 from cremlat.lattice import PicardManinClass, line
@@ -23,7 +25,6 @@ from cremlat.serialize import (
     load_runconfig,
     _metric_row,
     metric_from_csv,
-    rational_from,
     rational_to_str,
     real_to_str,
     runconfig_from_record,
@@ -38,32 +39,37 @@ class TestScalars:
         assert rational_to_str(Q(-2, 4)) == "-1/2"
 
     def test_rational_from(self):
-        assert rational_from("3/4") == Q(3, 4)
-        assert rational_from("-2") == Q(-2)
-        assert rational_from(5) == Q(5)
-        for bad in (True, False, 1.5, None, [1]):
-            with pytest.raises(ValueError):
-                rational_from(bad)
+        # exact_rational reads every rational of the file formats and the library
+        assert exact_rational("3/4", "x") == Q(3, 4)
+        assert exact_rational("-2", "x") == Q(-2)
+        assert exact_rational(5, "x") == Q(5)
+        for bad in (True, False, None, [1]):
+            with pytest.raises(TypeError, match=f"^x must be a number, got {re.escape(repr(bad))}$"):
+                exact_rational(bad, "x")
+        with pytest.raises(TypeError, match="^x must be exact, got 1.5$"):
+            exact_rational(1.5, "x")
+        with pytest.raises(ValueError, match="^zero denominator: '1/0'$"):
+            exact_rational("1/0", "x")
 
     def test_rational_exponent_bound(self):
         limit = sys.get_int_max_str_digits()
-        assert rational_from("1.5e-3") == Q(3, 2000)
-        assert rational_from(f"1e{limit - 1}") == 10 ** (limit - 1)
-        assert rational_from(f"1E-{limit - 1}") == Q(1, 10 ** (limit - 1))
+        assert exact_rational("1.5e-3", "x") == Q(3, 2000)
+        assert exact_rational(f"1e{limit - 1}", "x") == 10 ** (limit - 1)
+        assert exact_rational(f"1E-{limit - 1}", "x") == Q(1, 10 ** (limit - 1))
         # without the bound, 1e999999999 builds a ~400 MB integer
         for bad in (f"1e{limit + 1}", f"-2.5e-{limit + 1}", " 1e5_000 ", "1e" + "9" * (limit + 1)):
             with pytest.raises(ValueError, match="exponent out of range"):
-                rational_from(bad)
+                exact_rational(bad, "x")
 
     def test_rational_digit_bound(self):
         # 1e4300 passes the exponent bound but has one digit more than str() may print
         limit = sys.get_int_max_str_digits()
-        assert rational_from("9" * limit) == 10**limit - 1
-        assert rational_from(f"99e{limit - 2}") == 99 * 10 ** (limit - 2)
-        assert rational_from(f"-1/{'9' * limit}") == Q(-1, 10**limit - 1)
+        assert exact_rational("9" * limit, "x") == 10**limit - 1
+        assert exact_rational(f"99e{limit - 2}", "x") == 99 * 10 ** (limit - 2)
+        assert exact_rational(f"-1/{'9' * limit}", "x") == Q(-1, 10**limit - 1)
         for bad in (f"1e{limit}", f"1E-{limit}", f"100e{limit - 2}", f"-2.5e{limit}"):
             with pytest.raises(ValueError, match="too many digits"):
-                rational_from(bad)
+                exact_rational(bad, "x")
 
     def test_real_to_str(self):
         assert real_to_str(2.0) == "2"
@@ -237,11 +243,11 @@ class TestMetricCsv:
         with pytest.raises(ValueError):
             metric_from_csv(self.write(tmp_path, "a,b\n0,1\n2,0\n"))
         # a quoted comma joins the plain row's pattern but not int()
-        with pytest.raises(ValueError, match="^not a rational: '1,2'$"):
+        with pytest.raises(ValueError, match="^distance must be a number, got '1,2'$"):
             metric_from_csv(self.write(tmp_path, 'a,b\n0,"1,2"\n"1,2",0\n'))
 
 
-    # cells the plain reader splits itself and cells it hands to rational_from;
+    # cells the plain reader splits itself and cells it hands to exact_rational;
     # 5000 digits are past the int() limit
     CELLS = pytest.mark.parametrize(
         "cell",
@@ -254,7 +260,7 @@ class TestMetricCsv:
     def test_cell_reader_agrees_with_rational_from(self, tmp_path, capsys, cell):
         self.check_agreement(tmp_path, capsys, cell)
 
-    # with int()'s limit off, rational_from still holds the default limit
+    # with int()'s limit off, exact_rational still holds the default limit
     @CELLS
     def test_cell_reader_agrees_without_int_digit_limit(self, tmp_path, capsys, cell):
         saved = sys.get_int_max_str_digits()
@@ -270,7 +276,7 @@ class TestMetricCsv:
         code = cli.main(["delta", path])
         out, err = capsys.readouterr()
         try:
-            want = rational_from(text)
+            want = exact_rational(text, "distance")
         except ValueError as exc:
             with pytest.raises(ValueError) as got:
                 _metric_row([text])
