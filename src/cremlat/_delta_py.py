@@ -55,12 +55,11 @@ def _primitive(numerators: Sequence[Sequence[int]],
                denominators: Sequence[Sequence[int]]) -> Tuple[List[int], Fraction]:
     """The entries numerators[i][j] / denominators[i][j], row-major, as
     ``(ints, unit)``: the primitive integers and the positive Fraction unit
-    with entry == int * unit."""
+    with entry == int * unit.  Denominators are positive, as
+    ``_exact.rational_row`` reads them."""
     dens = [d for row in denominators for d in row]
     distinct = set(dens)
     scale = math.lcm(*distinct)
-    if not scale:
-        raise ValueError("zero denominator")
     ints = [x for row in numerators for x in row]
     if scale != 1:
         factor = {d: scale // d for d in distinct}

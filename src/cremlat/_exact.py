@@ -9,14 +9,27 @@ import sys
 from decimal import Decimal  # fractions imports it already
 from fractions import Fraction
 from numbers import Rational  # fractions imports it already
+from typing import Iterable, List, Tuple
 
 # the exponent of a numeral such as "1.5e-3", as Fraction reads it
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+# a row of plain cells, read without a Fraction: "12", "-3/4", "007/3"
+_PLAIN_ROW = re.compile(r"-?[0-9]+(?:/[0-9]+)?(?:,-?[0-9]+(?:/[0-9]+)?)*")
 
 
 def cut_repr(value) -> str:
-    """repr(value), cut to 80 characters ending in "…": the most of a value a message echoes."""
-    text = repr(value)
+    """repr(value), cut to 80 characters ending in "…": the most of a value a message echoes.
+
+    It never raises.  An int of more than ``digit_limit()`` digits, which
+    repr refuses, shows as its size in bits, and any other value whose repr
+    fails (a list holding such an int) as its type."""
+    if isinstance(value, int) and not _printable(value, digit_limit()):
+        text = f"{'-' if value < 0 else ''}<int of {abs(value).bit_length()} bits>"
+    else:
+        try:
+            text = repr(value)
+        except ValueError:
+            text = f"<{type(value).__name__} holding an int of more than {digit_limit()} digits>"
     return text if len(text) <= 80 else text[:79] + "…"
 
 
@@ -67,6 +80,37 @@ def exact_rational(value, what: str) -> Fraction:
         # operator.index: Fraction(numpy.int64(3)) would keep numpy ints inside
         return Fraction(operator.index(value.numerator), operator.index(value.denominator))
     raise TypeError(f"{what} must be a number, got {cut_repr(value)}")
+
+
+def rational_row(row: Iterable, what: str) -> Tuple[List[int], List[int]]:
+    """A row of rationals as int numerators and positive denominators: the
+    one reader of a metric row, from the library and from a CSV alike.
+
+    A row of plain strings (optional minus, ASCII digits, optional
+    "/digits") no longer than ``digit_limit()`` is split and read by int(),
+    without a Fraction per cell.  Any other row, one with a zero denominator
+    and one int() refuses (a quoted comma inside a cell) is read cell by
+    cell: an int or a Fraction as it is, anything else by
+    ``exact_rational(cell, what)``, so the accepted syntax and every message
+    are the library's.  The length bound holds that limit also where int()
+    has none (sys.set_int_max_str_digits(0)).
+    """
+    cells = list(row)
+    if all(type(cell) is str for cell in cells):
+        joined = ",".join(cells)
+        limit = digit_limit()
+        if _PLAIN_ROW.fullmatch(joined) and (len(joined) <= limit or max(map(len, cells)) <= limit):
+            parts = [cell.partition("/") for cell in cells]
+            try:
+                nums = [int(num) for num, _, _ in parts]
+                dens = [int(den) if den else 1 for _, _, den in parts]
+            except ValueError:
+                pass
+            else:
+                if 0 not in dens:
+                    return nums, dens
+    values = [x if type(x) in (Fraction, int) else exact_rational(x, what) for x in cells]
+    return [q.numerator for q in values], [q.denominator for q in values]
 
 
 def digit_limit() -> int:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
 
-from ._exact import exact_int
+from ._exact import cut_repr, exact_int
 from .errors import UnknownPoint
 
 PointId = int
@@ -40,18 +40,22 @@ class Configuration:
                 pid, parent = entry, None
             pid = exact_int(pid, "point id")
             if pid in parents:
-                raise ValueError(f"duplicate point id {pid}")
-            parents[pid] = None if parent is None else exact_int(parent, f"parent of point {pid}")
+                raise ValueError(f"duplicate point id {cut_repr(pid)}")
+            if parent is not None:
+                parent = exact_int(parent, f"parent of point {cut_repr(pid)}")
+            parents[pid] = parent
         for pid, parent in parents.items():
             if parent is not None and parent not in parents:
-                raise UnknownPoint(f"parent {parent} of point {pid} not in configuration")
+                raise UnknownPoint(
+                    f"parent {cut_repr(parent)} of point {cut_repr(pid)} not in configuration"
+                )
         # acyclicity: walk every ancestor chain once
         for pid in parents:
             seen = {pid}
             cur = parents[pid]
             while cur is not None:
                 if cur in seen:
-                    raise ValueError(f"proximity cycle through point {pid}")
+                    raise ValueError(f"proximity cycle through point {cut_repr(pid)}")
                 seen.add(cur)
                 cur = parents[cur]
         children: Dict[PointId, Tuple[PointId, ...]] = {pid: () for pid in parents}
@@ -65,10 +69,14 @@ class Configuration:
             for raw in sets:
                 s = frozenset(exact_int(p, f"{kind} point id") for p in raw)
                 if len(s) < minimum:
-                    raise ValueError(f"{kind} set needs at least {minimum} points, got {sorted(s)}")
+                    raise ValueError(
+                        f"{kind} set needs at least {minimum} points, got {cut_repr(sorted(s))}"
+                    )
                 missing = [p for p in s if p not in parents]
                 if missing:
-                    raise UnknownPoint(f"{kind} set references unknown points {sorted(missing)}")
+                    raise UnknownPoint(
+                        f"{kind} set references unknown points {cut_repr(sorted(missing))}"
+                    )
                 out.append(s)
             return frozenset(out)
 
@@ -81,7 +89,8 @@ class Configuration:
             for pid in line:
                 if parents[pid] is not None and parents[pid] in line:
                     raise ValueError(
-                        f"collinear set {sorted(line)} contains point {pid} and its parent"
+                        f"collinear set {cut_repr(sorted(line))} contains point "
+                        f"{cut_repr(pid)} and its parent"
                     )
 
     @classmethod
@@ -106,7 +115,7 @@ class Configuration:
 
     def require(self, pid: PointId) -> None:
         if pid not in self._parents:
-            raise UnknownPoint(f"point {pid} not in configuration")
+            raise UnknownPoint(f"point {cut_repr(pid)} not in configuration")
 
     def parent(self, pid: PointId) -> Optional[PointId]:
         self.require(pid)

@@ -176,35 +176,21 @@ def cmd_in_e(args) -> int:
         config = Configuration.generic(cls.support)
     report = in_E(cls, config)
     witness = report.bezout_witness
-    row = [
-        [
-            _flag(report.in_E),
-            _flag(report.nonneg_mults),
-            report.negative_point,
-            _flag(report.anticanonical),
-            rational_to_str(report.anticanonical_margin),
-            _flag(report.excesses),
-            report.excess_point,
-            _flag(report.bezout),
-            witness.kind if witness else "",
-            " ".join(str(p) for p in witness.points) if witness else "",
-            rational_to_str(witness.residual) if witness else "",
-        ]
+    columns = [
+        ("member", _flag(report.in_E)),
+        ("nonneg_mults", _flag(report.nonneg_mults)),
+        ("negative_point", report.negative_point),
+        ("anticanonical", _flag(report.anticanonical)),
+        ("anticanonical_margin", rational_to_str(report.anticanonical_margin)),
+        ("excesses", _flag(report.excesses)),
+        ("excess_point", report.excess_point),
+        ("bezout", _flag(report.bezout)),
+        ("bezout_kind", witness.kind if witness else ""),
+        ("bezout_points", " ".join(str(p) for p in witness.points) if witness else ""),
+        ("bezout_residual", rational_to_str(witness.residual) if witness else ""),
     ]
-    header = [
-        "member",
-        "nonneg_mults",
-        "negative_point",
-        "anticanonical",
-        "anticanonical_margin",
-        "excesses",
-        "excess_point",
-        "bezout",
-        "bezout_kind",
-        "bezout_points",
-        "bezout_residual",
-    ]
-    _emit(csv_text(header, row), args.out)
+    header, row = zip(*columns)
+    _emit(csv_text(header, [row]), args.out)
     return EXIT_OK if report.in_E else EXIT_MATH
 
 

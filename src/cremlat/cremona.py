@@ -19,7 +19,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from ._exact import exact_int, exact_rational
+from ._exact import cut_repr, exact_int, exact_rational
 from .bubble import PointId
 from .errors import (
     BasePointCollision,
@@ -41,9 +41,11 @@ def _freeze_side(side: Iterable, name: str) -> Tuple[Weighted, ...]:
         pid = exact_int(pid, pid_what)
         mult = exact_int(mult, mult_what)
         if pid in seen:
-            raise ValueError(f"duplicate {name} point {pid}")
+            raise ValueError(f"duplicate {name} point {cut_repr(pid)}")
         if mult <= 0:
-            raise ValueError(f"{name} multiplicity at {pid} must be positive, got {mult}")
+            raise ValueError(
+                f"{name} multiplicity at {cut_repr(pid)} must be positive, got {cut_repr(mult)}"
+            )
         seen.add(pid)
         out.append((pid, mult))
     return tuple(out)
@@ -61,7 +63,7 @@ class Characteristic:
     ) -> None:
         degree = exact_int(degree, "degree")
         if degree < 1:
-            raise ValueError(f"degree must be positive, got {degree}")
+            raise ValueError(f"degree must be positive, got {cut_repr(degree)}")
         self._degree = degree
         self._base = _freeze_side(base, "base")
         self._inverse = _freeze_side(inverse_base, "inverse base")
@@ -149,12 +151,18 @@ def side_violations(d: int, side: str, mults: Sequence[int]) -> Tuple[NoetherVio
     linear = sum(mults)
     if linear != 3 * (d - 1):
         violations.append(
-            NoetherViolation("linear", side, f"sum {linear} != 3(d-1) = {3 * (d - 1)}")
+            NoetherViolation(
+                "linear", side, f"sum {cut_repr(linear)} != 3(d-1) = {cut_repr(3 * (d - 1))}"
+            )
         )
     quadratic = sum(m * m for m in mults)
     if quadratic != d * d - 1:
         violations.append(
-            NoetherViolation("quadratic", side, f"sum of squares {quadratic} != d^2-1 = {d * d - 1}")
+            NoetherViolation(
+                "quadratic",
+                side,
+                f"sum of squares {cut_repr(quadratic)} != d^2-1 = {cut_repr(d * d - 1)}",
+            )
         )
     if d == 1:
         if mults:
@@ -163,7 +171,9 @@ def side_violations(d: int, side: str, mults: Sequence[int]) -> Tuple[NoetherVio
         bad = [m for m in mults if not 1 <= m <= d - 1]
         if bad:
             violations.append(
-                NoetherViolation("bounds", side, f"multiplicities {bad} outside [1, {d - 1}]")
+                NoetherViolation(
+                    "bounds", side, f"multiplicities {cut_repr(bad)} outside [1, {cut_repr(d - 1)}]"
+                )
             )
     return tuple(violations)
 
@@ -219,7 +229,7 @@ def apply(
     outside = [p for p in c.support if p not in base_index]
     missing = [p for p in outside if p not in image_map]
     if missing:
-        raise UnsupportedClassSupport(f"no image for support points {sorted(missing)}")
+        raise UnsupportedClassSupport(f"no image for support points {cut_repr(sorted(missing))}")
     inverse_ids = set(char.inverse_ids())
     targets = [image_map[p] for p in outside]
     if len(set(targets)) != len(targets) or inverse_ids & set(targets):
@@ -263,7 +273,9 @@ def compose_disjoint(g: Characteristic, f: Characteristic) -> Characteristic:
     """
     if set(g.base_ids()) & set(f.inverse_ids()):
         shared = sorted(set(g.base_ids()) & set(f.inverse_ids()))
-        raise BasePointCollision(f"base of outer map meets inverse base of inner map: {shared}")
+        raise BasePointCollision(
+            f"base of outer map meets inverse base of inner map: {cut_repr(shared)}"
+        )
 
     all_ids = set(g.base_ids()) | set(g.inverse_ids()) | set(f.base_ids()) | set(f.inverse_ids())
     next_fresh = max(all_ids, default=-1) + 1
@@ -331,7 +343,7 @@ def jonquieres_characteristic(
     base_ids = tuple(exact_int(p, "base point id") for p in base_ids)
     inverse_ids = tuple(exact_int(q, "inverse point id") for q in inverse_ids)
     if len(set(base_ids)) != count or len(set(inverse_ids)) != count:
-        raise ValueError(f"degree {k} needs {count} distinct ids per side")
+        raise ValueError(f"degree {cut_repr(k)} needs {cut_repr(count)} distinct ids per side")
     matrix = [[Q(0)] * count for _ in range(count)]
     matrix[0][0] = Q(k - 2)
     for i in range(1, count):

@@ -27,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from ._exact import exact_int, exact_rational
+from ._exact import cut_repr, exact_int, exact_rational, rational_row
 from .errors import MalformedFamily
 from . import _delta_py
 
@@ -121,7 +121,7 @@ def _size(value, what: str, least: int = 0) -> int:
     """A graph size: an exact int, refusing True, and at least ``least``."""
     value = exact_int(value, what)
     if value < least:
-        raise ValueError(f"{what} must be at least {least}, got {value}")
+        raise ValueError(f"{what} must be at least {least}, got {cut_repr(value)}")
     return value
 
 
@@ -167,25 +167,17 @@ class FiniteMetric:
     multiples, rows of Python ints up to 64 points and a numpy array in the
     narrowest exact dtype past that.  ``matrix`` is a derived view.
 
-    ``matrix`` holds rationals (ints, Fractions or anything Fraction reads
-    exactly).  With ``denominators``, a square matrix of nonzero ints, it holds
-    instead the int numerators of d(i, j) = matrix[i][j] / denominators[i][j]:
-    the pairs serialize.metric_from_csv reads, taken without a Fraction per entry.
+    ``matrix`` is an iterable of rows of rationals: ints, Fractions, or
+    anything ``exact_rational`` reads, such as the "num/den" strings of a
+    CSV.  Every row is read by ``_exact.rational_row``.
     """
 
     __slots__ = ("_labels", "_index", "_ints", "_unit")
 
-    def __init__(self, matrix: Sequence[Sequence], labels: Optional[Sequence] = None,
-                 denominators: Optional[Sequence[Sequence[int]]] = None) -> None:
-        if denominators is None:
-            rows = [[x if type(x) in (Q, int) else exact_rational(x, "distance") for x in row]
-                    for row in matrix]
-            numerators = [[x.numerator for x in row] for row in rows]
-            denominators = [[x.denominator for x in row] for row in rows]
-        else:
-            numerators = matrix
-        n = len(numerators)
-        if len(denominators) != n or any(len(row) != n for row in (*numerators, *denominators)):
+    def __init__(self, matrix: Iterable[Iterable], labels: Optional[Sequence] = None) -> None:
+        rows = [rational_row(row, "distance") for row in matrix]
+        n = len(rows)
+        if any(len(nums) != n for nums, _ in rows):
             raise ValueError("matrix must be square")
         if labels is None:
             labels = tuple(range(n))
@@ -193,6 +185,7 @@ class FiniteMetric:
             labels = tuple(labels)
             if len(labels) != n or len(set(labels)) != n:
                 raise ValueError("labels must be distinct and match the size")
+        numerators, denominators = [nums for nums, _ in rows], [dens for _, dens in rows]
         self._ints, self._unit = _delta_py.metric_array(numerators, denominators, labels)
         self._labels = labels
         self._index = {label: i for i, label in enumerate(labels)}

@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 from typing import Dict, Mapping, NamedTuple, Optional, Tuple, Union
 
-from ._exact import exact_int, exact_rational
+from ._exact import cut_repr, exact_int, exact_rational
 from .bubble import Configuration, PointId
 from .errors import InvalidPair, NotOnHyperboloid, UnknownPoint
 
@@ -189,51 +189,32 @@ def _bezout_witness(c: PicardManinClass, config: Configuration) -> Optional[Curv
     an under-approximation for adversarial inputs.
 
     For the pair and five-point families the minimum residual is attained
-    at the proper support points of largest multiplicity, so only that
-    extremal curve is tested; when the support holds fewer points than the
-    curve needs, the remaining slots are filled by the smallest-id generic
-    proper points of the configuration (their multiplicity is zero), and a
-    configuration short on points just checks the curve through the points
-    that exist (such a curve always does).
+    at the proper points of largest multiplicity, so only that extremal
+    curve is tested: the proper support ranked by multiplicity (ties by
+    ascending id), then the proper points outside the support by id (their
+    multiplicity is zero).  A configuration short on points just checks the
+    curve through the points that exist (such a curve always does).
     """
     n = c.degree
-    proper_support = sorted(
-        (p for p in c.support if config.is_proper(p)),
-        key=lambda p: (-c.mult(p), p),
-    )
-    spare = [p for p in config.proper_points() if p not in c._mults]
-
-    def extremal(count: int, curve_degree: int, kind: str) -> Optional[CurveWitness]:
-        chosen = list(proper_support[:count])
-        chosen += spare[: count - len(chosen)]
-        if not chosen:
-            return None
-        residual = curve_degree * n - sum(c.mult(p) for p in chosen)
-        if residual < 0:
-            return CurveWitness(kind, tuple(sorted(chosen)), residual)
-        return None
-
-    witness = extremal(2, 1, "pair_line")
-    if witness:
-        return witness
-    for line_set in sorted(config.collinear_sets, key=sorted):
-        residual = n - sum(c.mult(p) for p in line_set)
-        if residual < 0:
-            return CurveWitness("declared_line", tuple(sorted(line_set)), residual)
-    witness = extremal(5, 2, "five_conic")
-    if witness:
-        return witness
-    for conic_set in sorted(config.conic_sets, key=sorted):
-        residual = 2 * n - sum(c.mult(p) for p in conic_set)
-        if residual < 0:
-            return CurveWitness("declared_conic", tuple(sorted(conic_set)), residual)
+    ranked = sorted((p for p in c.support if config.is_proper(p)), key=lambda p: (-c.mult(p), p))
+    ranked += [p for p in config.proper_points() if p not in c._mults]
+    curves = [
+        ("pair_line", 1, ranked[:2]),
+        *(("declared_line", 1, s) for s in sorted(config.collinear_sets, key=sorted)),
+        ("five_conic", 2, ranked[:5]),
+        *(("declared_conic", 2, s) for s in sorted(config.conic_sets, key=sorted)),
+    ]
+    for kind, curve_degree, points in curves:
+        residual = curve_degree * n - sum(c.mult(p) for p in points)
+        if points and residual < 0:
+            return CurveWitness(kind, tuple(sorted(points)), residual)
     return None
 
 
 def _require_support(c: PicardManinClass, config: Configuration) -> None:
     for p in c.support:
         if p not in config:
-            raise UnknownPoint(f"class supported at {p}, absent from configuration")
+            raise UnknownPoint(f"class supported at {cut_repr(p)}, absent from configuration")
 
 
 def in_E(c: PicardManinClass, config: Configuration) -> ECheckReport:

@@ -13,11 +13,10 @@ from __future__ import annotations
 import csv
 import io
 import json
-import re
 from fractions import Fraction
-from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Tuple
 
-from ._exact import cut_repr, digit_limit, exact_int, exact_rational
+from ._exact import cut_repr, exact_int, exact_rational
 
 if TYPE_CHECKING:
     from .bubble import Configuration
@@ -25,10 +24,6 @@ if TYPE_CHECKING:
     from .hypgraph import FiniteMetric
     from .lattice import PicardManinClass
     from .voronoi import GermSet
-
-# a row of plain metric cells, read without a Fraction: "12", "-3/4", "007/3"
-_PLAIN_ROW = re.compile(r"-?[0-9]+(?:/[0-9]+)?(?:,-?[0-9]+(?:/[0-9]+)?)*")
-
 
 def rational_to_str(value) -> str:
     q = Fraction(value)
@@ -216,8 +211,8 @@ def load_runconfig(path: str) -> RunConfig:
 def metric_from_csv(path: str) -> FiniteMetric:
     """Headered square matrix: label row, then one row of entries per label.
 
-    The stripped cells are read as int (numerator, denominator) pairs, so the
-    metric is built without a Fraction per cell; see ``_metric_row``.
+    FiniteMetric reads the stripped cells, one row after each row's length
+    check, so a file with several faults reports the first.
     """
     from .hypgraph import FiniteMetric
 
@@ -232,41 +227,14 @@ def metric_from_csv(path: str) -> FiniteMetric:
     body = table[1:]
     if len(body) != len(labels):
         raise ValueError(f"{path}: expected {len(labels)} data rows, found {len(body)}")
-    numerators, denominators = [], []
-    for row in body:
-        if len(row) != len(labels):
-            raise ValueError(f"{path}: ragged row {cut_repr(row)}")
-        nums, dens = _metric_row([cell.strip() for cell in row])
-        numerators.append(nums)
-        denominators.append(dens)
-    return FiniteMetric(numerators, labels=labels, denominators=denominators)
 
+    def rows():
+        for row in body:
+            if len(row) != len(labels):
+                raise ValueError(f"{path}: ragged row {cut_repr(row)}")
+            yield [cell.strip() for cell in row]
 
-def _metric_row(cells: Sequence[str]) -> Tuple[List[int], List[int]]:
-    """Stripped metric cells as int numerators and nonzero denominators.
-
-    A row of plain cells (optional minus, ASCII digits, optional "/digits")
-    no longer than ``digit_limit()`` is split and read by int().  Any other
-    row, one with a zero denominator and one int() refuses (a quoted comma
-    inside a cell) goes through ``exact_rational(cell, "distance")`` cell by
-    cell, so the accepted syntax and every message are the library's.  The
-    length bound holds that limit also where int() has none
-    (sys.set_int_max_str_digits(0)).
-    """
-    joined = ",".join(cells)
-    limit = digit_limit()
-    if _PLAIN_ROW.fullmatch(joined) and (len(joined) <= limit or max(map(len, cells)) <= limit):
-        parts = [cell.partition("/") for cell in cells]
-        try:
-            nums = [int(num) for num, _, _ in parts]
-            dens = [int(den) if den else 1 for _, _, den in parts]
-        except ValueError:
-            pass
-        else:
-            if 0 not in dens:
-                return nums, dens
-    values = [exact_rational(cell, "distance") for cell in cells]
-    return [q.numerator for q in values], [q.denominator for q in values]
+    return FiniteMetric(rows(), labels=labels)
 
 
 def csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence, Tuple
 
-from ._exact import exact_int
+from ._exact import cut_repr, exact_int
 from .bubble import Configuration, PointId, almost_general_position
 from .cremona import Characteristic, is_jonquieres
 from .errors import IndexOutOfRange, NotOnHyperboloid, UnknownPoint, WrongArity
@@ -36,10 +36,12 @@ class GermSet:
         for label, cls in entries:
             if self_intersection(cls) != 1:
                 raise NotOnHyperboloid(
-                    f"germ {label!r} has self-intersection {self_intersection(cls)}"
+                    f"germ {cut_repr(label)} has self-intersection {self_intersection(cls)}"
                 )
             if cls.degree <= 0:
-                raise NotOnHyperboloid(f"germ {label!r} has degree {cls.degree}, off the upper sheet")
+                raise NotOnHyperboloid(
+                    f"germ {cut_repr(label)} has degree {cls.degree}, off the upper sheet"
+                )
             labels.append(str(label))
             classes.append(cls)
         if len(set(labels)) != len(labels):
@@ -76,7 +78,7 @@ def cell_member(c: PicardManinClass, idx: int, germs: GermSet) -> bool:
     """
     idx = exact_int(idx, "germ index")
     if not 0 <= idx < len(germs):
-        raise IndexOutOfRange(f"germ index {idx} out of range 0..{len(germs) - 1}")
+        raise IndexOutOfRange(f"germ index {cut_repr(idx)} out of range 0..{len(germs) - 1}")
     if self_intersection(c) <= 0:
         raise NotOnHyperboloid(
             f"membership needs a class of positive self-intersection, got {self_intersection(c)}"
@@ -117,7 +119,7 @@ def boundary_class(points: Sequence[PointId]) -> PicardManinClass:
     """
     ids = tuple(exact_int(p, "point id") for p in points)
     if len(ids) != 9 or len(set(ids)) != 9:
-        raise WrongArity(f"need exactly 9 distinct points, got {points!r}")
+        raise WrongArity(f"need exactly 9 distinct points, got {cut_repr(points)}")
     result = 3 * line()
     for p in ids:
         result = result - exceptional(p)

@@ -5,8 +5,9 @@ Each call below hands one value to one argument, inside an otherwise valid
 call.  It either returns exact values (ints and Fractions of plain ints) or
 raises a TypeError or ValueError whose message is one short line.  An error
 of the package (CremlatError) is a value read exactly and then refused by the
-mathematics, such as a germ index out of range.  Graph sizes and k_max are
-not fed here: a huge one legitimately builds what it asks for.
+mathematics, such as a germ index out of range.  A graph size or k_max
+that reads as more than 3 is skipped: a huge one legitimately builds what it
+asks for, while a huge negative one must be refused in one short line.
 """
 
 import math
@@ -18,11 +19,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cremlat._exact import exact_int
 from cremlat.bubble import Configuration
 from cremlat.cremona import Characteristic
 from cremlat.errors import CremlatError
 from cremlat.halphen import HalphenVector, point_vector, twist_degree
-from cremlat.hypgraph import FiniteMetric, bowditch_check, geodesic_family, path_graph
+from cremlat.hypgraph import FiniteMetric, bowditch_check, flat_growth, geodesic_family, path_graph
 from cremlat.lattice import PicardManinClass, line
 from cremlat.voronoi import GermSet, boundary_class, cell_member
 
@@ -59,7 +61,13 @@ TARGETS = {
     "cell_member index": lambda x: [int(cell_member(line(), x, _GERMS))],
     "boundary_class point": lambda x: _class(boundary_class([x, *range(1, 9)])),
     "bowditch h": lambda x: [int(bowditch_check(_PATH, geodesic_family(_PATH), x).passed)],
+    "graph size": lambda x: [len(path_graph(x).vertices)],
+    "k_max": lambda x: [flat_growth(x).k_max],
 }
+SIZES = {"graph size", "k_max"}
+
+# ints past int64, past a printed line and past int()'s digit limit
+HUGE = [10**300, -(10**300), 10**5000, -(10**5000)]
 
 # values a caller may hand over by mistake, and the numerals the readers bound
 SPECIALS = [
@@ -70,7 +78,7 @@ SPECIALS = [
     np.int64(2), np.int64(-3), np.float64(2.0), np.float64("nan"), np.bool_(True),
     "1/0", "0/0", "2", " 3 ", "1/2", "x", "", "1e999999999", "1e5000", "1e4300",
     "7" * 5000, "1/" + "7" * 5000, "1e" + "9" * 5000,
-    Q(1, 2), Q(3), 0, 1, -1, 2,
+    Q(1, 2), Q(3), 0, 1, -1, 2, *HUGE,
 ]
 
 
@@ -80,8 +88,19 @@ def _is_exact(v) -> bool:
     return type(v) is int
 
 
+def _builds_too_much(target, value) -> bool:
+    if target not in SIZES:
+        return False
+    try:
+        return exact_int(value, target) > 3
+    except (TypeError, ValueError):
+        return False
+
+
 def check(target, value):
     """One call: exact values out, or a short one-line refusal."""
+    if _builds_too_much(target, value):
+        return
     tracemalloc.start()
     try:
         numbers = TARGETS[target](value)
@@ -105,6 +124,7 @@ def test_specials_are_read_exactly_or_refused(target):
 
 VALUES = st.one_of(
     st.integers(min_value=-(10**40), max_value=10**40),
+    st.sampled_from(HUGE),
     st.fractions(),
     st.floats(),
     st.decimals(),
@@ -143,3 +163,24 @@ def test_numpy_ints_are_read_as_plain_ints():
     c = PicardManinClass(np.int64(3), {np.int64(0): np.int64(2)})
     assert _class(c) == [3, 0, 2] and all(_is_exact(v) for v in _class(c))
     assert FiniteMetric([[0, np.int64(5)], [np.int64(5), 0]]).distance(0, 1) == 5
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Characteristic(-(10**5000)), "degree must be positive, got -<int of 16610 bits>"),
+    (lambda: Characteristic(2, base=[(0, -(10**5000))]),
+     "base multiplicity at 0 must be positive, got -<int of 16610 bits>"),
+    (lambda: path_graph(-(10**5000)), "n must be at least 0, got -<int of 16610 bits>"),
+    (lambda: cell_member(line(), 10**5000, _GERMS),
+     "germ index <int of 16610 bits> out of range 0..1"),
+    (lambda: Configuration([0, (1, 10**300)]),
+     f"parent {'1' + '0' * 78}… of point 1 not in configuration"),
+    (lambda: boundary_class([10**300] * 9), f"need exactly 9 distinct points, got [1{'0' * 77}…"),
+    (lambda: boundary_class([10**5000] * 9),
+     "need exactly 9 distinct points, got <list holding an int of more than 4300 digits>"),
+], ids=lambda p: "" if callable(p) else p[:40])
+def test_huge_ints_are_echoed_cut(call, message):
+    # each used to raise int()'s own "Exceeds the limit" ValueError in place
+    # of its domain error, or echo all 301 digits of 10**300, nine times over
+    with pytest.raises((ValueError, CremlatError)) as info:
+        call()
+    assert str(info.value) == message

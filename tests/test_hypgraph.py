@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cremlat import cli, halphen, hypgraph
+from cremlat._exact import rational_row
 from cremlat.errors import MalformedFamily
 from cremlat.halphen import twist_characteristic
 from cremlat.hypgraph import (
@@ -255,19 +256,32 @@ class TestFiniteMetric:
         assert FiniteMetric([[0, Decimal("1.50")], [Q(3, 2), 0]]).distance(0, 1) == Q(3, 2)
 
     def test_numerators_and_denominators(self):
-        # the form metric_from_csv hands over: unreduced pairs, one unit for all
-        metric = FiniteMetric([[0, 2, 6], [-2, 0, 3], [6, 3, 0]],
-                              denominators=[[1, 4, 3], [-4, 1, 2], [3, 2, 1]])
+        # rows of strings, as metric_from_csv hands them over: the reader keeps
+        # the unreduced pairs, and the metric takes one unit for all
+        rows = [["0", "2/4", "6/3"], ["2/4", "0", "3/2"], ["6/3", "3/2", "0"]]
+        assert rational_row(rows[0], "distance") == ([0, 2, 6], [1, 4, 3])
+        metric = FiniteMetric(rows)
         assert metric.matrix == FiniteMetric([[0, Q(1, 2), 2], [Q(1, 2), 0, Q(3, 2)],
                                               [2, Q(3, 2), 0]]).matrix
         assert metric._unit == Q(1, 2) and metric._ints == [[0, 1, 4], [1, 0, 3], [4, 3, 0]]
-        arr, unit = _delta_py.scaled_array([[0, 2, 6], [-2, 0, 3], [6, 3, 0]],
-                                           [[1, 4, 3], [-4, 1, 2], [3, 2, 1]])
+        numerators, denominators = zip(*(rational_row(row, "distance") for row in rows))
+        arr, unit = _delta_py.scaled_array(numerators, denominators)
         assert unit == Q(1, 2) and arr.dtype == "int16" and arr.tolist() == metric._ints
-        with pytest.raises(ValueError, match="^zero denominator$"):
-            FiniteMetric([[0, 1], [1, 0]], denominators=[[1, 0], [1, 1]])
+        for zero in ([[0, "1/0"], ["1/0", 0]], [["0", "1/0"], ["1/0", "0"]]):
+            with pytest.raises(ValueError, match="^zero denominator: '1/0'$"):
+                FiniteMetric(zero)
         with pytest.raises(ValueError, match="^matrix must be square$"):
-            FiniteMetric([[0, 1], [1, 0]], denominators=[[1, 1]])
+            FiniteMetric([[0, 1], [1]])
+
+    @settings(max_examples=50, deadline=None)
+    @given(matrix=star_metrics(max_size=8), denominator=st.integers(1, 12))
+    def test_string_rows_and_row_generators_read_as_fractions(self, matrix, denominator):
+        fractions = [[Q(x, denominator) for x in row] for row in matrix]
+        strings = [[f"{x}/{denominator}" for x in row] for row in matrix]  # unreduced
+        want = FiniteMetric(fractions)
+        for rows in (strings, (iter(row) for row in strings), (row for row in fractions)):
+            got = FiniteMetric(rows)
+            assert (got.matrix, got._ints, got._unit) == (want.matrix, want._ints, want._unit)
 
     def test_triangle_check_big_values(self):
         big = 2**63

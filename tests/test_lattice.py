@@ -301,6 +301,17 @@ class TestMembership:
         assert report.bezout_witness.residual == Q(-1, 10)
         assert report.nonneg_mults and report.anticanonical and report.excesses
 
+    @pytest.mark.parametrize("mult, collinear, conics, kind", [
+        (Q(1, 2), [(6, 7, 8)], [], "declared_line"),  # five_conic fails too
+        (Q(5, 12), [], [tuple(range(3, 9))], "five_conic"),  # declared_conic fails too
+    ])
+    def test_bezout_reports_the_first_failing_curve(self, mult, collinear, conics, kind):
+        # the family is tried in order: pair line, declared lines, five-point
+        # conic, declared conics
+        cfg = Configuration(range(9), collinear=collinear, conics=conics)
+        report = in_E(PicardManinClass(1, {p: mult for p in range(9)}), cfg)
+        assert report.bezout_witness.kind == kind
+
     def test_overweight_single_point(self):
         # a line with a double point is not effective even with one point around
         report = in_E(PicardManinClass(1, {1: 2}), Configuration.generic([1]))

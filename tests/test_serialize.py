@@ -5,9 +5,10 @@ import sys
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cremlat import cli
-from cremlat._exact import exact_rational
+from cremlat._exact import exact_rational, rational_row
 from cremlat.bubble import Configuration
 from cremlat.cremona import Characteristic, standard_quadratic
 from cremlat.lattice import PicardManinClass, line
@@ -23,7 +24,6 @@ from cremlat.serialize import (
     germset_from_record,
     germset_to_record,
     load_runconfig,
-    _metric_row,
     metric_from_csv,
     rational_to_str,
     real_to_str,
@@ -279,17 +279,41 @@ class TestMetricCsv:
             want = exact_rational(text, "distance")
         except ValueError as exc:
             with pytest.raises(ValueError) as got:
-                _metric_row([text])
+                rational_row([text], "distance")
             assert str(got.value) == str(exc)
             assert (code, out, err) == (1, "", f"delta: bad input: {exc}\n")
             return
-        (num,), (den,) = _metric_row([text])
+        (num,), (den,) = rational_row([text], "distance")
         assert Q(num, den) == want
         if want > 0:
             assert code == 0
             assert metric_from_csv(path).distance("a", "b") == want
         else:
             assert (code, err) == (1, "delta: bad input: nonpositive distance at ('a', 'b')\n")
+
+    # plain cells, cells the plain reader hands on, cells exact_rational refuses,
+    # the edges of the digit limit, ints and Fractions
+    ROW_CELLS = st.one_of(
+        st.sampled_from(["0", "12", "-3/4", "007/3", "2/4", "-0/5", "+3/4", " 3/4 ", "1.5",
+                         "1,2", "1/0", "0/0", "x", "", "7" * 4300, "7" * 4301, "1/" + "7" * 4301]),
+        st.from_regex(r"\A-?[0-9]{1,6}(/[0-9]{1,4})?\Z"),
+        st.integers(-(10**6), 10**6),
+        st.fractions(),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(row=st.lists(ROW_CELLS, max_size=6))
+    def test_row_reader_agrees_with_cell_reader(self, row):
+        try:
+            want = [exact_rational(cell, "distance") for cell in row]
+        except (TypeError, ValueError) as exc:
+            with pytest.raises(type(exc)) as got:
+                rational_row(row, "distance")
+            assert str(got.value) == str(exc)
+            return
+        nums, dens = rational_row(iter(row), "distance")
+        assert [Q(num, den) for num, den in zip(nums, dens)] == want
+        assert all(type(x) is int for x in nums + dens) and all(den > 0 for den in dens)
 
 
 class TestCsvText:
