@@ -67,7 +67,9 @@ __all__ = sorted(_MODULE)
 def __getattr__(name: str):
     module = _MODULE.get(name)
     if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        from ._exact import cut_repr
+
+        raise AttributeError(f"module {cut_repr(__name__)} has no attribute {cut_repr(name)}")
     value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
     globals()[name] = value  # later reads skip this hook
     return value

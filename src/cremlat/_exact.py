@@ -1,5 +1,6 @@
-"""The package's one reader of numbers, for arguments and file fields alike;
-a leaf module, so every layer can import it."""
+"""The package's one reader of numbers, for arguments and file fields alike,
+and its one formatter of the values a message echoes (``cut_repr``); a leaf
+module, so every layer can import it."""
 
 from __future__ import annotations
 
@@ -17,20 +18,35 @@ _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 _PLAIN_ROW = re.compile(r"-?[0-9]+(?:/[0-9]+)?(?:,-?[0-9]+(?:/[0-9]+)?)*")
 
 
-def cut_repr(value) -> str:
+def cut_repr(value, *, typed: bool = False) -> str:
     """repr(value), cut to 80 characters ending in "…": the most of a value a message echoes.
 
-    It never raises.  An int of more than ``digit_limit()`` digits, which
-    repr refuses, shows as its size in bits, and any other value whose repr
-    fails (a list holding such an int) as its type."""
-    if isinstance(value, int) and not _printable(value, digit_limit()):
-        text = f"{'-' if value < 0 else ''}<int of {abs(value).bit_length()} bits>"
+    A Fraction shows as its str ("-4", "3/2"), the number a domain message
+    names, or as its repr ("Fraction(5, 1)") when ``typed``: a refusal of
+    the value's type, where "got 5" would hide why.  It never raises: an
+    int, or a Fraction's numerator or denominator, of more than
+    ``digit_limit()`` digits, which repr refuses, shows as its size in bits,
+    and any other value whose repr fails (a list holding such an int) as its
+    type."""
+    if isinstance(value, Fraction) and not typed:
+        text = _int_text(value.numerator)
+        if value.denominator != 1:
+            text += "/" + _int_text(value.denominator)
+    elif isinstance(value, int):
+        text = _int_text(value)
     else:
         try:
             text = repr(value)
         except ValueError:
             text = f"<{type(value).__name__} holding an int of more than {digit_limit()} digits>"
     return text if len(text) <= 80 else text[:79] + "…"
+
+
+def _int_text(n: int) -> str:
+    """repr(n), or its size in bits past ``digit_limit()`` digits."""
+    if _printable(n, digit_limit()):
+        return repr(n)
+    return f"{'-' if n < 0 else ''}<int of {abs(n).bit_length()} bits>"
 
 
 def exact_int(value, what: str) -> int:
@@ -52,7 +68,7 @@ def exact_int(value, what: str) -> int:
             return operator.index(value)
         except TypeError:
             pass
-    raise TypeError(f"{what} must be an integer, got {cut_repr(value)}")
+    raise TypeError(f"{what} must be an integer, got {cut_repr(value, typed=True)}")
 
 
 def exact_rational(value, what: str) -> Fraction:

@@ -25,6 +25,7 @@ from typing import Optional, Sequence
 # Each cmd_* imports the legs it runs, so a job loads only its own: delta
 # never loads the Cremona or Halphen code, halphen-table never hypgraph.
 # (The module docstring is the --help text, so this note lives here.)
+from ._exact import cut_repr
 from .errors import CremlatError, UnknownPoint
 
 EXIT_OK = 0
@@ -48,9 +49,9 @@ def _positive(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected an integer, got {cut_repr(text)}")
     if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {cut_repr(value)}")
     return value
 
 
@@ -104,7 +105,7 @@ def cmd_flat_growth(args) -> int:
     _emit(body + f"# certificate: {verdict}\n", args.out)
     if not certificate.passed:
         print(
-            f"flat-growth: lower-bound certificate fails at k = {certificate.failing_k}",
+            f"flat-growth: lower-bound certificate fails at k = {cut_repr(certificate.failing_k)}",
             file=sys.stderr,
         )
         return EXIT_MATH

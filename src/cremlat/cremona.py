@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from ._exact import cut_repr, exact_int, exact_rational
 from .bubble import PointId
@@ -27,7 +27,9 @@ from .errors import (
     MissingResolutionData,
     UnsupportedClassSupport,
 )
-from .lattice import PicardManinClass
+
+if TYPE_CHECKING:
+    from .lattice import PicardManinClass
 
 Q = Fraction
 Weighted = Tuple[PointId, int]
@@ -221,6 +223,8 @@ def apply(
     support away from the base is carried by ``image_map``.  The action is
     an isometry of the pairing.
     """
+    from .lattice import PicardManinClass
+
     if char.resolution is None:
         raise MissingResolutionData("apply needs the resolution matrix")
     image_map = dict(image_map or {})

@@ -21,11 +21,13 @@ negated e-coefficients; multiplicities() exposes that reading.
 from __future__ import annotations
 
 import operator
-from typing import Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Sequence, Tuple, Union
 
-from ._exact import exact_int
-from .cremona import Characteristic
+from ._exact import cut_repr, exact_int
 from .errors import IdentityTwist, NotInKPerp
+
+if TYPE_CHECKING:
+    from .cremona import Characteristic
 
 RANK = 10
 
@@ -138,7 +140,9 @@ class TwistParam:
         coords = vector._coords
         k_pairing = _pair(coords, _K_COORDS)
         if k_pairing != 0:
-            raise NotInKPerp(f"{vector} pairs to {k_pairing} with the canonical vector")
+            raise NotInKPerp(
+                f"{cut_repr(vector)} pairs to {cut_repr(k_pairing)} with the canonical vector"
+            )
         # K is characteristic (a.a = a.K mod 2), so a in K-perp has even self-pairing
         self._vector = vector
         self._half_square = _pair(coords, coords) // 2
@@ -202,6 +206,8 @@ def twist_characteristic(n: int, m: int) -> Characteristic:
     class, base multiplicities from the backward translate; both sides use
     the marked point ids 0..8, dropping zero entries.
     """
+    from .cremona import Characteristic
+
     a = _twist_vector(n, m)
     if not any(a.vector.coords):
         raise IdentityTwist("the (0, 0) twist is the identity")

@@ -58,9 +58,9 @@ class Graph:
         neighbors: Dict[object, set] = {v: set() for v in self._vertices}
         for a, b in edges:
             if a not in self._index or b not in self._index:
-                raise ValueError(f"edge ({a!r}, {b!r}) uses unknown vertices")
+                raise ValueError(f"edge ({cut_repr(a)}, {cut_repr(b)}) uses unknown vertices")
             if a == b:
-                raise ValueError(f"loop at {a!r}")
+                raise ValueError(f"loop at {cut_repr(a)}")
             neighbors[a].add(b)
             neighbors[b].add(a)
         self._neighbors = {v: tuple(sorted(ns, key=self._index.__getitem__)) for v, ns in neighbors.items()}
@@ -241,14 +241,14 @@ class SubgraphFamily:
         for pair, subset in members.items():
             key = frozenset(pair)
             if len(key) != 2:
-                raise ValueError(f"pair {tuple(pair)!r} must have two distinct vertices")
+                raise ValueError(f"pair {cut_repr(tuple(pair))} must have two distinct vertices")
             store[key] = frozenset(subset)
         self._members = store
 
     def member(self, x, y) -> FrozenSet:
         key = frozenset((x, y))
         if key not in self._members:
-            raise MalformedFamily(f"no subgraph declared for pair ({x!r}, {y!r})")
+            raise MalformedFamily(f"no subgraph declared for pair ({cut_repr(x)}, {cut_repr(y)})")
         return self._members[key]
 
 
@@ -336,11 +336,15 @@ def bowditch_check(graph: Graph, family: SubgraphFamily, h) -> BowditchResult:
             subset = family.member(x, y)
             unknown = [v for v in subset if v not in graph]
             if unknown:
-                raise MalformedFamily(f"Gamma({x!r}, {y!r}) uses unknown vertices {unknown!r}")
+                raise MalformedFamily(
+                    f"Gamma({cut_repr(x)}, {cut_repr(y)}) uses unknown vertices {cut_repr(unknown)}"
+                )
             if x not in subset or y not in subset:
-                raise MalformedFamily(f"Gamma({x!r}, {y!r}) misses an endpoint")
+                raise MalformedFamily(f"Gamma({cut_repr(x)}, {cut_repr(y)}) misses an endpoint")
             if not graph.induced_connected(subset):
-                raise MalformedFamily(f"Gamma({x!r}, {y!r}) induces a disconnected subgraph")
+                raise MalformedFamily(
+                    f"Gamma({cut_repr(x)}, {cut_repr(y)}) induces a disconnected subgraph"
+                )
             masks[frozenset((x, y))] = _mask(subset, graph)
 
     # h-balls around each vertex, as bitmasks over the vertex order
@@ -374,8 +378,9 @@ def bowditch_check(graph: Graph, family: SubgraphFamily, h) -> BowditchResult:
                         condition=2,
                         witness=(x, y, z, v),
                         message=(
-                            f"Gamma({x!r}, {y!r}) contains {v!r}, farther than {h} "
-                            f"from Gamma({x!r}, {z!r}) union Gamma({y!r}, {z!r})"
+                            f"Gamma({cut_repr(x)}, {cut_repr(y)}) contains {cut_repr(v)}, "
+                            f"farther than {cut_repr(h)} from Gamma({cut_repr(x)}, {cut_repr(z)}) "
+                            f"union Gamma({cut_repr(y)}, {cut_repr(z)})"
                         ),
                     )
 
@@ -392,8 +397,8 @@ def bowditch_check(graph: Graph, family: SubgraphFamily, h) -> BowditchResult:
                             condition=3,
                             witness=(x, y, a, b),
                             message=(
-                                f"Gamma({x!r}, {y!r}) has diameter > {h}: "
-                                f"d({a!r}, {b!r}) = {dists[a][b]}"
+                                f"Gamma({cut_repr(x)}, {cut_repr(y)}) has diameter > {cut_repr(h)}"
+                                f": d({cut_repr(a)}, {cut_repr(b)}) = {cut_repr(dists[a][b])}"
                             ),
                         )
     return BowditchResult()

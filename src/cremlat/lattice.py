@@ -132,10 +132,12 @@ def distance(c: PicardManinClass, d: PicardManinClass) -> float:
     """
     for label, cls in (("first", c), ("second", d)):
         if self_intersection(cls) != 1:
-            raise NotOnHyperboloid(f"{label} class has self-intersection {self_intersection(cls)}")
+            raise NotOnHyperboloid(
+                f"{label} class has self-intersection {cut_repr(self_intersection(cls))}"
+            )
     product = intersect(c, d)
     if product < 1:
-        raise InvalidPair(f"pairing {product} < 1")
+        raise InvalidPair(f"pairing {cut_repr(product)} < 1")
     try:
         return math.acosh(float(product))
     except OverflowError:

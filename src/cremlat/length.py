@@ -22,6 +22,7 @@ import functools
 import math
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
+from ._exact import cut_repr
 from .cremona import Characteristic, md, require_valid, side_violations
 from .errors import InvalidCharacteristic, NoDecrease, TooManyBasePoints
 
@@ -116,7 +117,7 @@ def _greedy_step(d: int, mults: Sequence[int]) -> GreedyStep:
         if best is None or new_degree < best[1]:
             best = (k, new_degree, smalls)
     if best is None or best[1] >= d:
-        raise NoDecrease(f"no factor drops the degree below {d}")
+        raise NoDecrease(f"no factor drops the degree below {cut_repr(d)}")
     k, new_degree, smalls = best
     leftover = [d * (k - 1) - (k - 2) * center - smalls]
     leftover += (d - center - m for m in mults[1 : 2 * k - 1])

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Tuple
 
@@ -174,7 +173,7 @@ class RunConfig(NamedTuple):
         for name, char in self.characteristics:
             if name == label:
                 return char
-        raise KeyError(f"no characteristic labeled {label!r}")
+        raise KeyError(f"no characteristic labeled {cut_repr(label)}")
 
 
 def runconfig_from_record(record: dict) -> RunConfig:
@@ -190,6 +189,8 @@ def runconfig_from_record(record: dict) -> RunConfig:
 
 
 def load_json(path: str) -> dict:
+    import json
+
     with open(path, "r", encoding="utf-8") as handle:
         try:
             record = json.load(handle)

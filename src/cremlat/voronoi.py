@@ -36,11 +36,12 @@ class GermSet:
         for label, cls in entries:
             if self_intersection(cls) != 1:
                 raise NotOnHyperboloid(
-                    f"germ {cut_repr(label)} has self-intersection {self_intersection(cls)}"
+                    f"germ {cut_repr(label)} has self-intersection "
+                    f"{cut_repr(self_intersection(cls))}"
                 )
             if cls.degree <= 0:
                 raise NotOnHyperboloid(
-                    f"germ {cut_repr(label)} has degree {cls.degree}, off the upper sheet"
+                    f"germ {cut_repr(label)} has degree {cut_repr(cls.degree)}, off the upper sheet"
                 )
             labels.append(str(label))
             classes.append(cls)
@@ -81,10 +82,13 @@ def cell_member(c: PicardManinClass, idx: int, germs: GermSet) -> bool:
         raise IndexOutOfRange(f"germ index {cut_repr(idx)} out of range 0..{len(germs) - 1}")
     if self_intersection(c) <= 0:
         raise NotOnHyperboloid(
-            f"membership needs a class of positive self-intersection, got {self_intersection(c)}"
+            f"membership needs a class of positive self-intersection, "
+            f"got {cut_repr(self_intersection(c))}"
         )
     if c.degree <= 0:
-        raise NotOnHyperboloid(f"membership needs a class of positive degree, got {c.degree}")
+        raise NotOnHyperboloid(
+            f"membership needs a class of positive degree, got {cut_repr(c.degree)}"
+        )
     own = intersect(c, germs[idx])
     return all(own <= intersect(c, other) for other in germs.classes)
 

@@ -119,6 +119,13 @@ class TestUsage:
         code, _, _ = run(capsys, ["flat-growth", "--kmax", "0"])
         assert code == 1
 
+    @pytest.mark.parametrize("nmax", ["9" * 5000, "-" + "9" * 4000], ids=["huge", "huge-negative"])
+    def test_huge_bound_is_echoed_cut(self, capsys, nmax):
+        # the bound used to come back whole: a 5 075-byte stderr line
+        code, out, err = run(capsys, ["halphen-table", "--nmax", nmax])
+        assert code == 1 and out == ""
+        assert err.endswith("\n") and "\n" not in err[:-1] and len(err) <= 200, err
+
     def test_help_exits_zero(self, capsys):
         code, out, _ = run(capsys, ["--help"])
         assert code == 0 and "halphen-table" in out
@@ -526,12 +533,14 @@ def test_numpy_loads_only_for_metrics(tmp_path):
 # classify and in-e no hypgraph); see also test_exports for `import cremlat`
 LEGS = {
     "delta": "_delta_py _exact cli errors hypgraph serialize",
-    "halphen-table": "_exact bubble cli cremona errors halphen lattice serialize",
-    "flat-growth": "_delta_py _exact bubble cli cremona errors halphen hypgraph lattice length serialize",
-    "length": "_exact bubble cli cremona errors lattice length serialize",
+    "halphen-table": "_exact cli errors halphen serialize",
+    "flat-growth": "_delta_py _exact bubble cli cremona errors halphen hypgraph length serialize",
+    "length": "_exact bubble cli cremona errors length serialize",
     "classify": "_exact bubble cli cremona errors lattice serialize voronoi",
     "in-e": "_exact bubble cli errors lattice serialize",
 }
+# the jobs that read no JSON file, and so must not load the json module
+NO_JSON = {"delta", "flat-growth", "halphen-table"}
 
 
 @pytest.mark.parametrize("command", sorted(LEGS))
@@ -550,11 +559,15 @@ def test_job_loads_only_its_legs(tmp_path, command):
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = cremlat.cli.main(sys.argv[1:])\n"
         "print(code, *sorted(name[8:] for name in sys.modules if name.startswith('cremlat.')))\n"
+        "print('json' in sys.modules)\n"
     )
     proc = subprocess.run([sys.executable, "-c", script, command, *argv],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == f"0 {LEGS[command]}\n"
+    legs, json_loaded = proc.stdout.splitlines()
+    assert legs == f"0 {LEGS[command]}"
+    if command in NO_JSON:
+        assert json_loaded == "False"
 
 
 # runs `python -m cremlat ARGS`, then reports what the child saw on stderr

@@ -19,17 +19,25 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cremlat._exact import exact_int
+from cremlat._exact import cut_repr, exact_int
 from cremlat.bubble import Configuration
 from cremlat.cremona import Characteristic
-from cremlat.errors import CremlatError
-from cremlat.halphen import HalphenVector, point_vector, twist_degree
-from cremlat.hypgraph import FiniteMetric, bowditch_check, flat_growth, geodesic_family, path_graph
-from cremlat.lattice import PicardManinClass, line
+from cremlat.errors import CremlatError, MalformedFamily
+from cremlat.halphen import HalphenVector, TwistParam, point_vector, twist_degree
+from cremlat.hypgraph import (
+    FiniteMetric, Graph, SubgraphFamily, bowditch_check, flat_growth, geodesic_family, path_graph,
+)
+from cremlat.lattice import PicardManinClass, distance, line
+from cremlat.length import _greedy_step
+from cremlat.serialize import RunConfig
 from cremlat.voronoi import GermSet, boundary_class, cell_member
 
 _PATH = path_graph(3)
 _GERMS = GermSet([("l", line()), ("2l", PicardManinClass(2, {0: 1, 1: 1, 2: 1}))])
+# n^2 - (2m)^2 - (2m^2)^2 = 1 for n = 2m^2 + 1: a hyperboloid class of huge
+# degree on the lower sheet
+_M = 10**2500
+_LOWER = PicardManinClass(-(2 * _M * _M + 1), {0: 2 * _M, 1: 2 * _M * _M})
 
 
 def _class(c):
@@ -59,6 +67,11 @@ TARGETS = {
     "twist n": lambda x: [twist_degree(x, 0)],
     "twist m": lambda x: [twist_degree(1, x)],
     "cell_member index": lambda x: [int(cell_member(line(), x, _GERMS))],
+    "germ degree": lambda x: [len(GermSet([("g", PicardManinClass(x))]))],
+    "member degree": lambda x: [int(cell_member(PicardManinClass(x), 0, _GERMS))],
+    "distance degree": lambda x: [int(distance(PicardManinClass(x), line()) >= 0)],
+    "twist parameter coordinate":
+        lambda x: list(TwistParam(HalphenVector((x,) + (0,) * 9)).vector.coords),
     "boundary_class point": lambda x: _class(boundary_class([x, *range(1, 9)])),
     "bowditch h": lambda x: [int(bowditch_check(_PATH, geodesic_family(_PATH), x).passed)],
     "graph size": lambda x: [len(path_graph(x).vertices)],
@@ -107,6 +120,8 @@ def check(target, value):
     except (TypeError, ValueError, CremlatError) as exc:
         message = str(exc)
         assert "\n" not in message and 0 < len(message) <= 200, (target, value, message)
+        # int()'s own refusal to print a huge int, in place of the domain error
+        assert "Exceeds the limit" not in message, (target, value, message)
     else:
         assert all(_is_exact(v) for v in numbers), (target, value, numbers)
     finally:
@@ -177,6 +192,24 @@ def test_numpy_ints_are_read_as_plain_ints():
     (lambda: boundary_class([10**300] * 9), f"need exactly 9 distinct points, got [1{'0' * 77}…"),
     (lambda: boundary_class([10**5000] * 9),
      "need exactly 9 distinct points, got <list holding an int of more than 4300 digits>"),
+    (lambda: GermSet([("g", PicardManinClass(10**300))]),
+     f"germ 'g' has self-intersection 1{'0' * 78}…"),
+    (lambda: GermSet([("g", PicardManinClass(10**5000))]),
+     "germ 'g' has self-intersection <int of 33220 bits>"),
+    (lambda: GermSet([("g", _LOWER)]), "germ 'g' has degree -<int of 16611 bits>, off the upper sheet"),
+    (lambda: cell_member(PicardManinClass(-(10**5000)), 0, _GERMS),
+     "membership needs a class of positive degree, got -<int of 16610 bits>"),
+    (lambda: distance(PicardManinClass(10**300), line()),
+     f"first class has self-intersection 1{'0' * 78}…"),
+    (lambda: distance(line(), _LOWER), "pairing -<int of 16611 bits> < 1"),
+    (lambda: TwistParam(HalphenVector((10**300,) + (0,) * 9)),
+     f"HalphenVector(1{'0' * 64}… pairs to -3{'0' * 77}… with the canonical vector"),
+    (lambda: TwistParam(HalphenVector((10**5000,) + (0,) * 9)),
+     "<HalphenVector holding an int of more than 4300 digits> pairs to -<int of 16612 bits> "
+     "with the canonical vector"),
+    (lambda: Graph([0], [(0, 10**5000)]), "edge (0, <int of 16610 bits>) uses unknown vertices"),
+    (lambda: _greedy_step(10**5000, (1, 1, 1)),
+     "no factor drops the degree below <int of 16610 bits>"),
 ], ids=lambda p: "" if callable(p) else p[:40])
 def test_huge_ints_are_echoed_cut(call, message):
     # each used to raise int()'s own "Exceeds the limit" ValueError in place
@@ -184,3 +217,67 @@ def test_huge_ints_are_echoed_cut(call, message):
     with pytest.raises((ValueError, CremlatError)) as info:
         call()
     assert str(info.value) == message
+
+
+# a vertex label, a germ label or a map label: past a printed line and past
+# int()'s digit limit
+LABELS = ["x" * 1000, 10**5000]
+
+
+def _family(graph, members):
+    return bowditch_check(graph, SubgraphFamily(members), 0)
+
+
+# each call echoes the label L; None: bowditch_check returns the message
+LABEL_CALLS = {
+    "edge": (lambda L: Graph([0], [(0, L)]), ValueError),
+    "loop": (lambda L: Graph([L], [(L, L)]), ValueError),
+    "pair": (lambda L: SubgraphFamily({(L, L): {L}}), ValueError),
+    "undeclared pair": (lambda L: SubgraphFamily({}).member(0, L), MalformedFamily),
+    "unknown vertex": (
+        lambda L: _family(Graph([0, 1], [(0, 1)]), {(0, 1): {0, 1, L}}), MalformedFamily),
+    "missed endpoint": (lambda L: _family(Graph([0, L], [(0, L)]), {(0, L): {0}}), MalformedFamily),
+    "disconnected": (
+        lambda L: _family(Graph([0, 1, L], [(0, 1), (1, L)]),
+                          {(0, 1): {0, 1}, (0, L): {0, L}, (1, L): {1, L}}),
+        MalformedFamily),
+    # condition (2): Gamma(0, 1) runs through L, away from Gamma(0, 2) and Gamma(1, 2)
+    "far vertex": (
+        lambda L: _family(Graph([0, 1, 2, L], [(0, L), (L, 1), (0, 2), (2, 1)]),
+                          {(0, 1): {0, L, 1}, (0, 2): {0, 2}, (1, 2): {1, 2},
+                           (0, L): {0, L}, (1, L): {1, L}, (2, L): {2, 0, L}}),
+        None),
+    # condition (3): an edge's subgraph has diameter 1 > h = 0
+    "diameter": (lambda L: _family(Graph([0, L], [(0, L)]), {(0, L): {0, L}}), None),
+    "characteristic label": (lambda L: RunConfig().characteristic(L), KeyError),
+}
+
+
+@pytest.mark.parametrize("label", LABELS, ids=["long string", "huge int"])
+@pytest.mark.parametrize("call", LABEL_CALLS)
+def test_labels_are_echoed_cut(call, label):
+    # bare !r echoed a 1 000-character label whole (a 1 034-character edge
+    # message), and 10**5000 raised int()'s "Exceeds the limit" in its place
+    build, error = LABEL_CALLS[call]
+    if error is None:
+        message = build(label).message
+    else:
+        with pytest.raises(error) as info:
+            build(label)
+        message = str(info.value)
+    assert "\n" not in message and len(message) <= 200, message
+    assert "Exceeds the limit" not in message, message
+
+
+def test_cut_repr_shows_a_fraction_as_its_str():
+    # the str a domain message names ("got -4"), cut as an int is
+    assert [cut_repr(q) for q in (Q(-4), Q(3, 2), Q(0))] == ["-4", "3/2", "0"]
+    assert cut_repr(Q(10**100, 3)) == "1" + "0" * 78 + "…"
+    assert cut_repr(Q(-(10**5000), 3)) == "-<int of 16610 bits>/3"
+    assert cut_repr(Q(1, 10**5000)) == "1/<int of 16610 bits>"
+    assert cut_repr(Q(10**5000)) == "<int of 16610 bits>" == cut_repr(10**5000)
+    # a refusal of the value's type shows the type
+    assert cut_repr(Q(5), typed=True) == "Fraction(5, 1)"
+    assert cut_repr(Q(10**5000), typed=True) == (
+        "<Fraction holding an int of more than 4300 digits>"
+    )
