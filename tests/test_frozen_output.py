@@ -4,11 +4,12 @@
 1..20 and `halphen-table --nmax N` for every N in 1..32; `length` is pinned
 by its data row for quadratic towers 1..12 and for three lattice twists;
 `delta` is pinned by the sha256 of its stdout on seeded stars with mixed
-denominators (8 to 72 points), rational-scaled grids of 6x6 to 9x9, stars and
-the 6x6 grid times 2**70, and 4-cycles whose largest entry sits on either
-side of each dtype edge of the numpy array; metrics of at most 64 points (the
-4-cycles, the stars up to 64 points and the grids up to 8x8) run on Python
-int rows, and the 72-point stars and the 9x9 grid on the numpy array;
+denominators (8 to 104 points), rational-scaled grids of 6x6 to 10x10, stars
+and the 6x6 grid times 2**70, a seeded 96-point tree, and 4-cycles whose
+largest entry sits on either side of each dtype edge of the numpy array;
+metrics of at most 64 points (the 4-cycles, the stars up to 64 points and the
+grids up to 8x8) run on Python int rows, and the larger ones on the numpy
+array;
 `in-e` is pinned by the sha256 of its exit code and stdout on one class per
 curve-witness kind and on seeded classes, members and not, with and without
 `--config`; `classify` is pinned the same way on seeded run configurations
@@ -192,6 +193,10 @@ DELTA_SHA256 = {
     "star72x2**70": "d7e0257b550d862b40595dde922c76ced92f6677d85c184016e51bea33d24b2a",
     "grid8": "b115e9ccc44af7d8fb52128b0df14400590fb1349589e13efd5ceae9da7aef06",
     "grid9": "81607730f89d5e7bde5b519009fc45557b6d39061a71a01221f41c6cb72048eb",
+    "star104": "c6d0797039aa0ed8857b8eb23a4e094f476a0cc50913525f2cc551215961c26c",
+    "star104x2**70": "8da31a6c2f885c1ee827399dea23aa36a8d7b5e692e3efb03b43c5e254c1b658",
+    "grid10": "5f86591482f9b838f0f967372a71a83c7ed180472fc63a27e743fb0da30f0f27",
+    "tree96": "867d8df3b57ac57327491017a8d79dc170ce6c6222ff6b3885a5c85d3128c079",
 }
 
 
@@ -213,6 +218,22 @@ def grid_matrix(k, scale):
     cells = [(r, c) for r in range(k) for c in range(k)]
     labels = [f"g{r}_{c}" for r, c in cells]
     return labels, [[scale * (abs(r - r2) + abs(c - c2)) for r2, c2 in cells] for r, c in cells]
+
+
+def tree_matrix(n):
+    """Seeded tree metric with mixed-denominator edge lengths in [1, 20]: every
+    defect is 0."""
+    rng = random.Random(f"frozen-delta-tree:{n}")
+    dens = (1, 2, 3, 5, 7, 12)
+    matrix = [[Q(0)]]
+    for v in range(1, n):
+        d = rng.choice(dens)
+        length = Q(rng.randint(d, 20 * d), d)
+        row = [x + length for x in matrix[rng.randrange(v)]]
+        for u, x in enumerate(row):
+            matrix[u].append(x)
+        matrix.append(row + [Q(0)])
+    return [f"t{i}" for i in range(n)], matrix
 
 
 def cycle_matrix(peak):
@@ -237,6 +258,10 @@ def delta_metrics():
         metrics[f"star{n}x2**70"] = labels, [[x * 2**70 for x in row] for row in matrix]
     for k in (8, 9):
         metrics[f"grid{k}"] = grid_matrix(k, Q(7, 12))
+    metrics["star104"] = labels, matrix = star_matrix(104)
+    metrics["star104x2**70"] = labels, [[x * 2**70 for x in row] for row in matrix]
+    metrics["grid10"] = grid_matrix(10, Q(7, 12))
+    metrics["tree96"] = tree_matrix(96)
     return metrics
 
 
