@@ -23,7 +23,10 @@ IPL 2015): seen from a basepoint w,
 
 is the pair-sum d(x, y) + d(z, w) minus the larger of the other two, so the
 maximum over the three choices of {x, y} among {x, y, z} is the quadruple's
-largest pair-sum minus its second largest.  This is the package's only
+largest pair-sum minus its second largest.  Both scans stop by Gromov's
+basepoint-change lemma (Ghys and de la Harpe, "Sur les groupes hyperboliques
+d'apres Mikhael Gromov", ch. 2): if no triple seen from one basepoint scores
+more than D, no quadruple scores more than 2 D.  This is the package's only
 numpy module.
 """
 
@@ -45,7 +48,7 @@ from ._exact import cut_repr
 # ~90-170 ms import; at 96 points ~28-55 ms (~85 ms Euclidean, ~150-165 ms
 # on a tree) against ~13-16 ms (seeded metrics on a 2-vCPU Xeon VM, Python
 # 3.11, numpy 2.4)
-_SMALL = 64
+_SMALL = 96
 
 # elements of one min(P[x], P[y]) block; keeps the numpy scan's memory O(n^2)
 _CHUNK = 2**17
@@ -173,12 +176,33 @@ def max_defect(d) -> int:
     repeated points score <= 0.  It is what ``metric_array`` returns, as a
     FiniteMetric stores it (rows up to ``_SMALL`` points, an array past
     that), or any square list of lists of ints; both scans are exact at
-    any size.  The size rule holds only through ``FiniteMetric`` and
-    ``metric_array``: a list is always scanned in pure Python, so a list of
-    more than ``_SMALL`` rows gets the pure scan, 2-11x slower than numpy's
-    at 96 points.
+    any size, and both stop once the best defect reaches twice the first
+    basepoint's, the most any quadruple can score.  The size rule holds
+    only through ``FiniteMetric`` and ``metric_array``: a list is always
+    scanned in pure Python, so a list of more than ``_SMALL`` rows gets the
+    pure scan.
     """
     return rows_defect(d) if isinstance(d, list) else array_defect(d)
+
+
+def _basepoint_scan(d, scan_from) -> int:
+    """``max_defect`` of the metric ``d``, where ``scan_from(d, w, best)`` is
+    the larger of ``best`` and the largest score of the quadruples whose
+    smallest point is w, so that every quadruple is seen once.
+
+    The first basepoint sees every triple of the other points, so its best
+    is D0, the constant of Gromov's product inequality at that basepoint.
+    By the basepoint-change lemma no quadruple scores more than 2 * D0, so
+    the scan stops once ``best`` reaches that.  On a tree D0 is 0 and one
+    basepoint is scanned."""
+    best = 0
+    for w in range(len(d) - 3):
+        best = scan_from(d, w, best)
+        if not w:
+            cap = 2 * best
+        if best >= cap:
+            break
+    return best
 
 
 def rows_defect(rows: Sequence[Sequence[int]]) -> int:
@@ -191,47 +215,50 @@ def rows_defect(rows: Sequence[Sequence[int]]) -> int:
     and t <= d(y, w) + U[y].  Each x is paired with the points after it in
     the order of d(x, w) + U[x], where the first bound is the smaller: a pair
     needs V[x][y] + best + 1 <= U[x], and that one comparison drops most
-    pairs.  A pair it keeps is tested by one AND of two bitsets: with a row's
-    indices sorted by value, the z holding its entries >= t are its top k for
-    k found by bisection, kept as one Python int per k and built the first
+    pairs, though on a tree, where best stays 0, it keeps most of them.  A
+    pair it keeps is tested by one AND of two bitsets: with a row's indices
+    sorted by value, the z holding its entries >= t are its top k for k
+    found by bisection, kept as one Python int per k and built the first
     time a kept pair needs the row.  Only a hit re-scores the pair, exactly,
     over every z.  Nothing is rounded, so the scan is exact for ints of any
-    size.
+    size.  It stops as ``_basepoint_scan`` says, so a tree costs one
+    basepoint.
     """
-    n = len(rows)
-    best = 0
-    # every quadruple is seen once from its smallest point w
-    for w in range(n - 3):
-        r = rows[w][w + 1 :]
-        m = len(r)
-        vs = [list(map(sub, r, row[w + 1 :])) for row in rows[w + 1 :]]
-        # z == x never helps a pair (x, y).  -d(x, w) <= V[x][z] by the
-        # triangle law, so V[x][x] = -d(x, w) leaves U[x] the largest over
-        # z != x, and puts P[x, x] at 0, below every t
-        for x, vx in enumerate(vs):
-            vx[x] = -r[x]
-        us = list(map(max, vs))
-        order = sorted(range(m), key=list(map(add, r, us)).__getitem__)
-        one = [1 << z for z in range(m)]
-        # row x's _sorted_tops, from the first kept pair that needs it
-        tables = [None] * m
-        for i, x in enumerate(order):
-            vx, ux, rx = vs[x], us[x], r[x]
-            tx = None
-            # the score is symmetric in x and y, and 0 at most when y == x
-            for y in order[i + 1 :]:
-                # s = t - d(x, w), and t - d(y, w) = s + d(x, w) - d(y, w);
-                # the row bound keeps the pair while s <= U[x]
-                s = vx[y] + best + 1
-                if s > ux:
-                    continue
-                if tx is None:
-                    tx = tables[x] = tables[x] or _sorted_tops(vx, one)
-                ty = tables[y] = tables[y] or _sorted_tops(vs[y], one)
-                if tx[1][m - bisect_left(tx[0], s)] & ty[1][m - bisect_left(ty[0], s + rx - r[y])]:
-                    # P[x, z] - P[x, y] = V[x][z] - V[x][y], and so for y
-                    vy = vs[y]
-                    best = max(map(min, map(sub, vx, repeat(vx[y])), map(sub, vy, repeat(vy[x]))))
+    return _basepoint_scan(rows, _rows_from)
+
+
+def _rows_from(rows: Sequence[Sequence[int]], w: int, best: int) -> int:
+    """The scan of ``rows_defect`` from basepoint w, starting at ``best``."""
+    r = rows[w][w + 1 :]
+    m = len(r)
+    vs = [list(map(sub, r, row[w + 1 :])) for row in rows[w + 1 :]]
+    # z == x never helps a pair (x, y).  -d(x, w) <= V[x][z] by the
+    # triangle law, so V[x][x] = -d(x, w) leaves U[x] the largest over
+    # z != x, and puts P[x, x] at 0, below every t
+    for x, vx in enumerate(vs):
+        vx[x] = -r[x]
+    us = list(map(max, vs))
+    order = sorted(range(m), key=list(map(add, r, us)).__getitem__)
+    one = [1 << z for z in range(m)]
+    # row x's _sorted_tops, from the first kept pair that needs it
+    tables = [None] * m
+    for i, x in enumerate(order):
+        vx, ux, rx = vs[x], us[x], r[x]
+        tx = None
+        # the score is symmetric in x and y, and 0 at most when y == x
+        for y in order[i + 1 :]:
+            # s = t - d(x, w), and t - d(y, w) = s + d(x, w) - d(y, w);
+            # the row bound keeps the pair while s <= U[x]
+            s = vx[y] + best + 1
+            if s > ux:
+                continue
+            if tx is None:
+                tx = tables[x] = tables[x] or _sorted_tops(vx, one)
+            ty = tables[y] = tables[y] or _sorted_tops(vs[y], one)
+            if tx[1][m - bisect_left(tx[0], s)] & ty[1][m - bisect_left(ty[0], s + rx - r[y])]:
+                # P[x, z] - P[x, y] = V[x][z] - V[x][y], and so for y
+                vy = vs[y]
+                best = max(map(min, map(sub, vx, repeat(vx[y])), map(sub, vy, repeat(vy[x]))))
     return best
 
 
@@ -243,22 +270,23 @@ def _sorted_tops(row: List[int], one: List[int]) -> Tuple[List[int], List[int]]:
 
 
 def array_defect(arr) -> int:
-    """``max_defect`` of a numpy array, by the basepoint scan in row chunks."""
+    """``max_defect`` of a numpy array, by the basepoint scan in row chunks,
+    stopped as ``_basepoint_scan`` says."""
+    return _basepoint_scan(arr, _array_from)
+
+
+def _array_from(arr, w: int, best: int) -> int:
+    """The scan of ``array_defect`` from basepoint w, starting at ``best``."""
     import numpy as np
 
-    n = len(arr)
-    best = 0
-    # every quadruple is seen once from its smallest point w
-    for w in range(n - 3):
-        r = arr[w, w + 1 :]
-        prod = r[:, None] + r[None, :] - arr[w + 1 :, w + 1 :]
-        m = n - w - 1
-        step = max(1, _CHUNK // (m * m))
-        for lo in range(0, m, step):
-            # the score is symmetric in x and y, so y < lo was met as an x row
-            rows = prod[lo : lo + step]
-            pairs = np.minimum(rows[:, None, :], prod[None, lo:]).max(axis=2)
-            top = (pairs - rows[:, lo:]).max()
-            if top > best:
-                best = top
-    return int(best)
+    r = arr[w, w + 1 :]
+    prod = r[:, None] + r[None, :] - arr[w + 1 :, w + 1 :]
+    m = len(r)
+    step = max(1, _CHUNK // (m * m))
+    for lo in range(0, m, step):
+        # the score is symmetric in x and y, so y < lo was met as an x row
+        rows = prod[lo : lo + step]
+        pairs = np.minimum(rows[:, None, :], prod[None, lo:]).max(axis=2)
+        # a Python int, so that twice it cannot wrap in the array's dtype
+        best = max(best, int((pairs - rows[:, lo:]).max()))
+    return best

@@ -39,6 +39,11 @@ def cut_repr(value, *, typed: bool = False) -> str:
             text = repr(value)
         except ValueError:
             text = f"<{type(value).__name__} holding an int of more than {digit_limit()} digits>"
+    return cut(text)
+
+
+def cut(text: str) -> str:
+    """``text`` cut to 80 characters ending in "…", as ``cut_repr`` cuts a repr."""
     return text if len(text) <= 80 else text[:79] + "…"
 
 

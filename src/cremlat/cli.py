@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 # Each cmd_* imports the legs it runs, so a job loads only its own: delta
 # never loads the Cremona or Halphen code, halphen-table never hypgraph.
 # (The module docstring is the --help text, so this note lives here.)
-from ._exact import cut_repr
+from ._exact import cut, cut_repr
 from .errors import CremlatError, UnknownPoint
 
 EXIT_OK = 0
@@ -39,8 +39,20 @@ def _fail(message: str) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
+    # the tokens this parser reads, for error() to find in argparse's words
+    _tokens: Sequence[str] = ()
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._tokens = list(sys.argv[1:] if args is None else args)
+        return super().parse_known_args(self._tokens, namespace)
+
     # usage problems are input errors: exit 1 and one stderr line, not argparse's 2 and usage
     def error(self, message: str) -> None:
+        # argparse echoes a token whole, as its repr or bare: cut both as cut_repr
+        # cuts a value, which leaves a short token's bytes as they are.  The
+        # longest go first, so no token is cut inside a longer one
+        for token in sorted(self._tokens, key=len, reverse=True):
+            message = message.replace(repr(token), cut_repr(token)).replace(token, cut(token))
         _fail(f"{self.prog}: error: {message}")
         raise SystemExit(EXIT_INPUT)
 

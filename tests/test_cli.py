@@ -126,6 +126,23 @@ class TestUsage:
         assert code == 1 and out == ""
         assert err.endswith("\n") and "\n" not in err[:-1] and len(err) <= 200, err
 
+    @pytest.mark.parametrize("argv, echo", [
+        (["x" * 3000], "invalid choice: '" + "x" * 78 + "… (choose from 'halphen-table',"),
+        (["delta", "a.csv", "--bogus", "y" * 3000], "unrecognized arguments: --bogus " + "y" * 79 + "…\n"),
+        (["delta", "a.csv", "z" * 90, "z" * 3000], "arguments: " + "z" * 79 + "… " + "z" * 79 + "…\n"),
+    ], ids=["command", "option", "nested"])
+    def test_long_token_is_echoed_cut(self, capsys, argv, echo):
+        # argparse's own words used to echo the token whole: 3 137 and 3 049 bytes
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == ""
+        assert echo in err and "\n" not in err[:-1] and len(err.encode()) < 300, err
+
+    def test_short_tokens_keep_their_bytes(self, capsys):
+        code, _, err = run(capsys, ["frobnicate"])
+        assert code == 1
+        assert err == ("cremlat: error: argument command: invalid choice: 'frobnicate' (choose from "
+                       "'halphen-table', 'flat-growth', 'delta', 'length', 'classify', 'in-e')\n")
+
     def test_help_exits_zero(self, capsys):
         code, out, _ = run(capsys, ["--help"])
         assert code == 0 and "halphen-table" in out
@@ -505,7 +522,7 @@ def path_metric_csv(tmp_path, n):
 
 def test_numpy_loads_only_for_metrics(tmp_path):
     # numpy's import is most of the start-up time of a job that builds no
-    # metric or one of at most 64 points, which is checked and scanned on
+    # metric or one of at most 96 points, which is checked and scanned on
     # Python ints; dataclasses (it loads inspect) would cost every job. Only
     # what the import adds counts.
     script = (
@@ -522,7 +539,7 @@ def test_numpy_loads_only_for_metrics(tmp_path):
         "        seen.append('numpy' in sys.modules)\n"
         "print(*seen)\n"
     )
-    metrics = [str(path_metric_csv(tmp_path, n)) for n in (3, 64, 65)]
+    metrics = [str(path_metric_csv(tmp_path, n)) for n in (3, 96, 97)]
     proc = subprocess.run([sys.executable, "-c", script, *metrics], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[] False False False False True\n"
@@ -585,8 +602,8 @@ BLAS_PROBE = (
 
 def test_blas_starts_single_threaded(tmp_path):
     # the package does no BLAS work, so numpy's worker threads only cost
-    # start-up; 65 points is the smallest metric that loads numpy
-    metric = path_metric_csv(tmp_path, 65)
+    # start-up; 97 points is the smallest metric that loads numpy
+    metric = path_metric_csv(tmp_path, 97)
     base = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
     seen = []
     for preset in ({}, {"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": "2"}):
@@ -597,7 +614,7 @@ def test_blas_starts_single_threaded(tmp_path):
         assert proc.returncode == 0, proc.stderr
         seen.append((proc.stdout, json.loads(proc.stderr)))
     (unset_out, unset), (preset_out, preset) = seen
-    assert unset_out == preset_out == "points,delta,delta_real\n65,0/1,0\n"
+    assert unset_out == preset_out == "points,delta,delta_real\n97,0/1,0\n"
     assert unset["numpy"]
     assert unset["env"] == ["1", "1"]  # defaults when the user set nothing
     assert preset["env"] == ["3", "2"]  # a user's own setting wins

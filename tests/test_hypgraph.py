@@ -70,6 +70,18 @@ def tree_matrix(n, rng):
     return d
 
 
+def chord_tree_matrix(n, rng, chords):
+    """Distances of a random tree with edge lengths 1..20 plus ``chords``
+    unit-length edges between random pairs: a near-tree."""
+    d = tree_matrix(n, rng)
+    for _ in range(chords):
+        a, b = rng.sample(range(n), 2)
+        d[a][b] = d[b][a] = 1
+        # a shortest path uses the new edge at most once
+        d = [[min(x, row[a] + 1 + d[b][j], row[b] + 1 + d[a][j]) for j, x in enumerate(row)] for row in d]
+    return d
+
+
 def euclid_matrix(n, rng):
     """Euclidean distances between distinct integer points, rounded up, exactly:
     the ceiling of a sum is at most the sum of the ceilings, so this is a metric."""
@@ -120,6 +132,32 @@ def graph_metrics(draw, max_size=10):
         through = d[k]
         d = [[min(x, row[k] + y) for x, y in zip(row, through)] for row in d]
     return d
+
+
+@st.composite
+def tree_metrics(draw, max_size=14):
+    """A tree with edge lengths 1..20 plus up to two unit chords: a tree or a
+    near-tree, where the best defect from the first basepoint is 0 or small."""
+    n = draw(st.integers(4, max_size))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return chord_tree_matrix(n, random.Random(seed), draw(st.integers(0, 2)))
+
+
+@st.composite
+def band_metrics(draw, max_size=14):
+    """Distances in [low, 2 low]: any two sum to at least a third."""
+    n = draw(st.integers(4, max_size))
+    return band_matrix(n, random.Random(draw(st.integers(0, 2**32 - 1))), draw(st.sampled_from([1, 3, 100])))
+
+
+def first_basepoint_defect(d):
+    """D0: the largest score min(P[x, z], P[y, z]) - P[x, y] over the triples
+    of the other points seen from point 0, by brute force (0 for a repeated
+    point, x = y = z)."""
+    n = len(d)
+    p = [[d[x][0] + d[y][0] - d[x][y] for y in range(n)] for x in range(n)]
+    return max((min(p[x][z], p[y][z]) - p[x][y] for x in range(1, n) for y in range(1, n)
+                for z in range(1, n) if len({x, y, z}) == 3), default=0)
 
 
 @st.composite
@@ -422,18 +460,32 @@ class TestFourPointDelta:
     @pytest.mark.parametrize("factor, offset", [(1, 0), (2**70, 1)], ids=["1", "2**70+1"])
     def test_pure_kernel_memory(self, factor, offset):
         # the pure scan keeps one basepoint's rows, and the sorted rows and
-        # bitsets its kept pairs need, at a time: 0.2-0.4 MB on this star
-        # and up to ~0.55 MB on a 64-point tree, which needs every row's,
-        # against 6-8 MB for every basepoint's at once
-        star = [[int(x) for x in row] for row in star_matrix(64, random.Random(64))]
-        ints = [[x * factor + offset if x else 0 for x in row] for row in star]
-        tracemalloc.start()
-        try:
-            _delta_py.rows_defect(ints)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * 2**20
+        # bitsets its kept pairs need, at a time: 0.1-0.2 MB on a 64-point
+        # star, 0.3-0.45 MB on a 96-point one and 0.75-0.9 MB on a 96-point
+        # tree with ten chords, which needs nearly every row's at every
+        # basepoint, against 6-8 MB at 64 points for every basepoint's at once
+        for d in (star_matrix(64, random.Random(64)), star_matrix(96, random.Random(96)),
+                  chord_tree_matrix(96, random.Random(96), 10)):
+            ints = [[int(x) * factor + offset if x else 0 for x in row] for row in d]
+            tracemalloc.start()
+            try:
+                _delta_py.rows_defect(ints)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * 2**20
+
+    def test_pure_scan_of_a_tree_stops_after_one_basepoint(self, monkeypatch):
+        # the first basepoint's best is 0 on a tree, and twice 0 bounds every
+        # quadruple, so only that basepoint's rows get sorted tables; without
+        # the stop the row bound keeps most pairs at every basepoint and
+        # thousands of tables are built
+        d = tree_matrix(96, random.Random(96))
+        calls = []
+        sorted_tops = _delta_py._sorted_tops
+        monkeypatch.setattr(_delta_py, "_sorted_tops", lambda *a: calls.append(a) or sorted_tops(*a))
+        assert _delta_py.rows_defect(d) == 0
+        assert 0 < len(calls) <= len(d) - 1
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(4, 10), st.integers(0, 2**32 - 1))
@@ -485,8 +537,9 @@ class TestFourPointDelta:
     @pytest.mark.parametrize("n", [24, 96])
     def test_common_factor_keeps_the_dtype(self, n):
         # the unit absorbs a common factor: a star times 2**70 gets the star's
-        # own array, in int16 and not on the object path (n = 96 stores it,
-        # n = 24 stores the same entries as Python int rows)
+        # own array, in int16 and not on the object path (FiniteMetric stores
+        # the same entries as Python int rows at both sizes, which are at
+        # most _SMALL)
         star = star_matrix(n, random.Random(n), denominator=3)
         big_star = [[x * 2**70 for x in row] for row in star]
         arr, unit = _delta_py.scaled_array(*parts(star))
@@ -531,10 +584,10 @@ def outcome(build, check, scan, numerators, denominators, labels):
 
 
 class TestPathsAgree:
-    """The Python int rows (metrics of up to 64 points) and the numpy array
-    (past 64) are two implementations of one builder, checker and kernel:
+    """The Python int rows (metrics of up to 96 points) and the numpy array
+    (past 96) are two implementations of one builder, checker and kernel:
     called directly on the same inputs, at every size up to 40 and on stars
-    and grids on either side of 64 points, they agree."""
+    and grids from 56 points to either side of 96, they agree."""
 
     # factors 2**61 and 2**70 with offset 1 put entries past 2**62, where the
     # array is object dtype; each fault breaks one axiom, and two faults race
@@ -577,16 +630,17 @@ class TestPathsAgree:
         assert pure == array
 
     # grids with many ties, stars with few; times 2**70 plus 1 the entries
-    # pass 2**62 with gcd 1, so the array is object dtype
+    # pass 2**62 with gcd 1, so the array is object dtype.  A grid of n
+    # points is the first n cells of rows of c, under the l1 distance
     @pytest.mark.parametrize("factor, offset", [(1, 0), (2**70, 1)], ids=["1", "2**70+1"])
     @pytest.mark.parametrize("shape", ["star", "grid"])
-    @pytest.mark.parametrize("n", [56, 64, 65, 72])
+    @pytest.mark.parametrize("n", [56, 64, 65, 72, 88, 96, 97, 104])
     def test_kernels_across_the_cutoff(self, n, shape, factor, offset):
         if shape == "star":
             d = [[int(x) for x in row] for row in star_matrix(n, random.Random(n))]
         else:
-            r, c = {56: (7, 8), 64: (8, 8), 65: (5, 13), 72: (8, 9)}[n]
-            cells = [(i, j) for i in range(r) for j in range(c)]
+            c = {56: 8, 64: 8, 65: 13, 72: 9, 88: 11, 96: 12, 97: 10, 104: 13}[n]
+            cells = [divmod(i, c) for i in range(n)]
             d = [[abs(i - k) + abs(j - l) for k, l in cells] for i, j in cells]
         d = [[x * factor + offset if x else 0 for x in row] for row in d]
         arr, unit = _delta_py.scaled_array(d, [[1] * n for _ in range(n)])
@@ -614,6 +668,19 @@ class TestPathsAgree:
     def test_kernels_match_quadruple_oracle_as_best_rises(self, d):
         arr, unit = _delta_py.scaled_array(d, [[1] * len(d) for _ in d])
         oracle = quadruple_defect(d)
+        assert _delta_py.rows_defect(d) == _delta_py.array_defect(arr) * unit.numerator == oracle
+
+    # both scans stop once best reaches twice D0, the first basepoint's best:
+    # exact only if no quadruple scores more, which the basepoint-change
+    # lemma says; trees stop at once, near-trees and bands rarely
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(star_metrics(14), tree_metrics(), band_metrics()))
+    @example(CHORD4)
+    @example(PATH36)
+    def test_kernels_stop_at_twice_the_first_basepoint(self, d):
+        arr, unit = _delta_py.scaled_array(d, [[1] * len(d) for _ in d])
+        oracle = quadruple_defect(d)
+        assert oracle <= 2 * first_basepoint_defect(d)
         assert _delta_py.rows_defect(d) == _delta_py.array_defect(arr) * unit.numerator == oracle
 
 

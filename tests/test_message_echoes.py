@@ -34,7 +34,7 @@ ALLOWED = {
     "limit": "digit_limit(), int()'s own bound",
     "path": "a file path, which the OS bounds; the CLI prints it unquoted in pinned messages",
     "exc": "a caught exception: the package's own message, already cut, or csv's fixed words",
-    "message": "argparse's own words, which this policy cannot reach",
+    "message": "argparse's own words; `_Parser.error` cuts the tokens they echo as cut_repr cuts",
     "self.prog": "the parser's program name, set by the CLI",
     "args.command": "the subcommand name, one of the parser's six choices",
     "type(value).__name__": "the name of a JSON value's type (list, str, int, ...)",
