@@ -41,13 +41,13 @@ from typing import List, Sequence, Tuple
 
 from ._exact import cut_repr
 
-# the largest metric checked and scanned on Python int rows.  At 64 points the
-# pure check and scan take ~9-20 ms on star, grid and random-band metrics,
-# ~27-35 ms on rounded Euclidean ones and ~38-50 ms on a tree, where the row
-# bound rules out the fewest pairs, against ~5-8 ms in numpy after its
-# ~90-170 ms import; at 96 points ~28-55 ms (~85 ms Euclidean, ~150-165 ms
-# on a tree) against ~13-16 ms (seeded metrics on a 2-vCPU Xeon VM, Python
-# 3.11, numpy 2.4)
+# the largest metric checked and scanned on Python int rows.  At 96 points the
+# pure check and scan take ~35-45 ms on star, grid and random-band metrics,
+# ~11 ms on a tree (the scan stops after one basepoint), ~110 ms on rounded
+# Euclidean ones and ~140-150 ms on a tree plus a few chords, where the row
+# bound keeps the most pairs and the scan does not stop early, against
+# ~16-22 ms in numpy after its ~90-150 ms import (seeded metrics on a 2-vCPU
+# Xeon VM, Python 3.11, numpy 2.4)
 _SMALL = 96
 
 # elements of one min(P[x], P[y]) block; keeps the numpy scan's memory O(n^2)
@@ -116,7 +116,9 @@ def metric_array(numerators: Sequence[Sequence[int]], denominators: Sequence[Seq
 
 def check_rows(rows: List[List[int]], labels: Sequence) -> None:
     """The metric axioms on rows of ints: zero diagonal, symmetry, positivity
-    above the diagonal, then the triangle law, each naming its first bad pair."""
+    above the diagonal, then the triangle law, each naming its first bad pair.
+    A pair's triangle test sums its two rows packed into one int each, every
+    two-step path at once."""
     n = len(rows)
     for i in range(n):
         if rows[i][i]:
@@ -136,15 +138,33 @@ def check_rows(rows: List[List[int]], labels: Sequence) -> None:
     # from i to j; a failure at (i, j) is one at (j, i), so the first has i < j.
     # Every two-step path from i to j is at least near[i] + near[j], the
     # distances from i and from j to their nearest other points, so a pair no
-    # longer than that meets the law and needs no min-plus row
+    # longer than that meets the law and is not tested
     near = [min(row[:i] + row[i + 1 :], default=0) for i, row in enumerate(rows)]
+    packed = None
     for i, row in enumerate(rows):
         ni = near[i]
         for j in range(i + 1, n):
-            if row[j] - near[j] > ni and min(map(add, row, rows[j])) < row[j]:
-                raise ValueError(
-                    f"triangle inequality fails between {cut_repr(labels[i])} and {cut_repr(labels[j])}"
-                )
+            if row[j] - near[j] > ni:
+                if packed is None:
+                    packed, ones, guard = _packed(rows)
+                # field k holds its top bit plus d(i, k) + d(j, k) - d(i, j): the
+                # bit stays set exactly when the path through k is no shorter
+                if (packed[i] + packed[j] + guard - row[j] * ones) & guard != guard:
+                    raise ValueError(
+                        f"triangle inequality fails between {cut_repr(labels[i])} and {cut_repr(labels[j])}"
+                    )
+
+
+def _packed(rows: List[List[int]]) -> Tuple[List[int], int, int]:
+    """Each row of nonnegative ints as one int of fixed-width fields, entry k
+    in field k, with ``ones`` (1 in every field) and ``guard`` (the top bit of
+    every field).  The top bit lies above twice the largest entry, so a sum
+    of two rows plus ``guard``, less at most one entry in every field,
+    neither carries nor borrows between fields."""
+    size = ((2 * max(map(max, rows))).bit_length() + 8) // 8  # bytes per field
+    packed = [int.from_bytes(b"".join([x.to_bytes(size, "little") for x in row]), "little") for row in rows]
+    ones = int.from_bytes((b"\x01" + bytes(size - 1)) * len(rows), "little")
+    return packed, ones, ones << (8 * size - 1)
 
 
 def check_array(arr, labels: Sequence) -> None:

@@ -7,9 +7,10 @@ by its data row for quadratic towers 1..12 and for three lattice twists;
 denominators (8 to 104 points), rational-scaled grids of 6x6 to 10x10, stars
 and the 6x6 grid times 2**70, a seeded 96-point tree, and 4-cycles whose
 largest entry sits on either side of each dtype edge of the numpy array;
-metrics of at most 64 points (the 4-cycles, the stars up to 64 points and the
-grids up to 8x8) run on Python int rows, and the larger ones on the numpy
-array;
+metrics of at most 96 points (the 4-cycles, the stars up to 72 points, the
+grids up to 9x9 and the tree, on which the scan stops after one basepoint)
+run on Python int rows, and the 104-point stars and the 10x10 grid on the
+numpy array;
 `in-e` is pinned by the sha256 of its exit code and stdout on one class per
 curve-witness kind and on seeded classes, members and not, with and without
 `--config`; `classify` is pinned the same way on seeded run configurations

@@ -327,6 +327,21 @@ class TestFiniteMetric:
             FiniteMetric([[0, big, 1], [big, 0, big - 2], [1, big - 2, 0]])
         FiniteMetric([[0, big, 1], [big, 0, big], [1, big, 0]])
 
+    def test_triangle_check_across_field_widths(self):
+        # the check on rows sums two rows packed into fixed-width fields.  A
+        # path 0-1-2-3 with a point 4 at t from all: the pair (0, 3) is tested,
+        # and its two-step path through 4, 2 t against a side of 3, fills its
+        # field most; t sits at each edge of a byte of field width
+        for t in (2, 63, 64, 127, 128, 2**14 - 1, 2**14, 2**15, 2**62, 2**70):
+            good = [[abs(i - j) if i < 4 > j else t for j in range(5)] for i in range(5)]
+            for i in range(5):
+                good[i][i] = 0
+            _delta_py.check_rows(good, range(5))
+            _delta_py.check_array(_delta_py.scaled_array(good, [[1] * 5] * 5)[0], range(5))
+            good[0][3] = good[3][0] = 4  # longer than 0-1-3
+            with pytest.raises(ValueError, match="^triangle inequality fails between 0 and 3$"):
+                _delta_py.check_rows(good, range(5))
+
     # FiniteMetric checks these small matrices on Python int rows; the numpy
     # check runs on each one's array too.  Factor 1 checks int16 arrays.
     # Factor 2**62 with 1 added to every distance checks object arrays: on
