@@ -5,8 +5,10 @@
 by its data row for quadratic towers 1..12 and for three lattice twists;
 `delta` is pinned by the sha256 of its stdout on seeded stars with mixed
 denominators (8 to 104 points), rational-scaled grids of 6x6 to 10x10, stars
-and the 6x6 grid times 2**70, a seeded 96-point tree, and 4-cycles whose
-largest entry sits on either side of each dtype edge of the numpy array;
+and the 6x6 grid times 2**70, a seeded 96-point tree, 4-cycles whose
+largest entry sits on either side of each dtype edge of the numpy array,
+and the 104-point star with each distance d made d (2**70 + 1) + 1, whose
+entries pass 2**62 with gcd 1;
 metrics of at most 96 points (the 4-cycles, the stars up to 72 points, the
 grids up to 9x9 and the tree, on which the scan stops after one basepoint)
 run on Python int rows, and the 104-point stars and the 10x10 grid on the
@@ -198,6 +200,7 @@ DELTA_SHA256 = {
     "star104x2**70": "8da31a6c2f885c1ee827399dea23aa36a8d7b5e692e3efb03b43c5e254c1b658",
     "grid10": "5f86591482f9b838f0f967372a71a83c7ed180472fc63a27e743fb0da30f0f27",
     "tree96": "867d8df3b57ac57327491017a8d79dc170ce6c6222ff6b3885a5c85d3128c079",
+    "star104x(2**70+1)+1": "f497b24f64951e7ee32cfeed3ea1aec5af38832b925a5aebbed8c971b78eb36b",
 }
 
 
@@ -263,6 +266,9 @@ def delta_metrics():
     metrics["star104x2**70"] = labels, [[x * 2**70 for x in row] for row in matrix]
     metrics["grid10"] = grid_matrix(10, Q(7, 12))
     metrics["tree96"] = tree_matrix(96)
+    # gcd 1 with entries past 2**62: no common factor divides it back to int64
+    labels, matrix = star_matrix(104)
+    metrics["star104x(2**70+1)+1"] = labels, [[x * (2**70 + 1) + 1 if x else x for x in row] for row in matrix]
     return metrics
 
 
