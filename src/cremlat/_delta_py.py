@@ -4,15 +4,18 @@ The unit of a metric is the largest rational of which every entry is an
 integer multiple (the gcd of the entries over their least common
 denominator), so its matrix is primitive: the entries have gcd 1.
 
-One size rule picks the matrix's form.  A metric of at most ``_SMALL``
-points is a list of rows of Python ints, checked and scanned in plain
-Python, and numpy is never imported for it: numpy's import costs more than
-the whole check and scan at that size, where a bound per row of each
-basepoint rules out most pairs of points and the scan tests each other pair
-with one AND of two bitsets.  A larger metric is a numpy array in the
-narrowest dtype the checks and the scan cannot overflow: int16, int32 or
-int64 while twice the largest magnitude fits, Python ints (object dtype)
-past that.  Both forms are exact, and numpy loads on the first large metric.
+One rule on the size and the values picks the matrix's form.  A metric of
+at most ``_SMALL`` points, or one whose doubled peak entry passes int64, is
+a list of rows of Python ints, checked and scanned in plain Python, exactly
+at any size, and numpy is never imported for it.  At that size numpy's
+import costs more than the whole check and scan, where a bound per row of
+each basepoint rules out most pairs of points and the scan tests each other
+pair with one AND of two bitsets.  Past int64 numpy would hold each entry as
+a Python object and do the arithmetic one element at a time, slower than the
+rows on every metric measured.  Any other metric is a numpy array in the
+narrowest dtype the checks and the scan cannot overflow: the first of int16,
+int32 and int64 whose maximum holds twice the peak.  numpy loads on the
+first such metric.
 
 The four-point kernel scans doubled Gromov products (Fournier, Ismail and
 Vigneron, "Computing the Gromov hyperbolicity of a discrete metric space",
@@ -50,6 +53,9 @@ from ._exact import cut_repr
 # Xeon VM, Python 3.11, numpy 2.4)
 _SMALL = 96
 
+# the largest int64; an array holds a metric only while twice its peak is at most this
+_INT64_MAX = 2**63 - 1
+
 # elements of one min(P[x], P[y]) block; keeps the numpy scan's memory O(n^2)
 _CHUNK = 2**17
 
@@ -77,8 +83,17 @@ def scaled_rows(numerators: Sequence[Sequence[int]], denominators: Sequence[Sequ
     """The square matrix of rationals numerators[i][j] / denominators[i][j] as
     ``(rows, unit)``: n lists of primitive Python ints, d(i, j) = rows[i][j] * unit."""
     ints, unit = _primitive(numerators, denominators)
-    n = len(numerators)
-    return [ints[i * n : i * n + n] for i in range(n)], unit
+    return _rows(ints, len(numerators)), unit
+
+
+def _rows(ints: List[int], n: int) -> List[List[int]]:
+    return [ints[i * n : i * n + n] for i in range(n)]
+
+
+def _peak(ints: List[int]) -> int:
+    """The largest magnitude among ``ints``, taken over Python ints: it cannot
+    wrap, and a huge negative entry reaches the positivity check."""
+    return max(max(ints, default=0), -min(ints, default=0))
 
 
 def scaled_array(numerators: Sequence[Sequence[int]], denominators: Sequence[Sequence[int]]):
@@ -87,29 +102,36 @@ def scaled_array(numerators: Sequence[Sequence[int]], denominators: Sequence[Seq
     ``unit`` is a positive Fraction and ``array`` the n x n primitive integer
     entries with d(i, j) = array[i, j] * unit.  Every value the checks and the
     scan form lies within twice the peak magnitude, so the dtype is the first
-    of int16, int32 and int64 whose maximum holds 2 * peak, and object dtype
-    (exact Python ints) past that.  The peak is taken over Python ints: it
-    cannot wrap, and a huge negative entry reaches the positivity check.
+    of int16, int32 and int64 whose maximum holds 2 * peak.  Past that it
+    raises OverflowError: ``metric_array`` keeps such a metric on rows.
     """
+    ints, unit = _primitive(numerators, denominators)
+    return _array(ints, len(numerators), _peak(ints)), unit
+
+
+def _array(ints: List[int], n: int, peak: int):
     import numpy as np
 
-    ints, unit = _primitive(numerators, denominators)
-    n = len(numerators)
-    peak = max(max(ints, default=0), -min(ints, default=0))
-    dtype = next((t for t in (np.int16, np.int32, np.int64) if 2 * peak <= np.iinfo(t).max), object)
-    return np.array(ints, dtype=dtype).reshape(n, n), unit
+    for dtype in np.int16, np.int32, np.int64:
+        if 2 * peak <= np.iinfo(dtype).max:
+            return np.array(ints, dtype=dtype).reshape(n, n)
+    raise OverflowError("twice the peak entry passes int64")
 
 
 def metric_array(numerators: Sequence[Sequence[int]], denominators: Sequence[Sequence[int]],
                  labels: Sequence):
-    """The checked primitive matrix of a metric and its unit: ``scaled_rows``
-    for at most ``_SMALL`` points, ``scaled_array`` past that.  A failed axiom
-    raises ValueError naming its first bad pair, row-major, in either form."""
-    if len(numerators) <= _SMALL:
-        rows, unit = scaled_rows(numerators, denominators)
+    """The checked primitive matrix of a metric and its unit: rows of Python
+    ints, as ``scaled_rows`` builds them, for at most ``_SMALL`` points or
+    where twice the peak entry passes int64, and ``scaled_array``'s array
+    otherwise.  A failed axiom raises ValueError naming its first bad pair,
+    row-major, in either form."""
+    ints, unit = _primitive(numerators, denominators)
+    n = len(numerators)
+    if n <= _SMALL or 2 * (peak := _peak(ints)) > _INT64_MAX:
+        rows = _rows(ints, n)
         check_rows(rows, labels)
         return rows, unit
-    arr, unit = scaled_array(numerators, denominators)
+    arr = _array(ints, n, peak)
     check_array(arr, labels)
     return arr, unit
 
@@ -168,8 +190,11 @@ def _packed(rows: List[List[int]]) -> Tuple[List[int], int, int]:
 
 
 def check_array(arr, labels: Sequence) -> None:
-    """``check_rows`` on a numpy array; the triangle check takes one row of
-    min-plus sums at a time."""
+    """``check_rows`` on a numpy array from ``scaled_array``; the triangle
+    check takes one row of min-plus sums at a time.  Its sums lie within
+    twice the peak, so it is exact only in a dtype that holds that, as
+    ``scaled_array`` picks it, and not on an array of Python-int (object)
+    elements."""
     import numpy as np
 
     bad = np.flatnonzero(np.diagonal(arr))
@@ -194,13 +219,14 @@ def max_defect(d) -> int:
     largest).  Returns the maximum defect, 0 for fewer than four points.
     ``d`` must be a metric: the triangle law makes every choice with
     repeated points score <= 0.  It is what ``metric_array`` returns, as a
-    FiniteMetric stores it (rows up to ``_SMALL`` points, an array past
-    that), or any square list of lists of ints; both scans are exact at
-    any size, and both stop once the best defect reaches twice the first
-    basepoint's, the most any quadruple can score.  The size rule holds
-    only through ``FiniteMetric`` and ``metric_array``: a list is always
-    scanned in pure Python, so a list of more than ``_SMALL`` rows gets the
-    pure scan.
+    FiniteMetric stores it (rows up to ``_SMALL`` points and past int64, an
+    array otherwise), or any square list of lists of ints.  The rows scan is
+    exact for ints of any size; the array scan while twice the peak fits
+    the dtype, as ``scaled_array`` picks it.  Both stop once the best
+    defect reaches twice the first basepoint's, the most any quadruple can
+    score.  The rule holds only through ``FiniteMetric`` and
+    ``metric_array``: a list is always scanned in pure Python, so a list of
+    more than ``_SMALL`` rows gets the pure scan.
     """
     return rows_defect(d) if isinstance(d, list) else array_defect(d)
 
@@ -290,13 +316,16 @@ def _sorted_tops(row: List[int], one: List[int]) -> Tuple[List[int], List[int]]:
 
 
 def array_defect(arr) -> int:
-    """``max_defect`` of a numpy array, by the basepoint scan in row chunks,
-    stopped as ``_basepoint_scan`` says."""
+    """``max_defect`` of a numpy array from ``scaled_array``, by the basepoint
+    scan in row chunks, stopped as ``_basepoint_scan`` says."""
     return _basepoint_scan(arr, _array_from)
 
 
 def _array_from(arr, w: int, best: int) -> int:
-    """The scan of ``array_defect`` from basepoint w, starting at ``best``."""
+    """The scan of ``array_defect`` from basepoint w, starting at ``best``.
+    Every value it forms lies within twice the peak, so it is exact only in
+    a dtype that holds that, as ``scaled_array`` picks it, and not on an
+    array of Python-int (object) elements."""
     import numpy as np
 
     r = arr[w, w + 1 :]
@@ -307,6 +336,6 @@ def _array_from(arr, w: int, best: int) -> int:
         # the score is symmetric in x and y, so y < lo was met as an x row
         rows = prod[lo : lo + step]
         pairs = np.minimum(rows[:, None, :], prod[None, lo:]).max(axis=2)
-        # a Python int, so that twice it cannot wrap in the array's dtype
+        # a Python int, so that twice it cannot wrap: twice an int16 best can
         best = max(best, int((pairs - rows[:, lo:]).max()))
     return best

@@ -511,11 +511,12 @@ def test_unknown_point_is_bad_input(capsys, tmp_path, case):
     assert err == f"{prefix[0]}: bad input: {message}\n"
 
 
-def path_metric_csv(tmp_path, n):
-    """A metric CSV of the path on n points: delta 0."""
-    metric = tmp_path / f"path{n}.csv"
+def path_metric_csv(tmp_path, n, factor=1, offset=0):
+    """A metric CSV of the path on n points, each distance d written as
+    d * factor + offset: delta 0."""
+    metric = tmp_path / f"path{n}x{factor}+{offset}.csv"
     rows = [",".join(f"p{i}" for i in range(n))]
-    rows += [",".join(str(abs(i - j)) for j in range(n)) for i in range(n)]
+    rows += [",".join(str(abs(i - j) * factor + offset if i != j else 0) for j in range(n)) for i in range(n)]
     metric.write_text("\n".join(rows) + "\n", encoding="utf-8")
     return metric
 
@@ -523,8 +524,9 @@ def path_metric_csv(tmp_path, n):
 def test_numpy_loads_only_for_metrics(tmp_path):
     # numpy's import is most of the start-up time of a job that builds no
     # metric or one of at most 96 points, which is checked and scanned on
-    # Python ints; dataclasses (it loads inspect) would cost every job. Only
-    # what the import adds counts.
+    # Python ints, as is a larger one whose entries pass int64 (97 points,
+    # times 2**70 + 1 plus 1: gcd 1); dataclasses (it loads inspect) would
+    # cost every job. Only what the import adds counts.
     script = (
         "import io, sys, contextlib\n"
         "before = set(sys.modules)\n"
@@ -539,10 +541,11 @@ def test_numpy_loads_only_for_metrics(tmp_path):
         "        seen.append('numpy' in sys.modules)\n"
         "print(*seen)\n"
     )
-    metrics = [str(path_metric_csv(tmp_path, n)) for n in (3, 96, 97)]
+    metrics = [str(path_metric_csv(tmp_path, n)) for n in (3, 96)]
+    metrics += [str(path_metric_csv(tmp_path, 97, 2**70 + 1, 1)), str(path_metric_csv(tmp_path, 97))]
     proc = subprocess.run([sys.executable, "-c", script, *metrics], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[] False False False False True\n"
+    assert proc.stdout == "[] False False False False False True\n"
 
 
 # the cremlat modules a job loads: its own leg and nothing of the others

@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+import time
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction as Q
@@ -179,6 +180,18 @@ def parts(matrix):
     return [[x.numerator for x in row] for row in matrix], [[x.denominator for x in row] for row in matrix]
 
 
+def array_or_none(numerators, denominators):
+    """``scaled_array``'s (array, unit), or None where twice the primitive
+    peak entry passes int64, and ``scaled_array`` refuses the metric with
+    OverflowError (``metric_array`` keeps it on rows at every size)."""
+    ints, _ = _delta_py._primitive(numerators, denominators)
+    if 2 * max(map(abs, ints), default=0) > 2**63 - 1:
+        with pytest.raises(OverflowError):
+            _delta_py.scaled_array(numerators, denominators)
+        return None
+    return _delta_py.scaled_array(numerators, denominators)
+
+
 def first_triangle_violation(matrix):
     """Brute-force restatement over Fractions: the first bad (i, j), row-major."""
     n = len(matrix)
@@ -187,6 +200,22 @@ def first_triangle_violation(matrix):
             if any(matrix[i][j] > matrix[i][k] + matrix[k][j] for k in range(n)):
                 return i, j
     return None
+
+
+def first_fault(d):
+    """Brute-force restatement of the checks' message on a matrix labelled 0..n-1,
+    or None for a metric: each axiom in turn, each at its first bad pair, row-major."""
+    n = len(d)
+    for i in range(n):
+        if d[i][i]:
+            return f"diagonal entry at {i} is nonzero"
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for what, bad in (("asymmetry", lambda i, j: d[i][j] != d[j][i]),
+                      ("nonpositive distance", lambda i, j: d[i][j] <= 0)):
+        for i, j in filter(lambda pair: bad(*pair), pairs):
+            return f"{what} at ({i}, {j})"
+    bad = first_triangle_violation(d)
+    return None if bad is None else "triangle inequality fails between %d and %d" % bad
 
 
 class TestGraph:
@@ -337,18 +366,22 @@ class TestFiniteMetric:
             for i in range(5):
                 good[i][i] = 0
             _delta_py.check_rows(good, range(5))
-            _delta_py.check_array(_delta_py.scaled_array(good, [[1] * 5] * 5)[0], range(5))
+            # the array holds t up to 2**62 - 1; past that the metric stays on rows
+            built = array_or_none(good, [[1] * 5] * 5)
+            assert (built is None) == (t >= 2**62)
+            if built:
+                _delta_py.check_array(built[0], range(5))
             good[0][3] = good[3][0] = 4  # longer than 0-1-3
             with pytest.raises(ValueError, match="^triangle inequality fails between 0 and 3$"):
                 _delta_py.check_rows(good, range(5))
 
     # FiniteMetric checks these small matrices on Python int rows; the numpy
-    # check runs on each one's array too.  Factor 1 checks int16 arrays.
-    # Factor 2**62 with 1 added to every distance checks object arrays: on
-    # three points or more no common factor divides these entries back into
-    # int64 (on two, one distance is its own gcd).  The added 1 keeps each
-    # triangle's verdict, as a broken triangle misses by at least 2**62 / 6
-    # before it
+    # check runs on each one's int16 array too.  Factor 2**62 with 1 added to
+    # every distance checks the rows past int64, where scaled_array refuses:
+    # on three points or more no common factor divides these entries back
+    # into int64 (on two, one distance is its own gcd).  The added 1 keeps
+    # each triangle's verdict, as a broken triangle misses by at least
+    # 2**62 / 6 before it
     @pytest.mark.parametrize("factor", [1, 2**62])
     def test_triangle_check_matches_brute_force(self, factor):
         rng = random.Random(f"triangle:{factor}")
@@ -362,19 +395,22 @@ class TestFiniteMetric:
                 for j in range(i + 1, n):
                     d = Q(rng.randint(low, 12), rng.choice((1, 1, 2, 3))) * factor + offset
                     matrix[i][j] = matrix[j][i] = d
-            arr = _delta_py.scaled_array(*parts(matrix))[0]
-            assert arr.dtype == ("object" if factor > 1 and n >= 3 else "int16")
+            built = array_or_none(*parts(matrix))
+            assert (built is None) == (factor > 1 and n >= 3)
+            assert built is None or built[0].dtype == "int16"
             bad = first_triangle_violation(matrix)
             if bad is None:
                 assert FiniteMetric(matrix).matrix == tuple(map(tuple, matrix))
-                _delta_py.check_array(arr, range(n))
+                if built:
+                    _delta_py.check_array(built[0], range(n))
                 accepted += 1
             else:
                 message = "^triangle inequality fails between %d and %d$" % bad
                 with pytest.raises(ValueError, match=message):
                     FiniteMetric(matrix)
-                with pytest.raises(ValueError, match=message):
-                    _delta_py.check_array(arr, range(n))
+                if built:
+                    with pytest.raises(ValueError, match=message):
+                        _delta_py.check_array(built[0], range(n))
                 rejected += 1
         assert accepted >= 50 and rejected >= 50
 
@@ -447,14 +483,16 @@ class TestFourPointDelta:
     @example(CYCLE4, 2**60 - 1, 0)  # largest entry 2**61 - 2: still int64
     @example(CYCLE4, 2**60, 0)  # largest entry 2**61: the factor 2**60 divides out
     @example(CYCLE4, 2**60, 1)  # largest entry 2**61 + 1: still int64
-    @example(CYCLE4, 2**61, 1)  # largest entry 2**62 + 1: object
+    @example(CYCLE4, 2**61, 1)  # largest entry 2**62 + 1: rows only
     @example(CHORD4, 1, 0)  # defect 1, the smallest a scan can miss
     def test_kernel_matches_quadruple_oracle(self, d, factor, offset):
         scaled = [[x * factor + offset if x else 0 for x in row] for row in d]
-        arr, unit = _delta_py.scaled_array(scaled, [[1] * len(row) for row in scaled])
+        built = array_or_none(scaled, [[1] * len(row) for row in scaled])
         oracle = quadruple_defect(scaled)
         assert _delta_py.rows_defect(scaled) == oracle
-        assert _delta_py.array_defect(arr) * unit.numerator == oracle
+        if built:
+            arr, unit = built
+            assert _delta_py.array_defect(arr) * unit.numerator == oracle
 
     def test_kernel_memory_is_quadratic(self):
         import numpy  # noqa: F401  (its import is not the kernel's memory)
@@ -515,12 +553,13 @@ class TestFourPointDelta:
         assert four_point_delta(permuted) == four_point_delta(metric)
 
     # a primitive array's largest entry on either side of each dtype edge
-    # (2 * peak <= iinfo.max), and past the int64 range.  A metric of four
+    # (2 * peak <= iinfo.max), and past the int64 range, where scaled_array
+    # refuses (dtype None) and the metric stays on rows.  A metric of four
     # points is stored as Python int rows, so the array is built directly
     @pytest.mark.parametrize(
         "peak, dtype",
         [(2**14 - 1, "int16"), (2**14, "int32"), (2**30 - 1, "int32"), (2**30, "int64"),
-         (2**62 - 1, "int64"), (2**62, "object"), (2**63, "object")],
+         (2**62 - 1, "int64"), (2**62, None), (2**63, None)],
         ids=["2**14-1", "2**14", "2**30-1", "2**30", "2**62-1", "2**62", "2**63"],
     )
     def test_huge_values_use_fallback(self, peak, dtype):
@@ -532,11 +571,15 @@ class TestFourPointDelta:
         d = [[0, short, peak, long], [short, 0, long, peak],
              [peak, long, 0, short], [long, peak, short, 0]]
         ones = [[1] * 4 for _ in range(4)]
-        arr, unit = _delta_py.scaled_array(d, ones)
-        assert arr.dtype == dtype
-        assert unit == 1
-        _delta_py.check_array(arr, range(4))
-        assert _delta_py.array_defect(arr) == quadruple_defect(d)
+        built = array_or_none(d, ones)
+        if dtype is None:
+            assert built is None
+        else:
+            arr, unit = built
+            assert arr.dtype == dtype
+            assert unit == 1
+            _delta_py.check_array(arr, range(4))
+            assert _delta_py.array_defect(arr) == quadruple_defect(d)
         metric = FiniteMetric(d)
         assert metric._ints == d
         assert metric._unit == 1
@@ -546,15 +589,55 @@ class TestFourPointDelta:
         assert first_triangle_violation(bad) == (0, 1)
         with pytest.raises(ValueError, match="^triangle inequality fails between 0 and 1$"):
             FiniteMetric(bad)
-        with pytest.raises(ValueError, match="^triangle inequality fails between 0 and 1$"):
-            _delta_py.check_array(_delta_py.scaled_array(bad, ones[:3])[0], range(3))
+        if dtype:
+            with pytest.raises(ValueError, match="^triangle inequality fails between 0 and 1$"):
+                _delta_py.check_array(_delta_py.scaled_array(bad, ones[:3])[0], range(3))
+
+    # past _SMALL points the array holds a metric while twice its peak fits
+    # int64; one past that the metric stays on rows.  Distances p and p - 1
+    # are a metric with gcd 1 and peak p
+    @pytest.mark.parametrize("peak, form", [(2**62 - 1, "int64"), (2**62, "rows")],
+                             ids=["2**62-1", "2**62"])
+    def test_value_rule_past_the_cutoff(self, peak, form):
+        n = _delta_py._SMALL + 1
+        d = [[0 if i == j else peak - (i + j) % 2 for j in range(n)] for i in range(n)]
+        metric = FiniteMetric(d)
+        assert (metric._unit, metric.matrix[0][2], metric.matrix[0][1]) == (1, peak, peak - 1)
+        ints = metric._ints
+        assert ("rows" if isinstance(ints, list) else ints.dtype) == form
+        assert four_point_delta(metric) == 1
+
+    def test_huge_entries_stay_on_rows(self):
+        # a 104-point star with each distance d made d (2**70 + 1) + 1: still a
+        # metric, with gcd 1 and entries past int64, so every defect is
+        # 2**70 + 1 times the star's.  FiniteMetric and four_point_delta took
+        # 0.72-0.98 s on numpy's object array and take ~55 ms on rows (2-vCPU
+        # Xeon VM, Python 3.11, numpy preloaded): 0.3 s is over 5x the rows'
+        # time and under half the object array's.  The tracemalloc peak was
+        # 1.57 MB on the object array and is 0.62 MB on rows
+        star = star_matrix(104, random.Random(104))
+        d = [[x * (2**70 + 1) + 1 if x else x for x in row] for row in star]
+        started = time.perf_counter()
+        metric = FiniteMetric(d)
+        delta = four_point_delta(metric)
+        elapsed = time.perf_counter() - started
+        assert delta == (2**70 + 1) * four_point_delta(FiniteMetric(star))
+        assert elapsed < 0.3
+        assert isinstance(metric._ints, list) and metric._unit == 1
+        tracemalloc.start()
+        try:
+            four_point_delta(FiniteMetric(d))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     @pytest.mark.parametrize("n", [24, 96])
     def test_common_factor_keeps_the_dtype(self, n):
         # the unit absorbs a common factor: a star times 2**70 gets the star's
-        # own array, in int16 and not on the object path (FiniteMetric stores
-        # the same entries as Python int rows at both sizes, which are at
-        # most _SMALL)
+        # own array, in int16 and not refused as past int64 (FiniteMetric
+        # stores the same entries as Python int rows at both sizes, which are
+        # at most _SMALL)
         star = star_matrix(n, random.Random(n), denominator=3)
         big_star = [[x * 2**70 for x in row] for row in star]
         arr, unit = _delta_py.scaled_array(*parts(star))
@@ -599,14 +682,16 @@ def outcome(build, check, scan, numerators, denominators, labels):
 
 
 class TestPathsAgree:
-    """The Python int rows (metrics of up to 96 points) and the numpy array
-    (past 96) are two implementations of one builder, checker and kernel:
-    called directly on the same inputs, at every size up to 40 and on stars
-    and grids from 56 points to either side of 96, they agree."""
+    """The Python int rows (metrics of up to 96 points, and any whose doubled
+    peak passes int64) and the numpy array (the rest) are two
+    implementations of one builder, checker and kernel: called directly on
+    the same inputs, at every size up to 40 and on stars and grids from 56
+    points to either side of 96, they agree wherever the array holds the
+    metric, and the rows match brute force where it does not."""
 
-    # factors 2**61 and 2**70 with offset 1 put entries past 2**62, where the
-    # array is object dtype; each fault breaks one axiom, and two faults race
-    # for which message comes first
+    # factors 2**61 and 2**70 with offset 1 put entries past 2**62, where
+    # scaled_array refuses and the rows are held to brute force; each fault
+    # breaks one axiom, and two faults race for which message comes first
     @settings(max_examples=120, deadline=None)
     @given(
         graph_metrics(40),
@@ -640,13 +725,23 @@ class TestPathsAgree:
         labels = tuple(range(n))
         pure = outcome(_delta_py.scaled_rows, _delta_py.check_rows, _delta_py.rows_defect,
                        nums, dens, labels)
-        array = outcome(_delta_py.scaled_array, _delta_py.check_array, _delta_py.array_defect,
-                        nums, dens, labels)
-        assert pure == array
+        if array_or_none(nums, dens):
+            array = outcome(_delta_py.scaled_array, _delta_py.check_array, _delta_py.array_defect,
+                            nums, dens, labels)
+            assert pure == array
+        elif (message := first_fault(d)) is not None:
+            assert pure == message
+        else:
+            rows, unit, defect = pure
+            assert [[x * unit for x in row] for row in rows] == d
+            assert defect * unit == quadruple_defect(d)
 
-    # grids with many ties, stars with few; times 2**70 plus 1 the entries
-    # pass 2**62 with gcd 1, so the array is object dtype.  A grid of n
-    # points is the first n cells of rows of c, under the l1 distance
+    # grids with many ties, stars with few.  Times 2**70 plus 1 the entries
+    # pass 2**62 with gcd 1, so metric_array keeps them on rows at every
+    # size; each pair-sum of distinct points gains exactly 2, so every
+    # defect is 2**70 times the plain metric's, scanned on its int16 array.
+    # A grid of n points is the first n cells of rows of c, under the l1
+    # distance
     @pytest.mark.parametrize("factor, offset", [(1, 0), (2**70, 1)], ids=["1", "2**70+1"])
     @pytest.mark.parametrize("shape", ["star", "grid"])
     @pytest.mark.parametrize("n", [56, 64, 65, 72, 88, 96, 97, 104])
@@ -657,10 +752,14 @@ class TestPathsAgree:
             c = {56: 8, 64: 8, 65: 13, 72: 9, 88: 11, 96: 12, 97: 10, 104: 13}[n]
             cells = [divmod(i, c) for i in range(n)]
             d = [[abs(i - k) + abs(j - l) for k, l in cells] for i, j in cells]
-        d = [[x * factor + offset if x else 0 for x in row] for row in d]
-        arr, unit = _delta_py.scaled_array(d, [[1] * n for _ in range(n)])
-        assert arr.dtype == ("object" if offset else "int16")
-        assert _delta_py.rows_defect(d) == _delta_py.array_defect(arr) * unit.numerator
+        ones = [[1] * n for _ in range(n)]
+        arr, unit = _delta_py.scaled_array(d, ones)
+        assert arr.dtype == "int16"
+        if offset:
+            huge = [[x * factor + offset if x else 0 for x in row] for row in d]
+            d, big_unit = _delta_py.metric_array(huge, ones, range(n))
+            assert isinstance(d, list) and d == huge and big_unit == 1
+        assert _delta_py.rows_defect(d) == factor * _delta_py.array_defect(arr) * unit.numerator
 
     # the pure scan's row bound keeps most pairs of a tree, where best never
     # rises past 0, and few on the other shapes
