@@ -32,10 +32,21 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_MATH = 2
 
+# the most bytes of one stderr line, its newline included, in UTF-8 as stderr
+# writes it (an undecodable argv byte as its backslash escape)
+_LINE_BYTES = 300
+# the most unrecognized tokens a usage error names; it counts the rest
+_SHOWN_TOKENS = 3
+
 
 def _fail(message: str) -> None:
-    # one stderr line, even when the message echoes an argument or a path holding a newline
-    print(message.replace("\n", "\\n"), file=sys.stderr)
+    # one stderr line, even when the message echoes an argument or a path
+    # holding a newline, and at most _LINE_BYTES long whatever the values it echoes
+    line = message.replace("\n", "\\n")
+    data = line.encode("utf-8", "backslashreplace")
+    if len(data) >= _LINE_BYTES:
+        line = data[: _LINE_BYTES - 4].decode("utf-8", "ignore") + "…"
+    print(line, file=sys.stderr)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -45,6 +56,16 @@ class _Parser(argparse.ArgumentParser):
     def parse_known_args(self, args=None, namespace=None):
         self._tokens = list(sys.argv[1:] if args is None else args)
         return super().parse_known_args(self._tokens, namespace)
+
+    def parse_args(self, args=None, namespace=None):
+        # argparse's own names every unrecognized token, however many
+        args, extra = self.parse_known_args(args, namespace)
+        if extra:
+            shown = " ".join(extra[:_SHOWN_TOKENS])
+            if len(extra) > _SHOWN_TOKENS:
+                shown += f" … and {len(extra) - _SHOWN_TOKENS} more"
+            self.error(f"unrecognized arguments: {shown}")
+        return args
 
     # usage problems are input errors: exit 1 and one stderr line, not argparse's 2 and usage
     def error(self, message: str) -> None:
@@ -98,7 +119,7 @@ def cmd_halphen_table(args) -> int:
             rows.append([n, m, lattice, closed, _flag(match)])
     _emit(csv_text(["n", "m", "lattice_degree", "closed_form", "match"], rows), args.out)
     if mismatched:
-        print("halphen-table: lattice degree disagrees with the closed form", file=sys.stderr)
+        _fail("halphen-table: lattice degree disagrees with the closed form")
         return EXIT_MATH
     return EXIT_OK
 
@@ -116,10 +137,7 @@ def cmd_flat_growth(args) -> int:
     verdict = "PASS" if certificate.passed else "FAIL"
     _emit(body + f"# certificate: {verdict}\n", args.out)
     if not certificate.passed:
-        print(
-            f"flat-growth: lower-bound certificate fails at k = {cut_repr(certificate.failing_k)}",
-            file=sys.stderr,
-        )
+        _fail(f"flat-growth: lower-bound certificate fails at k = {cut_repr(certificate.failing_k)}")
         return EXIT_MATH
     return EXIT_OK
 
@@ -183,7 +201,7 @@ def cmd_in_e(args) -> int:
     if args.config is not None:
         config = load_runconfig(args.config).configuration
         if config is None:
-            print("in-e: config file has no configuration section", file=sys.stderr)
+            _fail("in-e: config file has no configuration section")
             return EXIT_INPUT
     else:
         config = Configuration.generic(cls.support)
@@ -262,6 +280,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     # JSONDecodeError is a ValueError; an undeclared point id is a fault of the files
     except (UnknownPoint, OSError, ValueError, KeyError, TypeError) as exc:
+        if isinstance(exc, OSError) and isinstance(exc.filename, str):
+            exc.filename = cut(exc.filename)  # OSError's text echoes the path whole
         _fail(f"{args.command}: bad input: {exc}")
         return EXIT_INPUT
     except CremlatError as exc:

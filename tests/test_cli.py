@@ -1,4 +1,5 @@
 import csv
+import errno
 import json
 import os
 import shutil
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from cremlat._exact import cut
 from cremlat.cli import main
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -137,6 +139,15 @@ class TestUsage:
         assert code == 1 and out == ""
         assert echo in err and "\n" not in err[:-1] and len(err.encode()) < 300, err
 
+    def test_long_token_list_is_cut(self, capsys):
+        # argparse named every unrecognized token: 2 000 short ones gave a
+        # 10 930-byte line.  A few are named, and the rest counted
+        code, out, err = run(capsys, ["delta", "a.csv", *(f"t{i}" for i in range(2000))])
+        assert code == 1 and out == ""
+        assert err == "cremlat: error: unrecognized arguments: t0 t1 t2 … and 1997 more\n"
+        code, out, err = run(capsys, ["delta", "a.csv", "x", "y", "z"])
+        assert err == "cremlat: error: unrecognized arguments: x y z\n"
+
     def test_short_tokens_keep_their_bytes(self, capsys):
         code, _, err = run(capsys, ["frobnicate"])
         assert code == 1
@@ -201,9 +212,25 @@ class TestDelta:
         assert code == 0
         assert out == "points,delta,delta_real\n4,0/1,0\n"
 
-    def test_missing_file(self, capsys, tmp_path):
-        code, _, err = run(capsys, ["delta", str(tmp_path / "absent.csv")])
-        assert code == 1 and "bad input" in err
+    def test_missing_file(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run(capsys, ["delta", "absent.csv"])
+        assert code == 1
+        assert err == f"delta: bad input: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: 'absent.csv'\n"
+
+    @pytest.mark.parametrize("argv, number", [
+        (["delta", "a" * 3000], errno.ENAMETOOLONG),
+        (["length", "b/" * 2000], errno.ENOENT),
+        (["halphen-table", "--nmax", "1", "--out", "c/" * 2000], errno.ENOENT),
+    ], ids=["long-name", "long-path", "long-out"])
+    def test_long_path_is_echoed_cut(self, capsys, tmp_path, monkeypatch, argv, number):
+        # OSError's text echoed the path whole: a 3 061-byte line for the
+        # 3 000-character name, 4 065 bytes for the 4 000-character path
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == ""
+        path = argv[-1]
+        assert err == f"{argv[0]}: bad input: [Errno {number}] {os.strerror(number)}: '{path[:79]}…'\n"
 
     def test_malformed_metric(self, capsys, tmp_path):
         metric = tmp_path / "bad.csv"
@@ -246,7 +273,7 @@ class TestDelta:
         code, out, err = run(capsys, ["delta", str(metric)])
         assert code == 1 and out == ""
         limit = csv.field_size_limit()
-        assert err == f"delta: bad input: {metric}: field larger than field limit ({limit})\n"
+        assert err == f"delta: bad input: {cut(str(metric))}: field larger than field limit ({limit})\n"
 
 
 @pytest.mark.parametrize("command, name, text", [
@@ -328,7 +355,7 @@ class TestLength:
         path.write_text('{"degree": ' + "[" * 100_000, encoding="utf-8")
         code, out, err = run(capsys, ["length", str(path)])
         assert code == 1 and out == ""
-        assert err == f"length: bad input: {path}: JSON nested too deeply\n"
+        assert err == f"length: bad input: {cut(str(path))}: JSON nested too deeply\n"
 
 
 class TestClassify:
@@ -405,7 +432,7 @@ def test_top_level_list_is_bad_input(capsys, tmp_path, prefix):
     path = write_json(tmp_path, "list.json", [{"degree": "1/1", "mults": []}])
     code, out, err = run(capsys, prefix + [path])
     assert code == 1 and out == ""
-    assert err == f"{prefix[0]}: bad input: {path}: top level must be a JSON object, found list\n"
+    assert err == f"{prefix[0]}: bad input: {cut(path)}: top level must be a JSON object, found list\n"
 
 
 def tower2_with(side, index, key, value):

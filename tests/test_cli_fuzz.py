@@ -1,12 +1,13 @@
 """The CLI contract under mutated input files and option tokens.
 
 Whatever the files hold, ``cli.main`` returns 0, 1 or 2 and never raises;
-stderr holds at most one line and never a traceback; exit 1 means empty
-stdout and exactly one stderr line.  (``in-e`` exit 2 prints its report to
-stdout by design.)  The inputs start from valid records, metrics and
-arguments and are mutated: subtrees replaced or dropped, lists cut, JSON
-text truncated or flipped, CSV cells, labels, rows and line endings
-changed.  Sizes stay small, so every job is fast.
+stderr holds at most one line, of at most 300 bytes, and never a traceback;
+exit 1 means empty stdout and exactly one stderr line.  (``in-e`` exit 2
+prints its report to stdout by design.)  The inputs start from valid
+records, metrics and arguments and are mutated: subtrees replaced or
+dropped, lists cut, JSON text truncated or flipped, CSV cells, labels, rows
+and line endings changed; file paths and lists of extra tokens are drawn
+long.  Sizes stay small, so every job is fast.
 """
 
 import contextlib
@@ -19,6 +20,9 @@ import tempfile
 from hypothesis import example, given, settings, strategies as st
 
 from cremlat.cli import main
+
+# the most bytes of one stderr line, its newline included
+LINE_BYTES = 300
 
 QUADRATIC = {
     "degree": 2,
@@ -185,6 +189,8 @@ def check_contract(argv, files):
     out, err = out.getvalue(), err.getvalue()
     assert code in (0, 1, 2), (code, err)
     assert "Traceback" not in err and err.count("\n") <= 1, err
+    # as stderr writes it: an undecodable argv byte, a lone surrogate here, as its escape
+    assert len(err.encode("utf-8", "backslashreplace")) <= LINE_BYTES, err
     if code == 1:
         assert out == "" and err.count("\n") == 1 and err.endswith("\n"), (out, err)
     return code, out, err
@@ -256,3 +262,26 @@ OPTION_TOKEN = st.one_of(
 @example("flat-growth", ["\n", "--kmax", "1"])  # the error echoed the newline as it was
 def test_malformed_options(command, tokens):
     check_contract([command] + tokens, {})
+
+
+# never a token that starts with "-": "--o" would be read as --out and write a file
+EXTRA_TOKEN = st.text(max_size=200).filter(lambda t: not t.startswith("-"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([["delta"], ["length"], ["in-e"], ["classify", "--config"]]),
+    st.text(min_size=1, max_size=5000),
+    st.lists(EXTRA_TOKEN, max_size=4),
+    st.integers(0, 3000),
+)
+@example(["delta"], "a" * 3000, [], 0)  # a 3 061-byte "File name too long" line
+@example(["length"], "b/" * 2000, [], 0)
+@example(["delta"], "m.csv", [], 2000)  # a 10 930-byte "unrecognized arguments" line
+@example(["in-e"], "c.json", ["é" * 200] * 4, 0)  # cut tokens of two bytes a character
+def test_long_paths_and_token_lists(command, name, tokens, copies):
+    with tempfile.TemporaryDirectory() as tmp:
+        # under a directory that does not exist, so no drawn name opens a file
+        path = os.path.join(tmp, "absent", "") + name
+        code, _, _ = check_contract(command + [path] + tokens + ["t"] * copies, {})
+    assert code == 1

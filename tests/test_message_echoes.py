@@ -32,8 +32,9 @@ ALLOWED = {
     "least": "the smallest size a graph builder allows, a literal at each caller",
     "minimum": "the fewest points a collinear or conic set needs, a literal",
     "limit": "digit_limit(), int()'s own bound",
-    "path": "a file path, which the OS bounds; the CLI prints it unquoted in pinned messages",
-    "exc": "a caught exception: the package's own message, already cut, or csv's fixed words",
+    "cut(path)": "a file path cut as cut_repr cuts a value; the CLI prints it unquoted in pinned messages",
+    "exc": "a caught exception: the package's own message, already cut, csv's fixed words, "
+           "or an OSError's, whose path the CLI cuts first",
     "message": "argparse's own words; `_Parser.error` cuts the tokens they echo as cut_repr cuts",
     "self.prog": "the parser's program name, set by the CLI",
     "args.command": "the subcommand name, one of the parser's six choices",
