@@ -6,8 +6,9 @@ Three instruments:
   computed over every quadruple of the integers the metric stores (its
   distances as multiples of one rational unit) as one primitive matrix,
   which _delta_py builds, checks and scans for doubled Gromov products from
-  each basepoint: rows of Python ints up to 96 points, a numpy array in the
-  narrowest exact dtype past that.  The scan is exact, stops once its best
+  each basepoint: rows of Python ints up to 96 points and wherever twice
+  the largest entry passes int64, a numpy array of int16, int32 or int64
+  otherwise.  The scan is exact, stops once its best
   reaches twice the first basepoint's (so a tree costs one basepoint), and
   the result, times the unit, comes back as a Fraction.
   Trees give 0; an N x N grid gives at least N - 1, which is the finite
@@ -165,8 +166,10 @@ class FiniteMetric:
     Invariant: d(i, j) == _ints[i][j] * _unit, where (_ints, _unit) is the pair one
     call of _delta_py.metric_array returns: _unit is the largest rational of which
     every distance is an integer multiple, and _ints the checked matrix of those
-    multiples, rows of Python ints up to 96 points and a numpy array in the
-    narrowest exact dtype past that.  ``matrix`` is a derived view.
+    multiples: rows of Python ints up to 96 points and wherever twice the
+    largest entry passes int64, and otherwise a numpy array in the narrowest
+    of int16, int32 and int64 that holds twice it.  ``matrix`` is a derived
+    view.
 
     ``matrix`` is an iterable of rows of rationals: ints, Fractions, or
     anything ``exact_rational`` reads, such as the "num/den" strings of a

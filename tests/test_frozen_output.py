@@ -11,8 +11,8 @@ and the 104-point star with each distance d made d (2**70 + 1) + 1, whose
 entries pass 2**62 with gcd 1;
 metrics of at most 96 points (the 4-cycles, the stars up to 72 points, the
 grids up to 9x9 and the tree, on which the scan stops after one basepoint)
-run on Python int rows, and the 104-point stars and the 10x10 grid on the
-numpy array;
+and the 104-point star past 2**62 run on Python int rows, and the other
+104-point stars and the 10x10 grid on the numpy array;
 `in-e` is pinned by the sha256 of its exit code and stdout on one class per
 curve-witness kind and on seeded classes, members and not, with and without
 `--config`; `classify` is pinned the same way on seeded run configurations

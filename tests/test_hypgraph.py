@@ -212,8 +212,9 @@ def first_fault(d):
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     for what, bad in (("asymmetry", lambda i, j: d[i][j] != d[j][i]),
                       ("nonpositive distance", lambda i, j: d[i][j] <= 0)):
-        for i, j in filter(lambda pair: bad(*pair), pairs):
-            return f"{what} at ({i}, {j})"
+        for i, j in pairs:
+            if bad(i, j):
+                return f"{what} at ({i}, {j})"
     bad = first_triangle_violation(d)
     return None if bad is None else "triangle inequality fails between %d and %d" % bad
 
