@@ -10,12 +10,13 @@ a list of rows of Python ints, checked and scanned in plain Python, exactly
 at any size, and numpy is never imported for it.  At that size numpy's
 import costs more than the whole check and scan, where a bound per row of
 each basepoint rules out most pairs of points and the scan tests each other
-pair with one AND of two bitsets.  Past int64 numpy would hold each entry as
-a Python object and do the arithmetic one element at a time, slower than the
-rows on every metric measured.  Any other metric is a numpy array in the
-narrowest dtype the checks and the scan cannot overflow: the first of int16,
-int32 and int64 whose maximum holds twice the peak.  numpy loads on the
-first such metric.
+pair on two rows packed one field per point, as the triangle check packs
+the metric: two differences and two ANDs.  Past int64 numpy would hold each
+entry as a Python object and do the arithmetic one element at a time,
+slower than the rows on every metric measured.  Any other metric is a numpy
+array in the narrowest dtype the checks and the scan cannot overflow: the
+first of int16, int32 and int64 whose maximum holds twice the peak.  numpy
+loads on the first such metric.
 
 The four-point kernel scans doubled Gromov products (Fournier, Ismail and
 Vigneron, "Computing the Gromov hyperbolicity of a discrete metric space",
@@ -36,10 +37,9 @@ numpy module.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from fractions import Fraction
-from itertools import accumulate, repeat
-from operator import add, or_, sub
+from itertools import repeat
+from operator import add, sub
 from typing import List, Sequence, Tuple
 
 from ._exact import cut_repr
@@ -181,10 +181,11 @@ def check_rows(rows: List[List[int]], labels: Sequence) -> None:
 def _packed(rows: List[List[int]]) -> Tuple[List[int], int, int]:
     """Each row of nonnegative ints as one int of fixed-width fields, entry k
     in field k, with ``ones`` (1 in every field) and ``guard`` (the top bit of
-    every field).  The top bit lies above twice the largest entry, so a sum
-    of two rows plus ``guard``, less at most one entry in every field,
-    neither carries nor borrows between fields."""
-    size = ((2 * max(map(max, rows))).bit_length() + 8) // 8  # bytes per field
+    every field).  The top bit lies above twice the largest entry, so
+    ``guard`` plus, in every field, a value up to that less another neither
+    carries nor borrows between fields: two rows' sum less one entry, or a
+    Gromov product less a threshold."""
+    size = ((2 * max(map(max, rows), default=0)).bit_length() + 8) // 8  # bytes per field
     packed = [int.from_bytes(b"".join([x.to_bytes(size, "little") for x in row]), "little") for row in rows]
     ones = int.from_bytes((b"\x01" + bytes(size - 1)) * len(rows), "little")
     return packed, ones, ones << (8 * size - 1)
@@ -232,10 +233,11 @@ def max_defect(d) -> int:
     return rows_defect(d) if isinstance(d, list) else array_defect(d)
 
 
-def _basepoint_scan(d, scan_from) -> int:
-    """``max_defect`` of the metric ``d``, where ``scan_from(d, w, best)`` is
-    the larger of ``best`` and the largest score of the quadruples whose
-    smallest point is w, so that every quadruple is seen once.
+def _basepoint_scan(d, scan_from, *extra) -> int:
+    """``max_defect`` of the metric ``d``, where ``scan_from(d, w, best,
+    *extra)`` is the larger of ``best`` and the largest score of the
+    quadruples whose smallest point is w, so that every quadruple is seen
+    once.
 
     The first basepoint sees every triple of the other points, so its best
     is D0, the constant of Gromov's product inequality at that basepoint.
@@ -244,7 +246,7 @@ def _basepoint_scan(d, scan_from) -> int:
     basepoint is scanned."""
     best = 0
     for w in range(len(d) - 3):
-        best = scan_from(d, w, best)
+        best = scan_from(d, w, best, *extra)
         if not w:
             cap = 2 * best
         if best >= cap:
@@ -263,19 +265,18 @@ def rows_defect(rows: Sequence[Sequence[int]]) -> int:
     the order of d(x, w) + U[x], where the first bound is the smaller: a pair
     needs V[x][y] + best + 1 <= U[x], and that one comparison drops most
     pairs, though on a tree, where best stays 0, it keeps most of them.  A
-    pair it keeps is tested by one AND of two bitsets: with a row's indices
-    sorted by value, the z holding its entries >= t are its top k for k
-    found by bisection, kept as one Python int per k and built the first
-    time a kept pair needs the row.  Only a hit re-scores the pair, exactly,
-    over every z.  Nothing is rounded, so the scan is exact for ints of any
-    size.  It stops as ``_basepoint_scan`` says, so a tree costs one
-    basepoint.
+    pair it keeps is tested on the rows P[x] and P[y], packed in the fields
+    ``check_rows`` packs the metric in: t in every field, two differences
+    and two ANDs.  Only a hit re-scores the pair, exactly, over every z.
+    Nothing is rounded, so the scan is exact for ints of any size.  It stops
+    as ``_basepoint_scan`` says, so a tree costs one basepoint.
     """
-    return _basepoint_scan(rows, _rows_from)
+    return _basepoint_scan(rows, _rows_from, *_packed(rows))
 
 
-def _rows_from(rows: Sequence[Sequence[int]], w: int, best: int) -> int:
-    """The scan of ``rows_defect`` from basepoint w, starting at ``best``."""
+def _rows_from(rows: Sequence[Sequence[int]], w: int, best: int, packed, ones, guard) -> int:
+    """The scan of ``rows_defect`` from basepoint w, starting at ``best``,
+    on the metric as ``_packed`` packs it."""
     r = rows[w][w + 1 :]
     m = len(r)
     vs = [list(map(sub, r, row[w + 1 :])) for row in rows[w + 1 :]]
@@ -286,34 +287,33 @@ def _rows_from(rows: Sequence[Sequence[int]], w: int, best: int) -> int:
         vx[x] = -r[x]
     us = list(map(max, vs))
     order = sorted(range(m), key=list(map(add, r, us)).__getitem__)
-    one = [1 << z for z in range(m)]
-    # row x's _sorted_tops, from the first kept pair that needs it
-    tables = [None] * m
+    # the fields of w and the points before it are shifted out (guard's bit
+    # length is n fields), so field z of ps[x] holds guard's bit plus
+    # P[x, w + 1 + z], between 0 and twice the peak, from the first kept
+    # pair on.  Field x holds 2 d(x, w), not 0, but P[y, x] = P[x, y] < t
+    shift = (w + 1) * (guard.bit_length() // len(rows))
+    ones >>= shift
+    guard >>= shift
+    pw = (packed[w] >> shift) + guard
+    ps = None
     for i, x in enumerate(order):
         vx, ux, rx = vs[x], us[x], r[x]
-        tx = None
         # the score is symmetric in x and y, and 0 at most when y == x
         for y in order[i + 1 :]:
-            # s = t - d(x, w), and t - d(y, w) = s + d(x, w) - d(y, w);
-            # the row bound keeps the pair while s <= U[x]
+            # s = t - d(x, w); the row bound keeps the pair while s <= U[x],
+            # so t is at most the largest P[x, z] and fits a field
             s = vx[y] + best + 1
             if s > ux:
                 continue
-            if tx is None:
-                tx = tables[x] = tables[x] or _sorted_tops(vx, one)
-            ty = tables[y] = tables[y] or _sorted_tops(vs[y], one)
-            if tx[1][m - bisect_left(tx[0], s)] & ty[1][m - bisect_left(ty[0], s + rx - r[y])]:
+            if ps is None:
+                ps = [rz * ones + pw - (pz >> shift) for rz, pz in zip(r, packed[w + 1 :])]
+            # field z keeps guard's bit less t exactly when P[., z] >= t
+            t = (s + rx) * ones
+            if (ps[x] - t) & (ps[y] - t) & guard:
                 # P[x, z] - P[x, y] = V[x][z] - V[x][y], and so for y
                 vy = vs[y]
                 best = max(map(min, map(sub, vx, repeat(vx[y])), map(sub, vy, repeat(vy[x]))))
     return best
-
-
-def _sorted_tops(row: List[int], one: List[int]) -> Tuple[List[int], List[int]]:
-    """``row`` ascending, and the bitsets of the indices of its k largest
-    entries for k = 0..len(row), where one[z] is the bit of index z."""
-    order = sorted(range(len(row)), key=row.__getitem__)
-    return sorted(row), [0, *accumulate(map(one.__getitem__, reversed(order)), or_)]
 
 
 def array_defect(arr) -> int:

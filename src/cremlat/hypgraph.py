@@ -21,7 +21,8 @@ Three instruments:
   in |m| + |n|, so word length does too; the table's certificate is read
   off its own lower bounds, and flat_certificate returns that certificate.
   Only flat_growth runs the Halphen and length legs, and it imports them
-  when it runs, so the metric and graph code load no Cremona code.
+  when it runs, so the metric and graph code load no Cremona code; the
+  metric code imports _delta_py the same way, so flat_growth does not.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optiona
 
 from ._exact import cut_repr, exact_int, exact_rational, rational_row
 from .errors import MalformedFamily
-from . import _delta_py
 
 Q = Fraction
 
@@ -190,6 +190,8 @@ class FiniteMetric:
             if len(labels) != n or len(set(labels)) != n:
                 raise ValueError("labels must be distinct and match the size")
         numerators, denominators = [nums for nums, _ in rows], [dens for _, dens in rows]
+        from . import _delta_py
+
         self._ints, self._unit = _delta_py.metric_array(numerators, denominators, labels)
         self._labels = labels
         self._index = {label: i for i, label in enumerate(labels)}
@@ -228,6 +230,8 @@ def four_point_delta(metric: FiniteMetric) -> Q:
     tree metric; positive curvature-scale defects otherwise.  The scan runs
     on the metric's primitive matrix, and the unit scales its result back.
     """
+    from . import _delta_py
+
     return _delta_py.max_defect(metric._ints) * metric._unit / 2
 
 

@@ -9,7 +9,7 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cremlat import cli, halphen, hypgraph
+from cremlat import _delta_py, cli, halphen, hypgraph
 from cremlat._exact import rational_row
 from cremlat.errors import MalformedFamily
 from cremlat.halphen import twist_characteristic
@@ -21,7 +21,6 @@ from cremlat.hypgraph import (
     FlatTable,
     Graph,
     SubgraphFamily,
-    _delta_py,
     bowditch_check,
     complete_graph,
     cycle_graph,
@@ -142,6 +141,29 @@ def tree_metrics(draw, max_size=14):
     n = draw(st.integers(4, max_size))
     seed = draw(st.integers(0, 2**32 - 1))
     return chord_tree_matrix(n, random.Random(seed), draw(st.integers(0, 2)))
+
+
+@st.composite
+def near_tree_metrics(draw, max_size=12):
+    """A tree with edge lengths 1..5 plus 1-10 chords of length 1..5, as
+    shortest paths: a near-tree, with its peak under 64 so that it scales to
+    either side of every byte edge."""
+    n = draw(st.integers(4, max_size))
+    d = [[0]]
+    for v in range(1, n):
+        length = draw(st.integers(1, 5))
+        row = [x + length for x in d[draw(st.integers(0, v - 1))]]
+        for u, x in enumerate(row):
+            d[u].append(x)
+        d.append(row + [0])
+    for _ in range(draw(st.integers(1, 10))):
+        a = draw(st.integers(0, n - 1))
+        b = (a + draw(st.integers(1, n - 1))) % n
+        length = draw(st.integers(1, 5))
+        # a shortest path uses the new edge at most once
+        d = [[min(x, row[a] + length + d[b][j], row[b] + length + d[a][j]) for j, x in enumerate(row)]
+             for row in d]
+    return d
 
 
 @st.composite
@@ -495,6 +517,25 @@ class TestFourPointDelta:
             arr, unit = built
             assert _delta_py.array_defect(arr) * unit.numerator == oracle
 
+    # the scan tests a pair on packed rows of Gromov products, each field's top
+    # bit above twice the peak, as _packed sets it for the triangle check.
+    # Scaled to a peak of 2**(8k - 2) - 1, twice the peak is just under the
+    # byte edge 2**(8k - 1), where a product near twice the peak leaves one
+    # bit to spare; at 2**(8k - 2) it is just over, where the field gains a
+    # byte.  Adding one offset to every off-diagonal distance keeps the
+    # triangle law
+    @settings(max_examples=300, deadline=None)
+    @given(near_tree_metrics(), st.integers(1, 10), st.sampled_from(["under", "over", "2**70+1"]))
+    def test_pair_test_at_field_width_edges(self, d, k, side):
+        peak = max(map(max, d))
+        if side == "2**70+1":
+            factor, offset = 2**70 + 1, 1
+        else:
+            top = 2 ** (8 * k - 2) - (side == "under")
+            factor, offset = divmod(top, peak)
+        scaled = [[x * factor + offset if x else 0 for x in row] for row in d]
+        assert _delta_py.rows_defect(scaled) == quadruple_defect(scaled)
+
     def test_kernel_memory_is_quadratic(self):
         import numpy  # noqa: F401  (its import is not the kernel's memory)
 
@@ -513,11 +554,12 @@ class TestFourPointDelta:
 
     @pytest.mark.parametrize("factor, offset", [(1, 0), (2**70, 1)], ids=["1", "2**70+1"])
     def test_pure_kernel_memory(self, factor, offset):
-        # the pure scan keeps one basepoint's rows, and the sorted rows and
-        # bitsets its kept pairs need, at a time: 0.1-0.2 MB on a 64-point
-        # star, 0.3-0.45 MB on a 96-point one and 0.75-0.9 MB on a 96-point
-        # tree with ten chords, which needs nearly every row's at every
-        # basepoint, against 6-8 MB at 64 points for every basepoint's at once
+        # the pure scan keeps the packed metric, and one basepoint's rows and
+        # packed rows of Gromov products, at a time: 0.14-0.28 MB on a
+        # 64-point star, 0.31-0.62 MB on a 96-point one and 0.34-0.62 MB on a
+        # 96-point tree with ten chords, whose kept pairs need the packed rows
+        # at every basepoint, against 6-8 MB at 64 points for every
+        # basepoint's rows at once
         for d in (star_matrix(64, random.Random(64)), star_matrix(96, random.Random(96)),
                   chord_tree_matrix(96, random.Random(96), 10)):
             ints = [[int(x) * factor + offset if x else 0 for x in row] for row in d]
@@ -531,15 +573,14 @@ class TestFourPointDelta:
 
     def test_pure_scan_of_a_tree_stops_after_one_basepoint(self, monkeypatch):
         # the first basepoint's best is 0 on a tree, and twice 0 bounds every
-        # quadruple, so only that basepoint's rows get sorted tables; without
-        # the stop the row bound keeps most pairs at every basepoint and
-        # thousands of tables are built
+        # quadruple, so only that basepoint is scanned; without the stop the
+        # row bound keeps most pairs at every basepoint and all 93 are
         d = tree_matrix(96, random.Random(96))
         calls = []
-        sorted_tops = _delta_py._sorted_tops
-        monkeypatch.setattr(_delta_py, "_sorted_tops", lambda *a: calls.append(a) or sorted_tops(*a))
+        rows_from = _delta_py._rows_from
+        monkeypatch.setattr(_delta_py, "_rows_from", lambda *a: calls.append(a[1]) or rows_from(*a))
         assert _delta_py.rows_defect(d) == 0
-        assert 0 < len(calls) <= len(d) - 1
+        assert calls == [0]
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(4, 10), st.integers(0, 2**32 - 1))
