@@ -47,6 +47,12 @@ def cut(text: str) -> str:
     return text if len(text) <= 80 else text[:79] + "…"
 
 
+def cut_path(path: str) -> str:
+    """``path`` cut to 80 characters starting with "…": a path keeps its
+    tail, where the file name tells it from its neighbours."""
+    return path if len(path) <= 80 else "…" + path[-79:]
+
+
 def _int_text(n: int) -> str:
     """repr(n), or its size in bits past ``digit_limit()`` digits."""
     if _printable(n, digit_limit()):

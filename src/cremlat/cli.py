@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 # Each cmd_* imports the legs it runs, so a job loads only its own: delta
 # never loads the Cremona or Halphen code, halphen-table never hypgraph.
 # (The module docstring is the --help text, so this note lives here.)
-from ._exact import cut, cut_repr
+from ._exact import cut, cut_path, cut_repr
 from .errors import CremlatError, UnknownPoint
 
 EXIT_OK = 0
@@ -281,7 +281,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # JSONDecodeError is a ValueError; an undeclared point id is a fault of the files
     except (UnknownPoint, OSError, ValueError, KeyError, TypeError) as exc:
         if isinstance(exc, OSError) and isinstance(exc.filename, str):
-            exc.filename = cut(exc.filename)  # OSError's text echoes the path whole
+            exc.filename = cut_path(exc.filename)  # OSError's text echoes the path whole
         _fail(f"{args.command}: bad input: {exc}")
         return EXIT_INPUT
     except CremlatError as exc:

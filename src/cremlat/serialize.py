@@ -15,7 +15,7 @@ import io
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Tuple
 
-from ._exact import cut, cut_repr, exact_int, exact_rational
+from ._exact import cut_path, cut_repr, exact_int, exact_rational
 
 if TYPE_CHECKING:
     from .bubble import Configuration
@@ -195,9 +195,9 @@ def load_json(path: str) -> dict:
         try:
             record = json.load(handle)
         except RecursionError:
-            raise ValueError(f"{cut(path)}: JSON nested too deeply") from None
+            raise ValueError(f"{cut_path(path)}: JSON nested too deeply") from None
     if not isinstance(record, dict):
-        raise ValueError(f"{cut(path)}: top level must be a JSON object, found {type(record).__name__}")
+        raise ValueError(f"{cut_path(path)}: top level must be a JSON object, found {type(record).__name__}")
     return record
 
 
@@ -221,18 +221,18 @@ def metric_from_csv(path: str) -> FiniteMetric:
         try:
             table = [row for row in csv.reader(handle) if row]
         except csv.Error as exc:  # e.g. a field past csv.field_size_limit()
-            raise ValueError(f"{cut(path)}: {exc}") from None
+            raise ValueError(f"{cut_path(path)}: {exc}") from None
     if not table:
-        raise ValueError(f"{cut(path)}: empty metric file")
+        raise ValueError(f"{cut_path(path)}: empty metric file")
     labels = [cell.strip() for cell in table[0]]
     body = table[1:]
     if len(body) != len(labels):
-        raise ValueError(f"{cut(path)}: expected {len(labels)} data rows, found {len(body)}")
+        raise ValueError(f"{cut_path(path)}: expected {len(labels)} data rows, found {len(body)}")
 
     def rows():
         for row in body:
             if len(row) != len(labels):
-                raise ValueError(f"{cut(path)}: ragged row {cut_repr(row)}")
+                raise ValueError(f"{cut_path(path)}: ragged row {cut_repr(row)}")
             yield [cell.strip() for cell in row]
 
     return FiniteMetric(rows(), labels=labels)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from cremlat._exact import cut
+from cremlat._exact import cut_path
 from cremlat.cli import main
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -225,12 +225,26 @@ class TestDelta:
     ], ids=["long-name", "long-path", "long-out"])
     def test_long_path_is_echoed_cut(self, capsys, tmp_path, monkeypatch, argv, number):
         # OSError's text echoed the path whole: a 3 061-byte line for the
-        # 3 000-character name, 4 065 bytes for the 4 000-character path
+        # 3 000-character name, 4 065 bytes for the 4 000-character path.
+        # The path keeps its tail, where the file name is
         monkeypatch.chdir(tmp_path)
         code, out, err = run(capsys, argv)
         assert code == 1 and out == ""
         path = argv[-1]
-        assert err == f"{argv[0]}: bad input: [Errno {number}] {os.strerror(number)}: '{path[:79]}…'\n"
+        assert err == f"{argv[0]}: bad input: [Errno {number}] {os.strerror(number)}: '…{path[-79:]}'\n"
+
+    def test_long_paths_differing_in_the_name_differ(self, capsys, tmp_path, monkeypatch):
+        # with the head kept, two long paths in one directory printed one message
+        monkeypatch.chdir(tmp_path)
+        errs = []
+        for name in "a0.csv", "b0.csv":
+            path = "d/" * 1497 + name
+            assert len(path) == 3000
+            code, out, err = run(capsys, ["delta", path])
+            assert code == 1 and out == "" and len(err.encode()) <= 300
+            assert err.endswith(f"/{name}'\n")
+            errs.append(err)
+        assert errs[0] != errs[1]
 
     def test_malformed_metric(self, capsys, tmp_path):
         metric = tmp_path / "bad.csv"
@@ -273,7 +287,7 @@ class TestDelta:
         code, out, err = run(capsys, ["delta", str(metric)])
         assert code == 1 and out == ""
         limit = csv.field_size_limit()
-        assert err == f"delta: bad input: {cut(str(metric))}: field larger than field limit ({limit})\n"
+        assert err == f"delta: bad input: {cut_path(str(metric))}: field larger than field limit ({limit})\n"
 
 
 @pytest.mark.parametrize("command, name, text", [
@@ -355,7 +369,7 @@ class TestLength:
         path.write_text('{"degree": ' + "[" * 100_000, encoding="utf-8")
         code, out, err = run(capsys, ["length", str(path)])
         assert code == 1 and out == ""
-        assert err == f"length: bad input: {cut(str(path))}: JSON nested too deeply\n"
+        assert err == f"length: bad input: {cut_path(str(path))}: JSON nested too deeply\n"
 
 
 class TestClassify:
@@ -432,7 +446,7 @@ def test_top_level_list_is_bad_input(capsys, tmp_path, prefix):
     path = write_json(tmp_path, "list.json", [{"degree": "1/1", "mults": []}])
     code, out, err = run(capsys, prefix + [path])
     assert code == 1 and out == ""
-    assert err == f"{prefix[0]}: bad input: {cut(path)}: top level must be a JSON object, found list\n"
+    assert err == f"{prefix[0]}: bad input: {cut_path(path)}: top level must be a JSON object, found list\n"
 
 
 def tower2_with(side, index, key, value):
@@ -581,7 +595,7 @@ def test_numpy_loads_only_for_metrics(tmp_path):
 LEGS = {
     "delta": "_delta_py _exact cli errors hypgraph serialize",
     "halphen-table": "_exact cli errors halphen serialize",
-    "flat-growth": "_delta_py _exact bubble cli cremona errors halphen hypgraph length serialize",
+    "flat-growth": "_exact bubble cli cremona errors halphen hypgraph length serialize",
     "length": "_exact bubble cli cremona errors length serialize",
     "classify": "_exact bubble cli cremona errors lattice serialize voronoi",
     "in-e": "_exact bubble cli errors lattice serialize",

@@ -32,7 +32,8 @@ ALLOWED = {
     "least": "the smallest size a graph builder allows, a literal at each caller",
     "minimum": "the fewest points a collinear or conic set needs, a literal",
     "limit": "digit_limit(), int()'s own bound",
-    "cut(path)": "a file path cut as cut_repr cuts a value; the CLI prints it unquoted in pinned messages",
+    "cut_path(path)": "a file path cut to its tail, so the file name shows; the CLI prints it unquoted "
+                      "in pinned messages",
     "exc": "a caught exception: the package's own message, already cut, csv's fixed words, "
            "or an OSError's, whose path the CLI cuts first",
     "message": "argparse's own words; `_Parser.error` cuts the tokens they echo as cut_repr cuts",
