@@ -45,13 +45,12 @@ from typing import List, Sequence, Tuple
 from ._exact import cut_repr
 
 # the most points of a metric checked and scanned on Python int rows whatever
-# its entries; past it only one whose doubled peak passes int64.  At 96 points the
-# pure check and scan take ~35-45 ms on star, grid and random-band metrics,
-# ~11 ms on a tree (the scan stops after one basepoint), ~110 ms on rounded
-# Euclidean ones and ~140-150 ms on a tree plus a few chords, where the row
-# bound keeps the most pairs and the scan does not stop early, against
-# ~16-22 ms in numpy after its ~90-150 ms import (seeded metrics on a 2-vCPU
-# Xeon VM, Python 3.11, numpy 2.4)
+# its entries; past it only one whose doubled peak passes int64.  At 96 points
+# the pure check and scan take ~45-55 ms on star, grid and random-band metrics,
+# ~11-13 ms on a tree (the scan stops after one basepoint), ~65-70 ms on
+# rounded Euclidean ones and ~70-110 ms on a tree plus two to ten chords, where
+# the row bound keeps the most pairs, against ~24 ms in numpy after its
+# ~90-150 ms import (seeded metrics, 2-vCPU Xeon VM, Python 3.11, numpy 2.4)
 _SMALL = 96
 
 # the largest int64; an array holds a metric only while twice its peak is at most this
