@@ -8,10 +8,11 @@ One rule on the size and the values picks the matrix's form.  A metric of
 at most ``_SMALL`` points, or one whose doubled peak entry passes int64, is
 a list of rows of Python ints, checked and scanned in plain Python, exactly
 at any size, and numpy is never imported for it.  At that size numpy's
-import costs more than the whole check and scan, where a bound per row of
-each basepoint rules out most pairs of points and the scan tests each other
-pair on two rows packed one field per point, as the triangle check packs
-the metric: two differences and two ANDs.  Past int64 numpy would hold each
+import costs more than the whole check and scan.  The scan packs each
+basepoint's rows of Gromov products one field per point, as the triangle
+check packs the metric: one fieldwise maximum of them bounds every row, one
+mask per point keeps the few pairs that pass the bounds, and a kept pair is
+tested with two differences and two ANDs.  Past int64 numpy would hold each
 entry as a Python object and do the arithmetic one element at a time,
 slower than the rows on every metric measured.  Any other metric is a numpy
 array in the narrowest dtype the checks and the scan cannot overflow: the
@@ -38,19 +39,21 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import repeat
-from operator import add, sub
+from itertools import compress, repeat
+from operator import sub
 from typing import List, Sequence, Tuple
 
 from ._exact import cut_repr
 
 # the most points of a metric checked and scanned on Python int rows whatever
 # its entries; past it only one whose doubled peak passes int64.  At 96 points
-# the pure check and scan take ~45-55 ms on star, grid and random-band metrics,
-# ~11-13 ms on a tree (the scan stops after one basepoint), ~65-70 ms on
-# rounded Euclidean ones and ~70-110 ms on a tree plus two to ten chords, where
-# the row bound keeps the most pairs, against ~24 ms in numpy after its
-# ~90-150 ms import (seeded metrics, 2-vCPU Xeon VM, Python 3.11, numpy 2.4)
+# the pure check and scan take ~16-19 ms on star, grid and random-band metrics,
+# ~6 ms on a tree (the scan stops after one basepoint), ~23 ms on rounded
+# Euclidean ones and ~40-80 ms on a tree plus two to ten chords, where the row
+# bound keeps the most pairs, against ~19-25 ms in numpy after its ~75-110 ms
+# import.  Rows still beat numpy's import plus check plus scan on all these
+# shapes at 104 and 128 points, but no benchmark job has more than 96 points
+# yet (seeded metrics, 2-vCPU Xeon VM, Python 3.11, numpy 2.4)
 _SMALL = 96
 
 # the largest int64; an array holds a metric only while twice its peak is at most this
@@ -256,17 +259,16 @@ def _basepoint_scan(d, scan_from, *extra) -> int:
 def rows_defect(rows: Sequence[Sequence[int]]) -> int:
     """``max_defect`` of rows of ints, by the basepoint scan in plain Python.
 
-    From basepoint w, let V[x][z] = d(z, w) - d(x, z), so that P[x, z] =
-    d(x, w) + V[x][z], and let U[x] be the largest V[x][z] over z != x.  A
-    pair (x, y) beats ``best`` exactly when some z has both P[x, z] and
-    P[y, z] at least t = P[x, y] + best + 1, so only if t <= d(x, w) + U[x]
-    and t <= d(y, w) + U[y].  Each x is paired with the points after it in
-    the order of d(x, w) + U[x], where the first bound is the smaller: a pair
-    needs V[x][y] + best + 1 <= U[x], and that one comparison drops most
-    pairs, though on a tree, where best stays 0, it keeps most of them.  A
-    pair it keeps is tested on the rows P[x] and P[y], packed in the fields
-    ``check_rows`` packs the metric in: t in every field, two differences
-    and two ANDs.  Only a hit re-scores the pair, exactly, over every z.
+    From basepoint w, let M[x] be the largest P[x, z] over z != x.  A pair
+    (x, y) beats ``best`` exactly when some z has both P[x, z] and P[y, z]
+    at least t = P[x, y] + best + 1, so only if t <= M[x] and t <= M[y].
+    Each step runs on the rows of P packed one field per later point, in
+    the fields ``check_rows`` packs the metric in.  P is symmetric, so one
+    fieldwise maximum of the rows holds every M[x].  One mask per x keeps
+    the y after it that pass both bounds: 16-76 of the ~41 700 pairs of a
+    64-point star, grid or band metric, but most pairs of a tree, where best
+    stays 0.  A kept pair is tested with t in every field, two differences
+    and two ANDs, and only a hit re-scores it, exactly, over every z.
     Nothing is rounded, so the scan is exact for ints of any size.  It stops
     as ``_basepoint_scan`` says, so a tree costs one basepoint.
     """
@@ -275,44 +277,82 @@ def rows_defect(rows: Sequence[Sequence[int]]) -> int:
 
 def _rows_from(rows: Sequence[Sequence[int]], w: int, best: int, packed, ones, guard) -> int:
     """The scan of ``rows_defect`` from basepoint w, starting at ``best``,
-    on the metric as ``_packed`` packs it."""
-    r = rows[w][w + 1 :]
+    on the metric as ``_packed`` packs it.
+
+    Every packed value whose fields are read holds in each field guard's
+    bit plus some v with |v| <= twice the peak, which is below that bit, so
+    no field carries into or borrows from the next.  P and M lie in
+    [0, 2 peak], and so does best + 1, a defect being below the largest
+    pair-sum; a mask's M - best - 1 - P[x, y] is at least -(best + 1), as
+    P[x, y] <= M[x] and P[x, y] <= M[y]; and a kept pair's t is at most M[x].
+    The row maxima are read less guard's bit, as M itself."""
+    off = w + 1
+    r = rows[w][off:]
     m = len(r)
-    vs = [list(map(sub, r, row[w + 1 :])) for row in rows[w + 1 :]]
-    # z == x never helps a pair (x, y).  -d(x, w) <= V[x][z] by the
-    # triangle law, so V[x][x] = -d(x, w) leaves U[x] the largest over
-    # z != x, and puts P[x, x] at 0, below every t
-    for x, vx in enumerate(vs):
-        vx[x] = -r[x]
-    us = list(map(max, vs))
-    order = sorted(range(m), key=list(map(add, r, us)).__getitem__)
     # the fields of w and the points before it are shifted out (guard's bit
     # length is n fields), so field z of ps[x] holds guard's bit plus
-    # P[x, w + 1 + z], between 0 and twice the peak, from the first kept
-    # pair on.  Field x holds 2 d(x, w), not 0, but P[y, x] = P[x, y] < t
-    shift = (w + 1) * (guard.bit_length() // len(rows))
+    # P[x, off + z].  Field x is cleared from 2 d(x, w) to 0, as z == x
+    # never helps a pair (x, y)
+    width = guard.bit_length() // len(rows)
+    shift = off * width
     ones >>= shift
     guard >>= shift
     pw = (packed[w] >> shift) + guard
-    ps = None
-    for i, x in enumerate(order):
-        vx, ux, rx = vs[x], us[x], r[x]
-        # the score is symmetric in x and y, and 0 at most when y == x
-        for y in order[i + 1 :]:
-            # s = t - d(x, w); the row bound keeps the pair while s <= U[x],
-            # so t is at most the largest P[x, z] and fits a field
-            s = vx[y] + best + 1
-            if s > ux:
-                continue
-            if ps is None:
-                ps = [rz * ones + pw - (pz >> shift) for rz, pz in zip(r, packed[w + 1 :])]
-            # field z keeps guard's bit less t exactly when P[., z] >= t
-            t = (s + rx) * ones
-            if (ps[x] - t) & (ps[y] - t) & guard:
-                # P[x, z] - P[x, y] = V[x][z] - V[x][y], and so for y
-                vy = vs[y]
-                best = max(map(min, map(sub, vx, repeat(vx[y])), map(sub, vy, repeat(vy[x]))))
+    ps = [rz * ones + pw - (pz >> shift) - ((rz + rz) << z * width)
+          for z, (rz, pz) in enumerate(zip(r, packed[off:]))]
+    # P is symmetric, so field x of the fieldwise maximum holds M[x]
+    top = _field_max(ps, guard)
+    size = width // 8
+    tops = (top - guard).to_bytes(m * size, "little")
+    ms = [int.from_bytes(tops[i : i + size], "little") for i in range(0, m * size, size)]
+    floor = None  # the best that ``bar`` and ``cap`` are for
+    for x, (px, mx) in enumerate(zip(ps, ms)):
+        start = x + 1  # the score is symmetric in x and y, and at most 0 when y == x
+        while mx > best:
+            if floor != best:
+                floor = best
+                step = (best + 1) * ones
+                bar = guard + guard - step
+                cap = top + guard - step
+            # field y keeps guard's bit exactly when P[x, y] <= M[x] - best - 1 and
+            # P[x, y] <= M[y] - best - 1.  P[x, y] <= M[y], so the second
+            # difference is at least -(best + 1), and negative wherever M[y] <= best
+            kept = ((mx * ones + bar - px) & (cap - px) & guard) >> start * width
+            if not kept:
+                break
+            rx, dx = r[x] + best + 1, rows[off + x]
+            # the top byte of each field of ``kept`` is guard's bit or 0
+            for y in compress(range(start, m), kept.to_bytes((m - start) * size, "little")[size - 1 :: size]):
+                # field z keeps guard's bit less t exactly when P[., z] >= t
+                t = (rx + r[y] - dx[off + y]) * ones
+                if (px - t) & (ps[y] - t) & guard:
+                    # with V[x][z] = d(z, w) - d(x, z), P[x, z] - P[x, y] = V[x][z] - V[x][y],
+                    # and so for y; z == x and z == y score at most 0
+                    vx = list(map(sub, r, dx[off:]))
+                    vy = list(map(sub, r, rows[off + y][off:]))
+                    best = max(map(min, map(sub, vx, repeat(vx[y])), map(sub, vy, repeat(vy[x]))))
+                    start = y + 1  # the rest of x's pairs against the new best
+                    break
+            else:
+                break
     return best
+
+
+def _field_max(rows: Sequence[int], guard: int) -> int:
+    """The fieldwise maximum of ints of fixed-width fields, each field
+    holding guard's bit plus a value below that bit, as ``_rows_from``'s rows
+    hold them; so does the result.  Per row: one difference holds, in every
+    field, guard's bit plus the maximum so far less the row's value, keeping
+    that bit where the maximum is at least the row's; the bit, spread below
+    itself, selects that excess, and the row plus the excess is the larger."""
+    k = (guard & -guard).bit_length() - 1  # a field's top bit
+    low = guard - (guard >> k)  # every bit of every field below its top bit
+    top = rows[0]
+    for p in rows[1:]:
+        diff = top - (p & low)
+        ge = diff & guard
+        top = p + (diff & (ge - (ge >> k)))
+    return top
 
 
 def array_defect(arr) -> int:

@@ -5,6 +5,7 @@ import time
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction as Q
+from itertools import compress
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -536,6 +537,59 @@ class TestFourPointDelta:
         scaled = [[x * factor + offset if x else 0 for x in row] for row in d]
         assert _delta_py.rows_defect(scaled) == quadruple_defect(scaled)
 
+    # the pure scan takes every row maximum of P at once, as one fieldwise
+    # maximum of packed rows: each field holds its top bit plus a value below
+    # it, here 1-, 2- and 9-11-byte fields with ties, zeros and the largest
+    # value a field holds, and a single row
+    @pytest.mark.parametrize("size", [1, 2, 9, 10, 11])
+    def test_field_max_is_the_plain_fieldwise_max(self, size):
+        rng = random.Random(size)
+        bit = 1 << (8 * size - 1)
+        guard = int.from_bytes((bytes(size - 1) + b"\x80") * 7, "little")
+
+        def pack(values):
+            return sum((bit + v) << (8 * size * k) for k, v in enumerate(values))
+
+        for count in (1, 2, 3, 8):
+            for _ in range(50):
+                pool = [0, 1, bit - 1, rng.randrange(bit), rng.randrange(bit)]
+                rows = [[rng.choice(pool) for _ in range(7)] for _ in range(count)]
+                want = pack(map(max, zip(*rows)))
+                assert _delta_py._field_max([pack(row) for row in rows], guard) == want
+
+    # at every basepoint, starting from the oracle's best so that no pair
+    # hits, the scan tests exactly the pairs x < y of later points whose
+    # P[x, y] + best + 1 is at most M[x] and M[y], M[x] being the largest
+    # P[x, z] over z != x: the pairs the row bound keeps
+    @pytest.mark.parametrize("factor, offset", [(1, 0), (2**70 + 1, 1)], ids=["1", "2**70+1"])
+    def test_pure_scan_tests_exactly_the_bounded_pairs(self, monkeypatch, factor, offset):
+        seen = []
+
+        def spy(data, selectors):
+            kept = list(compress(data, selectors))
+            seen.extend((data.start - 1, y) for y in kept)  # data starts at x + 1
+            return kept
+
+        monkeypatch.setattr(_delta_py, "compress", spy)
+        total = 0
+        for d in (star_matrix(14, random.Random(14)), chord_tree_matrix(16, random.Random(16), 2),
+                  chord_tree_matrix(16, random.Random(17), 6), euclid_matrix(14, random.Random(14)),
+                  tree_matrix(14, random.Random(14)), [row[:12] for row in PATH36[:12]]):
+            d = [[int(x) * factor + offset if x else 0 for x in row] for row in d]
+            best = quadruple_defect(d)
+            packed = _delta_py._packed(d)
+            for w in range(len(d) - 3):
+                r = d[w][w + 1 :]
+                p = [[r[x] + r[y] - d[w + 1 + x][w + 1 + y] for y in range(len(r))] for x in range(len(r))]
+                tops = [max(row[:x] + row[x + 1 :]) for x, row in enumerate(p)]
+                want = [(x, y) for x in range(len(r)) for y in range(x + 1, len(r))
+                        if p[x][y] + best + 1 <= min(tops[x], tops[y])]
+                seen.clear()
+                assert _delta_py._rows_from(d, w, best, *packed) == best
+                assert sorted(seen) == want
+                total += len(want)
+        assert total > 100
+
     def test_kernel_memory_is_quadratic(self):
         import numpy  # noqa: F401  (its import is not the kernel's memory)
 
@@ -554,11 +608,10 @@ class TestFourPointDelta:
 
     @pytest.mark.parametrize("factor, offset", [(1, 0), (2**70, 1)], ids=["1", "2**70+1"])
     def test_pure_kernel_memory(self, factor, offset):
-        # the pure scan keeps the packed metric, and one basepoint's rows and
-        # packed rows of Gromov products, at a time: 0.14-0.28 MB on a
-        # 64-point star, 0.31-0.62 MB on a 96-point one and 0.34-0.62 MB on a
-        # 96-point tree with ten chords, whose kept pairs need the packed rows
-        # at every basepoint, against 6-8 MB at 64 points for every
+        # the pure scan keeps the packed metric and one basepoint's packed
+        # rows of Gromov products at a time: 0.03-0.11 MB on a 64-point star
+        # and 0.06-0.22 MB on a 96-point star or a 96-point tree with ten
+        # chords, plain and past 2**70, against 6-8 MB at 64 points for every
         # basepoint's rows at once
         for d in (star_matrix(64, random.Random(64)), star_matrix(96, random.Random(96)),
                   chord_tree_matrix(96, random.Random(96), 10)):
