@@ -201,6 +201,8 @@ DELTA_SHA256 = {
     "grid10": "5f86591482f9b838f0f967372a71a83c7ed180472fc63a27e743fb0da30f0f27",
     "tree96": "867d8df3b57ac57327491017a8d79dc170ce6c6222ff6b3885a5c85d3128c079",
     "star104x(2**70+1)+1": "f497b24f64951e7ee32cfeed3ea1aec5af38832b925a5aebbed8c971b78eb36b",
+    "tree128": "1e7372087395612fa6728bdaeba00e251009b3b7a82a68ea76baff0c76d11405",
+    "tree128+2chords": "f410386fc9a6fb1fe76f49fc5e718f7eca6401ab9b63d94b1c5e408153dcdcb5",
 }
 
 
@@ -240,6 +242,19 @@ def tree_matrix(n):
     return [f"t{i}" for i in range(n)], matrix
 
 
+def chord_tree_matrix(n, chords):
+    """``tree_matrix(n)`` plus ``chords`` unit-length edges between seeded
+    pairs, as shortest paths: a near-tree."""
+    labels, matrix = tree_matrix(n)
+    rng = random.Random(f"frozen-delta-chords:{n}:{chords}")
+    for _ in range(chords):
+        a, b = rng.sample(range(n), 2)
+        # a shortest path uses the new edge at most once
+        matrix = [[min(x, row[a] + 1 + matrix[b][j], row[b] + 1 + matrix[a][j]) for j, x in enumerate(row)]
+                  for row in matrix]
+    return labels, matrix
+
+
 def cycle_matrix(peak):
     """A 4-cycle with diagonals ``peak`` and coprime sides summing to it; delta is the short side."""
     short = (peak - 1) // 2
@@ -269,6 +284,8 @@ def delta_metrics():
     # gcd 1 with entries past 2**62: no common factor divides it back to int64
     labels, matrix = star_matrix(104)
     metrics["star104x(2**70+1)+1"] = labels, [[x * (2**70 + 1) + 1 if x else x for x in row] for row in matrix]
+    metrics["tree128"] = tree_matrix(128)
+    metrics["tree128+2chords"] = chord_tree_matrix(128, 2)
     return metrics
 
 
