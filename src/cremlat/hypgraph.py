@@ -4,13 +4,11 @@ Three instruments:
 
 * four_point_delta: the exact four-point constant of a FiniteMetric,
   computed over every quadruple of the integers the metric stores (its
-  distances as multiples of one rational unit) as one primitive matrix,
-  which _delta_py builds, checks and scans for doubled Gromov products from
-  each basepoint: rows of Python ints up to 96 points and wherever twice
-  the largest entry passes int64, a numpy array of int16, int32 or int64
-  otherwise.  The scan is exact, stops once its best
-  reaches twice the first basepoint's (so a tree costs one basepoint), and
-  the result, times the unit, comes back as a Fraction.
+  distances as multiples of one rational unit) as one primitive matrix of
+  Python int rows, which _delta_py builds, checks and scans for doubled
+  Gromov products from each basepoint.  The scan is exact at any size,
+  stops once its best reaches twice the first basepoint's (so a tree costs
+  one basepoint), and the result, times the unit, comes back as a Fraction.
   Trees give 0; an N x N grid gives at least N - 1, which is the finite
   shadow of a quasi-flat.
 
@@ -163,13 +161,11 @@ def grid_graph(rows: int, cols: int) -> Graph:
 class FiniteMetric:
     """Rational metric with the axioms enforced, stored once as a primitive integer matrix.
 
-    Invariant: d(i, j) == _ints[i][j] * _unit, where (_ints, _unit) is the pair one
-    call of _delta_py.metric_array returns: _unit is the largest rational of which
-    every distance is an integer multiple, and _ints the checked matrix of those
-    multiples: rows of Python ints up to 96 points and wherever twice the
-    largest entry passes int64, and otherwise a numpy array in the narrowest
-    of int16, int32 and int64 that holds twice it.  ``matrix`` is a derived
-    view.
+    Invariant: d(i, j) == _ints[i][j] * _unit, where (_ints, _unit) is the pair
+    _delta_py.scaled_rows returns and _delta_py.check_rows has checked: _unit
+    is the largest rational of which every distance is an integer multiple,
+    and _ints the rows of Python ints of those multiples.  ``matrix`` is a
+    derived view.
 
     ``matrix`` is an iterable of rows of rationals: ints, Fractions, or
     anything ``exact_rational`` reads, such as the "num/den" strings of a
@@ -192,7 +188,8 @@ class FiniteMetric:
         numerators, denominators = [nums for nums, _ in rows], [dens for _, dens in rows]
         from . import _delta_py
 
-        self._ints, self._unit = _delta_py.metric_array(numerators, denominators, labels)
+        self._ints, self._unit = _delta_py.scaled_rows(numerators, denominators)
+        _delta_py.check_rows(self._ints, labels)
         self._labels = labels
         self._index = {label: i for i, label in enumerate(labels)}
 
@@ -216,11 +213,10 @@ class FiniteMetric:
     @property
     def matrix(self) -> Tuple[Tuple[Q, ...], ...]:
         step, scale = self._unit.numerator, self._unit.denominator
-        rows = self._ints if isinstance(self._ints, list) else self._ints.tolist()
-        return tuple(tuple(Q(x * step, scale) for x in row) for row in rows)
+        return tuple(tuple(Q(x * step, scale) for x in row) for row in self._ints)
 
     def distance(self, a, b) -> Q:
-        return int(self._ints[self._index[a]][self._index[b]]) * self._unit
+        return self._ints[self._index[a]][self._index[b]] * self._unit
 
 
 def four_point_delta(metric: FiniteMetric) -> Q:

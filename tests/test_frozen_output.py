@@ -5,14 +5,14 @@
 by its data row for quadratic towers 1..12 and for three lattice twists;
 `delta` is pinned by the sha256 of its stdout on seeded stars with mixed
 denominators (8 to 104 points), rational-scaled grids of 6x6 to 10x10, stars
-and the 6x6 grid times 2**70, a seeded 96-point tree, 4-cycles whose
-largest entry sits on either side of each dtype edge of the numpy array,
-and the 104-point star with each distance d made d (2**70 + 1) + 1, whose
-entries pass 2**62 with gcd 1;
-metrics of at most 96 points (the 4-cycles, the stars up to 72 points, the
-grids up to 9x9 and the tree, on which the scan stops after one basepoint)
-and the 104-point star past 2**62 run on Python int rows, and the other
-104-point stars and the 10x10 grid on the numpy array;
+and the 6x6 grid times 2**70, seeded trees of 96 and 128 points, a 128-point
+tree plus two unit chords, 4-cycles whose largest entry is 2**e - 1 or 2**e
+for e = 14, 30, 61, 62 (across e = 14, 30 and 62 the packed rows' fields
+gain a byte, as twice the peak passes int16, int32 and int64), and the
+104-point star with each distance d made d (2**70 + 1) + 1, whose entries
+pass 2**62 with gcd 1; every metric runs on Python int rows, and the other
+pins past 96 points were taken when numpy arrays held those metrics, so the
+rows reproduce the arrays' output;
 `in-e` is pinned by the sha256 of its exit code and stdout on one class per
 curve-witness kind and on seeded classes, members and not, with and without
 `--config`; `classify` is pinned the same way on seeded run configurations

@@ -7,6 +7,7 @@ from decimal import Decimal
 from fractions import Fraction as Q
 from itertools import compress
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -203,16 +204,24 @@ def parts(matrix):
     return [[x.numerator for x in row] for row in matrix], [[x.denominator for x in row] for row in matrix]
 
 
-def array_or_none(numerators, denominators):
-    """``scaled_array``'s (array, unit), or None where twice the primitive
-    peak entry passes int64, and ``scaled_array`` refuses the metric with
-    OverflowError (``metric_array`` keeps it on rows at every size)."""
-    ints, _ = _delta_py._primitive(numerators, denominators)
-    if 2 * max(map(abs, ints), default=0) > 2**63 - 1:
-        with pytest.raises(OverflowError):
-            _delta_py.scaled_array(numerators, denominators)
-        return None
-    return _delta_py.scaled_array(numerators, denominators)
+def int64_defect(d):
+    """A second oracle for max_defect, fast enough past 40 points: every
+    basepoint's doubled Gromov products P in int64, every triple of later
+    points, and no stop at twice the first basepoint's best.  Exact while
+    twice the peak entry fits int64."""
+    a = np.array(d, dtype=np.int64)
+    best = 0
+    for w in range(len(a) - 3):
+        r = a[w, w + 1 :]
+        p = r[:, None] + r - a[w + 1 :, w + 1 :]
+        for px in p:
+            # max over z of min(P[x, z], P[y, z]) - P[x, y], over every y
+            best = max(best, int((np.minimum(px, p).max(axis=1) - px).max()))
+    return best
+
+
+def fits_int64(d):
+    return 2 * max(map(max, d), default=0) <= 2**63 - 1
 
 
 def first_triangle_violation(matrix):
@@ -356,8 +365,7 @@ class TestFiniteMetric:
                                               [2, Q(3, 2), 0]]).matrix
         assert metric._unit == Q(1, 2) and metric._ints == [[0, 1, 4], [1, 0, 3], [4, 3, 0]]
         numerators, denominators = zip(*(rational_row(row, "distance") for row in rows))
-        arr, unit = _delta_py.scaled_array(numerators, denominators)
-        assert unit == Q(1, 2) and arr.dtype == "int16" and arr.tolist() == metric._ints
+        assert _delta_py.scaled_rows(numerators, denominators) == (metric._ints, Q(1, 2))
         for zero in ([[0, "1/0"], ["1/0", 0]], [["0", "1/0"], ["1/0", "0"]]):
             with pytest.raises(ValueError, match="^zero denominator: '1/0'$"):
                 FiniteMetric(zero)
@@ -389,23 +397,18 @@ class TestFiniteMetric:
             good = [[abs(i - j) if i < 4 > j else t for j in range(5)] for i in range(5)]
             for i in range(5):
                 good[i][i] = 0
+            assert first_fault(good) is None
             _delta_py.check_rows(good, range(5))
-            # the array holds t up to 2**62 - 1; past that the metric stays on rows
-            built = array_or_none(good, [[1] * 5] * 5)
-            assert (built is None) == (t >= 2**62)
-            if built:
-                _delta_py.check_array(built[0], range(5))
             good[0][3] = good[3][0] = 4  # longer than 0-1-3
+            assert first_fault(good) == "triangle inequality fails between 0 and 3"
             with pytest.raises(ValueError, match="^triangle inequality fails between 0 and 3$"):
                 _delta_py.check_rows(good, range(5))
 
-    # FiniteMetric checks these small matrices on Python int rows; the numpy
-    # check runs on each one's int16 array too.  Factor 2**62 with 1 added to
-    # every distance checks the rows past int64, where scaled_array refuses:
-    # on three points or more no common factor divides these entries back
-    # into int64 (on two, one distance is its own gcd).  The added 1 keeps
-    # each triangle's verdict, as a broken triangle misses by at least
-    # 2**62 / 6 before it
+    # FiniteMetric checks these small matrices on Python int rows.  Factor
+    # 2**62 with 1 added to every distance puts the entries past int64: on
+    # three points or more no common factor divides them back into it (on
+    # two, one distance is its own gcd).  The added 1 keeps each triangle's
+    # verdict, as a broken triangle misses by at least 2**62 / 6 before it
     @pytest.mark.parametrize("factor", [1, 2**62])
     def test_triangle_check_matches_brute_force(self, factor):
         rng = random.Random(f"triangle:{factor}")
@@ -419,22 +422,16 @@ class TestFiniteMetric:
                 for j in range(i + 1, n):
                     d = Q(rng.randint(low, 12), rng.choice((1, 1, 2, 3))) * factor + offset
                     matrix[i][j] = matrix[j][i] = d
-            built = array_or_none(*parts(matrix))
-            assert (built is None) == (factor > 1 and n >= 3)
-            assert built is None or built[0].dtype == "int16"
+            ints, _ = _delta_py.scaled_rows(*parts(matrix))
+            assert fits_int64(ints) == (factor == 1 or n < 3)
             bad = first_triangle_violation(matrix)
             if bad is None:
                 assert FiniteMetric(matrix).matrix == tuple(map(tuple, matrix))
-                if built:
-                    _delta_py.check_array(built[0], range(n))
                 accepted += 1
             else:
                 message = "^triangle inequality fails between %d and %d$" % bad
                 with pytest.raises(ValueError, match=message):
                     FiniteMetric(matrix)
-                if built:
-                    with pytest.raises(ValueError, match=message):
-                        _delta_py.check_array(built[0], range(n))
                 rejected += 1
         assert accepted >= 50 and rejected >= 50
 
@@ -493,30 +490,25 @@ class TestFourPointDelta:
     def test_backend_reported(self):
         assert delta_backend() == "pure-python"
 
-    # with offset 1, factors 2**13 and 2**14, 2**29 and 2**30, 2**60 and 2**61
-    # straddle the int16, int32 and int64 edges of the metric array (2 * peak
-    # within the dtype's maximum); with offset 0 the common factor is divided
-    # out.  Adding one offset to every off-diagonal distance keeps the
-    # triangle law and makes the entries odd
+    # with offset 1, factors 2**13 to 2**70 spread the entries over 2- to
+    # 10-byte fields of the packed rows, and 2**61 and 2**70 take twice the
+    # peak past int64; with offset 0 the common factor is divided out.
+    # Adding one offset to every off-diagonal distance keeps the triangle law
+    # and makes the entries odd
     @settings(max_examples=300, deadline=None)
     @given(
         graph_metrics(),
         st.sampled_from([1, 2**13, 2**14, 2**29, 2**30, 2**60, 2**61, 2**70]),
         st.sampled_from([0, 1]),
     )
-    @example(CYCLE4, 2**60 - 1, 0)  # largest entry 2**61 - 2: still int64
+    @example(CYCLE4, 2**60 - 1, 0)  # largest entry 2**61 - 2: 8-byte fields
     @example(CYCLE4, 2**60, 0)  # largest entry 2**61: the factor 2**60 divides out
-    @example(CYCLE4, 2**60, 1)  # largest entry 2**61 + 1: still int64
-    @example(CYCLE4, 2**61, 1)  # largest entry 2**62 + 1: rows only
+    @example(CYCLE4, 2**60, 1)  # largest entry 2**61 + 1: 8-byte fields
+    @example(CYCLE4, 2**61, 1)  # largest entry 2**62 + 1: 9-byte fields
     @example(CHORD4, 1, 0)  # defect 1, the smallest a scan can miss
     def test_kernel_matches_quadruple_oracle(self, d, factor, offset):
         scaled = [[x * factor + offset if x else 0 for x in row] for row in d]
-        built = array_or_none(scaled, [[1] * len(row) for row in scaled])
-        oracle = quadruple_defect(scaled)
-        assert _delta_py.rows_defect(scaled) == oracle
-        if built:
-            arr, unit = built
-            assert _delta_py.array_defect(arr) * unit.numerator == oracle
+        assert _delta_py.max_defect(scaled) == quadruple_defect(scaled)
 
     # the scan tests a pair on packed rows of Gromov products, each field's top
     # bit above twice the peak, as _packed sets it for the triangle check.
@@ -535,7 +527,7 @@ class TestFourPointDelta:
             top = 2 ** (8 * k - 2) - (side == "under")
             factor, offset = divmod(top, peak)
         scaled = [[x * factor + offset if x else 0 for x in row] for row in d]
-        assert _delta_py.rows_defect(scaled) == quadruple_defect(scaled)
+        assert _delta_py.max_defect(scaled) == quadruple_defect(scaled)
 
     # the pure scan takes every row maximum of P at once, as one fieldwise
     # maximum of packed rows: each field holds its top bit plus a value below
@@ -591,20 +583,20 @@ class TestFourPointDelta:
         assert total > 100
 
     def test_kernel_memory_is_quadratic(self):
-        import numpy  # noqa: F401  (its import is not the kernel's memory)
-
-        # a star's own array is int16; times 2**40 plus 1 (still a metric, gcd 1)
-        # it is int64, where a block sized by m instead of m^2 would take 16 MB
-        star = star_metric(128, random.Random(128))._ints.tolist()
-        arr = FiniteMetric([[x * 2**40 + 1 if x else 0 for x in row] for row in star])._ints
-        assert arr.dtype == "int64"
+        # a 128-point star times 2**40 plus 1 (still a metric, gcd 1) packs
+        # into 7-byte fields: the scan keeps the packed metric and one
+        # basepoint's packed rows, ~0.27 MB, where every basepoint's rows at
+        # once would take ~5 MB
+        star = star_metric(128, random.Random(128))._ints
+        ints = FiniteMetric([[x * 2**40 + 1 if x else 0 for x in row] for row in star])._ints
+        assert _delta_py._packed(ints)[2].bit_length() == 128 * 7 * 8
         tracemalloc.start()
         try:
-            _delta_py.max_defect(arr)
+            _delta_py.max_defect(ints)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 8 * 2**20
+        assert peak < 2**20
 
     @pytest.mark.parametrize("factor, offset", [(1, 0), (2**70, 1)], ids=["1", "2**70+1"])
     def test_pure_kernel_memory(self, factor, offset):
@@ -618,7 +610,7 @@ class TestFourPointDelta:
             ints = [[int(x) * factor + offset if x else 0 for x in row] for row in d]
             tracemalloc.start()
             try:
-                _delta_py.rows_defect(ints)
+                _delta_py.max_defect(ints)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -632,7 +624,7 @@ class TestFourPointDelta:
         calls = []
         rows_from = _delta_py._rows_from
         monkeypatch.setattr(_delta_py, "_rows_from", lambda *a: calls.append(a[1]) or rows_from(*a))
-        assert _delta_py.rows_defect(d) == 0
+        assert _delta_py.max_defect(d) == 0
         assert calls == [0]
 
     @settings(max_examples=20, deadline=None)
@@ -647,17 +639,15 @@ class TestFourPointDelta:
         )
         assert four_point_delta(permuted) == four_point_delta(metric)
 
-    # a primitive array's largest entry on either side of each dtype edge
-    # (2 * peak <= iinfo.max), and past the int64 range, where scaled_array
-    # refuses (dtype None) and the metric stays on rows.  A metric of four
-    # points is stored as Python int rows, so the array is built directly
+    # a primitive metric's largest entry on either side of the edges where
+    # _packed's fields gain a byte (its top bit above 2 * peak), which are
+    # also where twice the peak passes int16, int32 and int64
     @pytest.mark.parametrize(
-        "peak, dtype",
-        [(2**14 - 1, "int16"), (2**14, "int32"), (2**30 - 1, "int32"), (2**30, "int64"),
-         (2**62 - 1, "int64"), (2**62, None), (2**63, None)],
+        "peak, size",
+        [(2**14 - 1, 2), (2**14, 3), (2**30 - 1, 4), (2**30, 5), (2**62 - 1, 8), (2**62, 9), (2**63, 9)],
         ids=["2**14-1", "2**14", "2**30-1", "2**30", "2**62-1", "2**62", "2**63"],
     )
-    def test_huge_values_use_fallback(self, peak, dtype):
+    def test_huge_values_use_fallback(self, peak, size):
         # a 4-cycle with its longest distance at the peak and coprime sides
         # summing to it, so the entries have gcd 1; then a broken triangle
         short = (peak - 1) // 2
@@ -665,16 +655,8 @@ class TestFourPointDelta:
         assert math.gcd(short, long) == 1
         d = [[0, short, peak, long], [short, 0, long, peak],
              [peak, long, 0, short], [long, peak, short, 0]]
-        ones = [[1] * 4 for _ in range(4)]
-        built = array_or_none(d, ones)
-        if dtype is None:
-            assert built is None
-        else:
-            arr, unit = built
-            assert arr.dtype == dtype
-            assert unit == 1
-            _delta_py.check_array(arr, range(4))
-            assert _delta_py.array_defect(arr) == quadruple_defect(d)
+        _, _, guard = _delta_py._packed(d)
+        assert guard.bit_length() == 4 * 8 * size  # four fields of ``size`` bytes
         metric = FiniteMetric(d)
         assert metric._ints == d
         assert metric._unit == 1
@@ -684,31 +666,28 @@ class TestFourPointDelta:
         assert first_triangle_violation(bad) == (0, 1)
         with pytest.raises(ValueError, match="^triangle inequality fails between 0 and 1$"):
             FiniteMetric(bad)
-        if dtype:
-            with pytest.raises(ValueError, match="^triangle inequality fails between 0 and 1$"):
-                _delta_py.check_array(_delta_py.scaled_array(bad, ones[:3])[0], range(3))
 
-    # past _SMALL points the array holds a metric while twice its peak fits
-    # int64; one past that the metric stays on rows.  Distances p and p - 1
-    # are a metric with gcd 1 and peak p
-    @pytest.mark.parametrize("peak, form", [(2**62 - 1, "int64"), (2**62, "rows")],
-                             ids=["2**62-1", "2**62"])
-    def test_value_rule_past_the_cutoff(self, peak, form):
-        n = _delta_py._SMALL + 1
+    # 97 points, one past the size up to which rows once held every metric,
+    # with twice the peak on either side of the int64 maximum: both are rows
+    # of Python ints.  Distances p and p - 1 are a metric with gcd 1 and peak p
+    @pytest.mark.parametrize("peak", [2**62 - 1, 2**62], ids=["2**62-1", "2**62"])
+    def test_value_rule_past_the_cutoff(self, peak):
+        n = 97
         d = [[0 if i == j else peak - (i + j) % 2 for j in range(n)] for i in range(n)]
         metric = FiniteMetric(d)
         assert (metric._unit, metric.matrix[0][2], metric.matrix[0][1]) == (1, peak, peak - 1)
-        ints = metric._ints
-        assert ("rows" if isinstance(ints, list) else ints.dtype) == form
+        assert metric._ints == d
         assert four_point_delta(metric) == 1
+        if fits_int64(d):
+            assert int64_defect(d) == 2
 
     def test_huge_entries_stay_on_rows(self):
         # a 104-point star with each distance d made d (2**70 + 1) + 1: still a
         # metric, with gcd 1 and entries past int64, so every defect is
         # 2**70 + 1 times the star's.  FiniteMetric and four_point_delta took
-        # 0.72-0.98 s on numpy's object array and take ~55 ms on rows (2-vCPU
-        # Xeon VM, Python 3.11, numpy preloaded): 0.3 s is over 5x the rows'
-        # time and under half the object array's.  The tracemalloc peak was
+        # 0.72-0.98 s when numpy held such entries as an object array and take
+        # ~55 ms on rows (2-vCPU Xeon VM, Python 3.11): 0.3 s is over 5x the
+        # rows' time and under half the object array's.  The tracemalloc peak was
         # 1.57 MB on the object array and is 0.62 MB on rows
         star = star_matrix(104, random.Random(104))
         d = [[x * (2**70 + 1) + 1 if x else x for x in row] for row in star]
@@ -730,15 +709,13 @@ class TestFourPointDelta:
     @pytest.mark.parametrize("n", [24, 96])
     def test_common_factor_keeps_the_dtype(self, n):
         # the unit absorbs a common factor: a star times 2**70 gets the star's
-        # own array, in int16 and not refused as past int64 (FiniteMetric
-        # stores the same entries as Python int rows at both sizes, which are
-        # at most _SMALL)
+        # own primitive rows, and packs into the star's own field width
         star = star_matrix(n, random.Random(n), denominator=3)
         big_star = [[x * 2**70 for x in row] for row in star]
-        arr, unit = _delta_py.scaled_array(*parts(star))
-        big_arr, big_unit = _delta_py.scaled_array(*parts(big_star))
-        assert big_arr.dtype == arr.dtype == "int16"
-        assert big_arr.tolist() == arr.tolist() and big_unit == 2**70 * unit
+        rows, unit = _delta_py.scaled_rows(*parts(star))
+        big_rows, big_unit = _delta_py.scaled_rows(*parts(big_star))
+        assert big_rows == rows and big_unit == 2**70 * unit
+        assert fits_int64(rows)
         metric, big = FiniteMetric(star), FiniteMetric(big_star)
         assert four_point_delta(big) == 2**70 * four_point_delta(metric)
         assert big.matrix == tuple(map(tuple, big_star))
@@ -772,21 +749,19 @@ def outcome(build, check, scan, numerators, denominators, labels):
         check(matrix, labels)
     except ValueError as error:
         return str(error)
-    entries = matrix if isinstance(matrix, list) else matrix.tolist()
-    return entries, unit, scan(matrix)
+    return matrix, unit, scan(matrix)
 
 
 class TestPathsAgree:
-    """The Python int rows (metrics of up to 96 points, and any whose doubled
-    peak passes int64) and the numpy array (the rest) are two
-    implementations of one builder, checker and kernel: called directly on
-    the same inputs, at every size up to 40 and on stars and grids from 56
-    points to either side of 96, they agree wherever the array holds the
-    metric, and the rows match brute force where it does not."""
+    """The builder, checker and kernel on Python int rows against references
+    of each: called directly, at every size up to 40 and on stars and grids
+    from 56 to 104 points, the rows' entries, unit, first fault and defect
+    match brute force, and ``int64_defect`` wherever twice the peak fits
+    int64."""
 
-    # factors 2**61 and 2**70 with offset 1 put entries past 2**62, where
-    # scaled_array refuses and the rows are held to brute force; each fault
-    # breaks one axiom, and two faults race for which message comes first
+    # factors 2**61 and 2**70 with offset 1 put entries past 2**62, where the
+    # defect is held to the quadruple oracle; each fault breaks one axiom,
+    # and two faults race for which message comes first
     @settings(max_examples=120, deadline=None)
     @given(
         graph_metrics(40),
@@ -818,25 +793,21 @@ class TestPathsAgree:
                 dens[i][j] = dens[j][i] = rng.choice((1, 1, 2, 3, 6))
         nums = [[x * q for x, q in zip(row, qs)] for row, qs in zip(d, dens)]
         labels = tuple(range(n))
-        pure = outcome(_delta_py.scaled_rows, _delta_py.check_rows, _delta_py.rows_defect,
+        pure = outcome(_delta_py.scaled_rows, _delta_py.check_rows, _delta_py.max_defect,
                        nums, dens, labels)
-        if array_or_none(nums, dens):
-            array = outcome(_delta_py.scaled_array, _delta_py.check_array, _delta_py.array_defect,
-                            nums, dens, labels)
-            assert pure == array
-        elif (message := first_fault(d)) is not None:
+        if (message := first_fault(d)) is not None:
             assert pure == message
         else:
             rows, unit, defect = pure
             assert [[x * unit for x in row] for row in rows] == d
-            assert defect * unit == quadruple_defect(d)
+            assert defect == (int64_defect if fits_int64(rows) else quadruple_defect)(rows)
 
-    # grids with many ties, stars with few.  Times 2**70 plus 1 the entries
-    # pass 2**62 with gcd 1, so metric_array keeps them on rows at every
-    # size; each pair-sum of distinct points gains exactly 2, so every
-    # defect is 2**70 times the plain metric's, scanned on its int16 array.
-    # A grid of n points is the first n cells of rows of c, under the l1
-    # distance
+    # grids with many ties, stars with few, on either side of 96 points, up to
+    # which rows once held every metric.  Times 2**70 plus 1 the entries pass
+    # 2**62 with gcd 1; each pair-sum of distinct points gains exactly 2, so
+    # every defect is 2**70 times the plain metric's, as ``int64_defect``
+    # scans it.  A grid of n points is the first n cells of rows of c, under
+    # the l1 distance
     @pytest.mark.parametrize("factor, offset", [(1, 0), (2**70, 1)], ids=["1", "2**70+1"])
     @pytest.mark.parametrize("shape", ["star", "grid"])
     @pytest.mark.parametrize("n", [56, 64, 65, 72, 88, 96, 97, 104])
@@ -847,14 +818,13 @@ class TestPathsAgree:
             c = {56: 8, 64: 8, 65: 13, 72: 9, 88: 11, 96: 12, 97: 10, 104: 13}[n]
             cells = [divmod(i, c) for i in range(n)]
             d = [[abs(i - k) + abs(j - l) for k, l in cells] for i, j in cells]
-        ones = [[1] * n for _ in range(n)]
-        arr, unit = _delta_py.scaled_array(d, ones)
-        assert arr.dtype == "int16"
+        oracle = int64_defect(d)
         if offset:
             huge = [[x * factor + offset if x else 0 for x in row] for row in d]
-            d, big_unit = _delta_py.metric_array(huge, ones, range(n))
-            assert isinstance(d, list) and d == huge and big_unit == 1
-        assert _delta_py.rows_defect(d) == factor * _delta_py.array_defect(arr) * unit.numerator
+            d, big_unit = _delta_py.scaled_rows(huge, [[1] * n for _ in range(n)])
+            _delta_py.check_rows(d, range(n))
+            assert d == huge and big_unit == 1
+        assert _delta_py.max_defect(d) == factor * oracle
 
     # the pure scan's row bound keeps most pairs of a tree, where best never
     # rises past 0, and few on the other shapes
@@ -864,10 +834,9 @@ class TestPathsAgree:
     ], ids=["tree-48", "tree-64", "euclid-48", "band-100-48", "band-1000-48"])
     def test_kernels_match_quadruple_oracle_on_shapes(self, build, n):
         d = build(n, random.Random(n))
-        arr, unit = _delta_py.scaled_array(d, [[1] * n for _ in range(n)])
         oracle = quadruple_defect(d)
         assert (oracle == 0) == (build is tree_matrix)
-        assert _delta_py.rows_defect(d) == _delta_py.array_defect(arr) * unit.numerator == oracle
+        assert _delta_py.max_defect(d) == int64_defect(d) == oracle
 
     # each hit of the pure scan raises best, and with it the cut on the rest
     # of the row
@@ -875,22 +844,20 @@ class TestPathsAgree:
     @given(star_metrics())
     @example(STAR5)
     def test_kernels_match_quadruple_oracle_as_best_rises(self, d):
-        arr, unit = _delta_py.scaled_array(d, [[1] * len(d) for _ in d])
-        oracle = quadruple_defect(d)
-        assert _delta_py.rows_defect(d) == _delta_py.array_defect(arr) * unit.numerator == oracle
+        assert _delta_py.max_defect(d) == int64_defect(d) == quadruple_defect(d)
 
-    # both scans stop once best reaches twice D0, the first basepoint's best:
-    # exact only if no quadruple scores more, which the basepoint-change
-    # lemma says; trees stop at once, near-trees and bands rarely
+    # the scan stops once best reaches twice D0, the first basepoint's best
+    # (int64_defect does not stop): exact only if no quadruple scores more,
+    # which the basepoint-change lemma says; trees stop at once, near-trees
+    # and bands rarely
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(star_metrics(14), tree_metrics(), band_metrics()))
     @example(CHORD4)
     @example(PATH36)
     def test_kernels_stop_at_twice_the_first_basepoint(self, d):
-        arr, unit = _delta_py.scaled_array(d, [[1] * len(d) for _ in d])
         oracle = quadruple_defect(d)
         assert oracle <= 2 * first_basepoint_defect(d)
-        assert _delta_py.rows_defect(d) == _delta_py.array_defect(arr) * unit.numerator == oracle
+        assert _delta_py.max_defect(d) == int64_defect(d) == oracle
 
 
 class TestSubgraphFamily:
