@@ -1,22 +1,20 @@
-"""Batch front-end.
+"""Batch front-end: six subcommands over the library, each writing a CSV.
 
-Six subcommands wrap the library: halphen-table, flat-growth, delta,
-length, classify, in-e.  Tabular output is CSV with a header row; given
-identical inputs the bytes are identical.  Exit codes: 0 success, 1 input
-or usage error (including a point id the input uses but never declares),
-2 mathematical failure (failed validation, failed certificate, mismatch,
-non-membership).
+`_ABOUT` is the top-level help: the subcommands, the output and the exit
+codes.  `main` reads argv against the command table `_COMMANDS` and runs one
+subcommand; `run`, the console entry, then ends the process.
 """
 
 from __future__ import annotations
 
-import argparse
+import os
+import re
 import sys
-from typing import Optional, Sequence
+from types import SimpleNamespace
+from typing import List, Optional, Sequence
 
 # Each cmd_* imports the legs it runs, so a job loads only its own: delta
 # never loads the Cremona or Halphen code, halphen-table never hypgraph.
-# (The module docstring is the --help text, so this note lives here.)
 from ._exact import cut, cut_path, cut_repr
 from .errors import CremlatError, UnknownPoint
 
@@ -41,42 +39,13 @@ def _fail(message: str) -> None:
     print(line, file=sys.stderr)
 
 
-class _Parser(argparse.ArgumentParser):
-    # the tokens this parser reads, for error() to find in argparse's words
-    _tokens: Sequence[str] = ()
-
-    def parse_known_args(self, args=None, namespace=None):
-        self._tokens = list(sys.argv[1:] if args is None else args)
-        return super().parse_known_args(self._tokens, namespace)
-
-    def parse_args(self, args=None, namespace=None):
-        # argparse's own names every unrecognized token, however many
-        args, extra = self.parse_known_args(args, namespace)
-        if extra:
-            shown = " ".join(extra[:_SHOWN_TOKENS])
-            if len(extra) > _SHOWN_TOKENS:
-                shown += f" … and {len(extra) - _SHOWN_TOKENS} more"
-            self.error(f"unrecognized arguments: {shown}")
-        return args
-
-    # usage problems are input errors: exit 1 and one stderr line, not argparse's 2 and usage
-    def error(self, message: str) -> None:
-        # argparse echoes a token whole, as its repr or bare: cut both as cut_repr
-        # cuts a value, which leaves a short token's bytes as they are.  The
-        # longest go first, so no token is cut inside a longer one
-        for token in sorted(self._tokens, key=len, reverse=True):
-            message = message.replace(repr(token), cut_repr(token)).replace(token, cut(token))
-        _fail(f"{self.prog}: error: {message}")
-        raise SystemExit(EXIT_INPUT)
-
-
 def _positive(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {cut_repr(text)}")
+        raise ValueError(f"expected an integer, got {cut_repr(text)}")
     if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {cut_repr(value)}")
+        raise ValueError(f"expected a positive integer, got {cut_repr(value)}")
     return value
 
 
@@ -218,56 +187,227 @@ def cmd_in_e(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# wiring
+# wiring: the command table, its reader and its help
+
+_OUT = ("--out", "PATH", False, "write output here instead of stdout")
+
+# name -> (runner, help line, options, positional), in the order help lists
+# them.  An option is (flag, metavar, required, help), and its field is the
+# flag without its dashes; an N is read by _positive, any other value kept as
+# given.  The positional, if any, is (field, metavar, help).
+_COMMANDS = {
+    "halphen-table": (cmd_halphen_table, "twist degrees vs the closed form",
+                      [("--nmax", "N", True, ""), _OUT], None),
+    "flat-growth": (cmd_flat_growth, "length-bound table and growth certificate",
+                    [("--kmax", "N", True, ""), _OUT], None),
+    "delta": (cmd_delta, "exact four-point constant of a metric CSV",
+              [_OUT], ("metric", "metric", "headered square distance matrix, entries num/den")),
+    "length": (cmd_length, "length bounds of a characteristic JSON file",
+               [_OUT], ("char", "char", "characteristic record")),
+    "classify": (cmd_classify, "adjacency classification of configured maps",
+                 [("--config", "PATH", True, "run configuration JSON"), _OUT], None),
+    "in-e": (cmd_in_e, "membership report for a class JSON file",
+             [("--config", "PATH", False, "run configuration JSON with the points"), _OUT],
+             ("cls", "class", "class record")),
+}
+_CHOICES = ", ".join(repr(name) for name in _COMMANDS)
+
+# the top-level help's description, laid out as argparse laid it out at 80 columns
+_ABOUT = """\
+Batch front-end. Six subcommands wrap the library: halphen-table, flat-growth,
+delta, length, classify, in-e. Tabular output is CSV with a header row; given
+identical inputs the bytes are identical. Exit codes: 0 success, 1 input or
+usage error (including a point id the input uses but never declares), 2
+mathematical failure (failed validation, failed certificate, mismatch, non-
+membership)."""
+
+# a token argparse reads as a negative number, which is a value, not an option
+_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+_MARK = "--"  # the first one ends the options; every later token is a value
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="cremlat", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+class _UsageError(Exception):
+    """A command line the table does not accept, in argparse's words; ``prog``
+    names the parser that refused it, as argparse did."""
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
+    def __init__(self, prog: str, message: str) -> None:
+        super().__init__(message)
+        self.prog = prog
 
-    p = sub.add_parser("halphen-table", help="twist degrees vs the closed form")
-    p.add_argument("--nmax", metavar="N", type=_positive, required=True)
-    common(p)
-    p.set_defaults(func=cmd_halphen_table)
 
-    p = sub.add_parser("flat-growth", help="length-bound table and growth certificate")
-    p.add_argument("--kmax", metavar="N", type=_positive, required=True)
-    common(p)
-    p.set_defaults(func=cmd_flat_growth)
+def _option(token: str, flags: Sequence[str], prog: str):
+    """How argparse reads ``token`` before the first "--": None for a value,
+    else (flag, the value after "=" or None), with flag None for an option no
+    entry names.  ``flags`` are the parser's long options, --help first; a
+    long option may be cut to any prefix that names one alone."""
+    if not token.startswith("-") or token == "-":
+        return None
+    if token == "-h" or token in flags:
+        return token, None
+    head, equals, explicit = token.partition("=")
+    if equals and (head == "-h" or head in flags):
+        return head, explicit
+    if token.startswith("--"):
+        matches = [flag for flag in flags if flag.startswith(head)]
+        if len(matches) > 1:
+            matching = ", ".join(matches)
+            raise _UsageError(prog, f"ambiguous option: {cut(token)} could match {matching}")
+        if matches:
+            return matches[0], explicit if equals else None
+    elif token.startswith("-h"):  # letters attached to -h, as -hh
+        return "-h", token[2:]
+    if _NUMBER.match(token) or " " in token:
+        return None
+    return None, None
 
-    p = sub.add_parser("delta", help="exact four-point constant of a metric CSV")
-    p.add_argument("metric", help="headered square distance matrix, entries num/den")
-    common(p)
-    p.set_defaults(func=cmd_delta)
 
-    p = sub.add_parser("length", help="length bounds of a characteristic JSON file")
-    p.add_argument("char", help="characteristic record")
-    common(p)
-    p.set_defaults(func=cmd_length)
+def _wants_help(flag: str, explicit: Optional[str], prog: str) -> bool:
+    if flag not in ("-h", "--help"):
+        return False
+    if explicit is not None:  # -hh is -h twice; any other value is refused
+        rest = explicit.lstrip("h") if flag == "-h" else explicit
+        if rest or not explicit:
+            raise _UsageError(prog, f"argument -h/--help: ignored explicit argument {cut_repr(rest)}")
+    return True
 
-    p = sub.add_parser("classify", help="adjacency classification of configured maps")
-    p.add_argument("--config", metavar="PATH", required=True, help="run configuration JSON")
-    common(p)
-    p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("in-e", help="membership report for a class JSON file")
-    p.add_argument("cls", metavar="class", help="class record")
-    p.add_argument("--config", metavar="PATH", help="run configuration JSON with the points")
-    common(p)
-    p.set_defaults(func=cmd_in_e)
+def _read_command(name: str, args: List[str]):
+    """(fields, tokens not understood) of one subcommand's arguments, or None
+    once its help is printed."""
+    runner, _, options, positional = _COMMANDS[name]
+    prog = f"cremlat {name}"
+    flags = ["--help", *(option[0] for option in options)]
+    end = args.index(_MARK) if _MARK in args else len(args)
+    kinds = [_option(token, flags, prog) for token in args[:end]]
+    kinds += [_MARK] + [None] * (len(args) - end - 1) if end < len(args) else []
+    fields = {"command": name, "func": runner}
+    fields.update((option[0][2:], None) for option in options)
+    given = set()
+    if positional is not None:
+        fields[positional[0]] = None
+    pending = positional is not None
+    extras = []
+    i = 0
+    while i < len(args):
+        kind = kinds[i]
+        if kind is None or kind == _MARK:
+            # the positional takes the first value of a run, with a "--" just
+            # before or after it; any other value is not understood
+            start = i + (kind == _MARK)
+            if pending and start < len(args):
+                fields[positional[0]] = args[start]
+                pending = False
+                i = start + 1 + (start + 1 < len(args) and kinds[start + 1] == _MARK)
+            else:
+                extras.append(args[i])
+                i += 1
+            continue
+        flag, explicit = kind
+        i += 1
+        if flag is None:
+            extras.append(args[i - 1])
+        elif _wants_help(flag, explicit, prog):
+            sys.stdout.write(_help(name))
+            return None
+        else:
+            if explicit is None:
+                if i == len(args) or kinds[i] is not None:
+                    raise _UsageError(prog, f"argument {flag}: expected one argument")
+                explicit = args[i]
+                i += 1
+            value = explicit
+            if any(option[0] == flag and option[1] == "N" for option in options):
+                try:
+                    value = _positive(explicit)
+                except ValueError as exc:
+                    raise _UsageError(prog, f"argument {flag}: {exc}") from None
+            fields[flag[2:]] = value
+            given.add(flag)
+    missing = [option[0] for option in options if option[2] and option[0] not in given]
+    if pending:
+        missing.append(positional[1])
+    if missing:
+        missing = ", ".join(missing)
+        raise _UsageError(prog, f"the following arguments are required: {missing}")
+    return fields, extras
 
-    return parser
+
+def _read(argv: List[str]) -> Optional[SimpleNamespace]:
+    """The subcommand and fields argv names, read as argparse read them, or
+    None once help is printed.  Raises _UsageError."""
+    extras = []
+    for i, token in enumerate(argv):
+        kind = None if token == _MARK else _option(token, ["--help"], "cremlat")
+        if kind is None:
+            if token == _MARK and i + 1 == len(argv):
+                break
+            if token not in _COMMANDS:
+                raise _UsageError(
+                    "cremlat", f"argument command: invalid choice: {cut_repr(token)} (choose from {_CHOICES})"
+                )
+            read = _read_command(token, argv[i + 1:])
+            if read is None:
+                return None
+            fields, more = read
+            extras += more
+            if extras:
+                shown = " ".join(cut(extra) for extra in extras[:_SHOWN_TOKENS])
+                if len(extras) > _SHOWN_TOKENS:
+                    shown += f" … and {len(extras) - _SHOWN_TOKENS} more"
+                raise _UsageError("cremlat", f"unrecognized arguments: {shown}")
+            return SimpleNamespace(**fields)
+        flag, explicit = kind
+        if flag is None:
+            extras.append(token)
+        elif _wants_help(flag, explicit, "cremlat"):
+            sys.stdout.write(_help(None))
+            return None
+    raise _UsageError("cremlat", "the following arguments are required: command")
+
+
+def _help(name: Optional[str]) -> str:
+    """The --help text of a subcommand, or of the whole command line for None,
+    as argparse wrote it at 80 columns."""
+    if name is None:
+        choices = "{" + ",".join(_COMMANDS) + "}"
+        usage = f"cremlat [-h] {choices} ..."
+        about = _ABOUT + "\n\n"
+        listed = [(2, choices, "")] + [(4, command, entry[1]) for command, entry in _COMMANDS.items()]
+        options = [(2, "-h, --help", "show this help message and exit")]
+        column = 24
+    else:
+        _, _, table, positional = _COMMANDS[name]
+        words = [flag + " " + metavar if required else f"[{flag} {metavar}]" for flag, metavar, required, _ in table]
+        listed = [] if positional is None else [(2, positional[1], positional[2])]
+        usage = " ".join([f"cremlat {name} [-h]", *words] + [head for _, head, _ in listed])
+        about = ""
+        options = [(2, "-h, --help", "show this help message and exit")]
+        options += [(2, f"{flag} {metavar}", text) for flag, metavar, _, text in table]
+        column = 4 + max(len(head) for _, head, _ in listed + options)
+
+    def block(title, rows):
+        lines = [title]
+        for indent, head, text in rows:
+            line = " " * indent + (head.ljust(column - indent - 2) + "  " + text if text else head)
+            lines.append(line)
+        return "\n".join(lines) + "\n"
+
+    blocks = [block("positional arguments:", listed)] if listed else []
+    blocks.append(block("options:", options))
+    return f"usage: {usage}\n\n{about}" + "\n".join(blocks)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
+    """Run the subcommand argv names and return its exit code; help and
+    usage errors return 0 and 1.  The library and test entry: it never ends
+    the process."""
     try:
-        args = parser.parse_args(list(sys.argv[1:]) if argv is None else list(argv))
-    except SystemExit as exc:  # argparse help or usage error; keep main() returnable
-        return int(exc.code or 0)
+        args = _read(list(sys.argv[1:]) if argv is None else list(argv))
+    except _UsageError as exc:
+        _fail(f"{exc.prog}: error: {exc}")
+        return EXIT_INPUT
+    if args is None:
+        return EXIT_OK
     try:
         return args.func(args)
     # JSONDecodeError is a ValueError; an undeclared point id is a fault of the files
@@ -281,5 +421,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_MATH
 
 
+def run() -> None:
+    """The console entry (`cremlat`, `python -m cremlat`): main() on
+    sys.argv, then the process ends with os._exit, skipping the interpreter's
+    teardown, so atexit hooks do not run.  Stdout is flushed first; if that
+    fails, one stderr line says so and the exit code is 1.  An exception that
+    escapes main() propagates as usual."""
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError as exc:  # a full disk, or a reader that closed the pipe
+        _fail(f"cremlat: cannot write output: {exc}")
+        code = EXIT_INPUT
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from cremlat import cli
 from cremlat._exact import cut_path
 from cremlat.cli import main
 
@@ -562,7 +563,7 @@ def path_metric_csv(tmp_path, n, factor=1, offset=0):
     return metric
 
 
-def test_numpy_loads_only_for_metrics(tmp_path):
+def test_no_job_loads_numpy(tmp_path):
     # no job imports numpy: every metric is checked and scanned on Python
     # ints, at 3 and 96 points and at 97, one past the size up to which it
     # once was, plain and with entries past int64 (times 2**70 + 1 plus 1:
@@ -621,14 +622,17 @@ def test_job_loads_only_its_legs(tmp_path, command):
         "    code = cremlat.cli.main(sys.argv[1:])\n"
         "print(code, *sorted(name[8:] for name in sys.modules if name.startswith('cremlat.')))\n"
         "print('json' in sys.modules)\n"
+        "print(*(name in sys.modules for name in ('argparse', 'gettext', 'locale')))\n"
     )
     proc = subprocess.run([sys.executable, "-c", script, command, *argv],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    legs, json_loaded = proc.stdout.splitlines()
+    legs, json_loaded, parser_loaded = proc.stdout.splitlines()
     assert legs == f"0 {LEGS[command]}"
     if command in NO_JSON:
         assert json_loaded == "False"
+    # argv is read without argparse, and so without the gettext and locale it loads
+    assert parser_loaded == "False False False"
 
 
 class TestOutFlag:
@@ -669,3 +673,39 @@ class TestEntryPoints:
         )
         assert proc.returncode == expected.returncode == 0
         assert proc.stdout == expected.stdout
+
+    # stdout buffered, as a shell gives it, so the CSV is written as the
+    # process ends: a failure there exited 120 with two "Exception ignored"
+    # lines of Python's
+    @pytest.mark.parametrize("sink, number", [("full", errno.ENOSPC), ("closed-pipe", errno.EPIPE)])
+    def test_output_failure_is_one_line(self, sink, number):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        argv = [sys.executable, "-m", "cremlat", "halphen-table", "--nmax", "3"]
+        if sink == "full":
+            with open("/dev/full", "wb") as full:
+                proc = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, text=True, env=env)
+        else:
+            read, write = os.pipe()
+            os.close(read)
+            try:
+                proc = subprocess.run(argv, stdout=write, stderr=subprocess.PIPE, text=True, env=env)
+            finally:
+                os.close(write)
+        assert proc.returncode == 1
+        assert proc.stderr == f"cremlat: cannot write output: [Errno {number}] {os.strerror(number)}\n"
+
+    def test_run_ends_the_process_with_the_exit_code(self, monkeypatch, capsys):
+        ended = []
+        monkeypatch.setattr(cli.os, "_exit", ended.append)
+        monkeypatch.setattr(sys, "argv", ["cremlat", "flat-growth", "--kmax", "0"])
+        cli.run()
+        assert ended == [1] and capsys.readouterr().err.count("\n") == 1
+
+    def test_run_lets_an_escaping_exception_propagate(self, monkeypatch):
+        def broken(argv=None):
+            raise RuntimeError("from main")
+
+        monkeypatch.setattr(cli, "main", broken)
+        monkeypatch.setattr(cli.os, "_exit", pytest.fail)
+        with pytest.raises(RuntimeError, match="from main"):
+            cli.run()

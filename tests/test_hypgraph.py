@@ -671,7 +671,7 @@ class TestFourPointDelta:
     # with twice the peak on either side of the int64 maximum: both are rows
     # of Python ints.  Distances p and p - 1 are a metric with gcd 1 and peak p
     @pytest.mark.parametrize("peak", [2**62 - 1, 2**62], ids=["2**62-1", "2**62"])
-    def test_value_rule_past_the_cutoff(self, peak):
+    def test_twice_the_peak_either_side_of_int64(self, peak):
         n = 97
         d = [[0 if i == j else peak - (i + j) % 2 for j in range(n)] for i in range(n)]
         metric = FiniteMetric(d)
@@ -707,7 +707,7 @@ class TestFourPointDelta:
         assert peak < 2**20
 
     @pytest.mark.parametrize("n", [24, 96])
-    def test_common_factor_keeps_the_dtype(self, n):
+    def test_common_factor_goes_to_the_unit(self, n):
         # the unit absorbs a common factor: a star times 2**70 gets the star's
         # own primitive rows, and packs into the star's own field width
         star = star_matrix(n, random.Random(n), denominator=3)

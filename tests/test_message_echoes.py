@@ -36,8 +36,12 @@ ALLOWED = {
                       "in pinned messages",
     "exc": "a caught exception: the package's own message, already cut, csv's fixed words, "
            "or an OSError's, whose path the CLI cuts first",
-    "message": "argparse's own words; `_Parser.error` cuts the tokens they echo as cut_repr cuts",
-    "self.prog": "the parser's program name, set by the CLI",
+    "exc.prog": "the program a usage error names: cremlat, or cremlat and a subcommand of the table",
+    "flag": "an option of the CLI's command table",
+    "matching": "the options of the command table that an ambiguous prefix could mean",
+    "missing": "the names of the required arguments not given, from the command table",
+    "cut(token)": "a command-line token cut to 80 characters as cut_repr cuts, bare as argparse showed it",
+    "shown": "at most _SHOWN_TOKENS unrecognized tokens, each cut by `cut`, and a count of the rest",
     "args.command": "the subcommand name, one of the parser's six choices",
     "type(value).__name__": "the name of a JSON value's type (list, str, int, ...)",
     "type(record).__name__": "the name of a JSON value's type (list, str, int, ...)",
