@@ -11,7 +11,7 @@ import os
 import re
 import sys
 from types import SimpleNamespace
-from typing import List, Optional, Sequence
+from typing import List, NoReturn, Optional, Sequence
 
 # Each cmd_* imports the legs it runs, so a job loads only its own: delta
 # never loads the Cremona or Halphen code, halphen-table never hypgraph.
@@ -276,15 +276,17 @@ def _read_command(name: str, args: List[str]):
     once its help is printed."""
     runner, _, options, positional = _COMMANDS[name]
     prog = f"cremlat {name}"
-    flags = ["--help", *(option[0] for option in options)]
+    by_flag = {option[0]: option for option in options}
+    flags = ["--help", *by_flag]
     end = args.index(_MARK) if _MARK in args else len(args)
     kinds = [_option(token, flags, prog) for token in args[:end]]
-    kinds += [_MARK] + [None] * (len(args) - end - 1) if end < len(args) else []
+    if end < len(args):
+        kinds += [_MARK] + [None] * (len(args) - end - 1)
     fields = {"command": name, "func": runner}
-    fields.update((option[0][2:], None) for option in options)
-    given = set()
+    fields.update((flag[2:], None) for flag in by_flag)
     if positional is not None:
         fields[positional[0]] = None
+    given = set()
     pending = positional is not None
     extras = []
     i = 0
@@ -316,7 +318,7 @@ def _read_command(name: str, args: List[str]):
                 explicit = args[i]
                 i += 1
             value = explicit
-            if any(option[0] == flag and option[1] == "N" for option in options):
+            if by_flag[flag][1] == "N":
                 try:
                     value = _positive(explicit)
                 except ValueError as exc:
@@ -377,7 +379,8 @@ def _help(name: Optional[str]) -> str:
         column = 24
     else:
         _, _, table, positional = _COMMANDS[name]
-        words = [flag + " " + metavar if required else f"[{flag} {metavar}]" for flag, metavar, required, _ in table]
+        words = [f"{flag} {metavar}" if required else f"[{flag} {metavar}]"
+                 for flag, metavar, required, _ in table]
         listed = [] if positional is None else [(2, positional[1], positional[2])]
         usage = " ".join([f"cremlat {name} [-h]", *words] + [head for _, head, _ in listed])
         about = ""
@@ -421,7 +424,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_MATH
 
 
-def run() -> None:
+def run() -> NoReturn:
     """The console entry (`cremlat`, `python -m cremlat`): main() on
     sys.argv, then the process ends with os._exit, skipping the interpreter's
     teardown, so atexit hooks do not run.  Stdout is flushed first; if that
