@@ -370,12 +370,12 @@ def _read(argv: List[str]) -> Optional[SimpleNamespace]:
 def _help(name: Optional[str]) -> str:
     """The --help text of a subcommand, or of the whole command line for None,
     as argparse wrote it at 80 columns."""
+    options = [(2, "-h, --help", "show this help message and exit")]
     if name is None:
         choices = "{" + ",".join(_COMMANDS) + "}"
         usage = f"cremlat [-h] {choices} ..."
         about = _ABOUT + "\n\n"
         listed = [(2, choices, "")] + [(4, command, entry[1]) for command, entry in _COMMANDS.items()]
-        options = [(2, "-h, --help", "show this help message and exit")]
         column = 24
     else:
         _, _, table, positional = _COMMANDS[name]
@@ -384,7 +384,6 @@ def _help(name: Optional[str]) -> str:
         listed = [] if positional is None else [(2, positional[1], positional[2])]
         usage = " ".join([f"cremlat {name} [-h]", *words] + [head for _, head, _ in listed])
         about = ""
-        options = [(2, "-h, --help", "show this help message and exit")]
         options += [(2, f"{flag} {metavar}", text) for flag, metavar, _, text in table]
         column = 4 + max(len(head) for _, head, _ in listed + options)
 
