@@ -6,12 +6,12 @@ denominator), so its matrix is primitive: the entries have gcd 1.
 
 The matrix is a list of rows of Python ints, checked and scanned in plain
 Python, exactly at any size and for entries of any size.  The triangle
-check packs each row into one int, one fixed-width field per point, and
-tests a pair's every two-step path with one sum.  The scan packs each
-basepoint's rows of Gromov products in the same fields: one fieldwise
-maximum of them bounds every row, one mask per point keeps the few pairs
-that pass the bounds, and a kept pair is tested with two differences and
-two ANDs.
+check packs each row once into one int, one fixed-width field per point,
+tests a pair's every two-step path with one sum, and hands the packing to
+the scan, which forms each basepoint's rows of Gromov products in the same
+fields: one fieldwise maximum of them bounds every row, one mask per point
+keeps the few pairs that pass the bounds, and a kept pair is tested with two
+differences and two ANDs.
 
 The four-point kernel scans doubled Gromov products (Fournier, Ismail and
 Vigneron, "Computing the Gromov hyperbolicity of a discrete metric space",
@@ -39,30 +39,27 @@ from typing import List, Sequence, Tuple
 from ._exact import cut_repr
 
 
-def scaled_rows(numerators: Sequence[Sequence[int]], denominators: Sequence[Sequence[int]]):
+def scaled_rows(numerators: Sequence[List[int]], denominators: Sequence[Sequence[int]]):
     """The square matrix of rationals numerators[i][j] / denominators[i][j] as
     ``(rows, unit)``: n lists of primitive Python ints and the positive
     Fraction unit, with d(i, j) = rows[i][j] * unit.  Denominators are
-    positive, as ``_exact.rational_row`` reads them."""
-    dens = [d for row in denominators for d in row]
-    distinct = set(dens)
-    scale = math.lcm(*distinct)
-    ints = [x for row in numerators for x in row]
+    positive, as ``_exact.rational_row`` reads them.  Each row is scaled on
+    its own, and rows already primitive are ``numerators``' own lists."""
+    scale = math.lcm(*{d for row in denominators for d in row})
+    rows = numerators
     if scale != 1:
-        factor = {d: scale // d for d in distinct}
-        ints = [x * factor[d] for x, d in zip(ints, dens)]
-    common = math.gcd(*ints) or 1
+        rows = [[x * (scale // d) for x, d in zip(row, dens)] for row, dens in zip(rows, denominators)]
+    common = math.gcd(*[math.gcd(*row) for row in rows]) or 1
     if common != 1:
-        ints = [x // common for x in ints]
-    n = len(numerators)
-    return [ints[i * n : i * n + n] for i in range(n)], Fraction(common, scale)
+        rows = [[x // common for x in row] for row in rows]
+    return rows, Fraction(common, scale)
 
 
-def check_rows(rows: List[List[int]], labels: Sequence) -> None:
+def check_rows(rows: List[List[int]], labels: Sequence) -> Tuple[List[int], int, int]:
     """The metric axioms on rows of ints: zero diagonal, symmetry, positivity
     above the diagonal, then the triangle law, each naming its first bad pair.
-    A pair's triangle test sums its two rows packed into one int each, every
-    two-step path at once."""
+    A pair's triangle test sums its two rows packed by ``_packed``, every
+    two-step path at once; the packing is returned for ``max_defect``."""
     n = len(rows)
     for i in range(n):
         if rows[i][i]:
@@ -78,25 +75,24 @@ def check_rows(rows: List[List[int]], labels: Sequence) -> None:
                 raise ValueError(
                     f"nonpositive distance at ({cut_repr(labels[i])}, {cut_repr(labels[j])})"
                 )
+    # packed only now: a negative entry has no field, and its message comes first
+    packed, ones, guard = _packed(rows)
     # with symmetry, min over k of d(i, k) + d(j, k) is the shortest two-step path
     # from i to j; a failure at (i, j) is one at (j, i), so the first has i < j.
     # Every two-step path from i to j is at least near[i] + near[j], the
     # distances from i and from j to their nearest other points, so a pair no
     # longer than that meets the law and is not tested
     near = [min(row[:i] + row[i + 1 :], default=0) for i, row in enumerate(rows)]
-    packed = None
     for i, row in enumerate(rows):
         ni = near[i]
         for j in range(i + 1, n):
-            if row[j] - near[j] > ni:
-                if packed is None:
-                    packed, ones, guard = _packed(rows)
-                # field k holds its top bit plus d(i, k) + d(j, k) - d(i, j): the
-                # bit stays set exactly when the path through k is no shorter
-                if (packed[i] + packed[j] + guard - row[j] * ones) & guard != guard:
-                    raise ValueError(
-                        f"triangle inequality fails between {cut_repr(labels[i])} and {cut_repr(labels[j])}"
-                    )
+            # field k holds its top bit plus d(i, k) + d(j, k) - d(i, j): the
+            # bit stays set exactly when the path through k is no shorter
+            if row[j] - near[j] > ni and (packed[i] + packed[j] + guard - row[j] * ones) & guard != guard:
+                raise ValueError(
+                    f"triangle inequality fails between {cut_repr(labels[i])} and {cut_repr(labels[j])}"
+                )
+    return packed, ones, guard
 
 
 def _packed(rows: List[List[int]]) -> Tuple[List[int], int, int]:
@@ -112,15 +108,16 @@ def _packed(rows: List[List[int]]) -> Tuple[List[int], int, int]:
     return packed, ones, ones << (8 * size - 1)
 
 
-def max_defect(rows: Sequence[Sequence[int]]) -> int:
+def max_defect(rows: Sequence[Sequence[int]], packed: List[int], ones: int, guard: int) -> int:
     """Largest difference of the two largest pair-sums over all quadruples.
 
     For each quadruple i<j<k<l the three pairings are d[i][j]+d[k][l],
     d[i][k]+d[j][l], d[i][l]+d[j][k]; the defect is (largest - second
     largest).  Returns the maximum defect, 0 for fewer than four points.
     ``rows`` must be a metric given as a square list of rows of ints, as
-    ``scaled_rows`` builds and ``check_rows`` checks it: the triangle law
-    makes every choice with repeated points score <= 0.
+    ``scaled_rows`` builds and ``check_rows`` checks it, and ``packed``,
+    ``ones`` and ``guard`` the packing ``check_rows`` returns: the triangle
+    law makes every choice with repeated points score <= 0.
 
     The scan runs from each basepoint w in turn over the quadruples whose
     smallest point is w, so that every quadruple is seen once.  From w, let
@@ -128,10 +125,10 @@ def max_defect(rows: Sequence[Sequence[int]]) -> int:
     exactly when some z has both P[x, z] and P[y, z] at least
     t = P[x, y] + best + 1, so only if t <= M[x] and t <= M[y].  Each step
     runs on the rows of P packed one field per later point, in the fields
-    ``check_rows`` packs the metric in.  P is symmetric, so one fieldwise
-    maximum of the rows holds every M[x].  One mask per x keeps the y after
-    it that pass both bounds: 16-76 of the ~41 700 pairs of a 64-point star,
-    grid or band metric, but most pairs of a tree, where best stays 0.  A
+    of ``packed``.  P is symmetric, so one fieldwise maximum of the rows
+    holds every M[x].  One mask per x keeps the y after it that pass both
+    bounds: 16-76 of the ~41 700 pairs of a 64-point star, grid or band
+    metric, but most pairs of a tree, where best stays 0.  A
     kept pair is tested with t in every field, two differences and two ANDs,
     and only a hit re-scores it, exactly, over every z.  Nothing is rounded,
     so the scan is exact for ints of any size.
@@ -142,10 +139,9 @@ def max_defect(rows: Sequence[Sequence[int]]) -> int:
     the scan stops once ``best`` reaches that.  On a tree D0 is 0 and one
     basepoint is scanned.
     """
-    packed = _packed(rows)
     best = 0
     for w in range(len(rows) - 3):
-        best = _rows_from(rows, w, best, *packed)
+        best = _rows_from(rows, w, best, packed, ones, guard)
         if not w:
             cap = 2 * best
         if best >= cap:

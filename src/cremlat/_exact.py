@@ -86,21 +86,34 @@ def exact_rational(value, what: str) -> Fraction:
     """``value`` as a Fraction: the one reader of a rational, for arguments and files alike.
 
     An int, a Fraction or any other rational number (a numpy int) is taken as
-    it is.  A string, or a Decimal through its string, is read by
-    ``bounded_fraction``, so Decimal("1e5000") is refused as "1e5000" is.  A
-    float, NaN and the infinities included, is refused: its binary value would
-    make 0.1 a fraction over 2**55.  So is a bool, which Fraction would read as 1.
-    Every refusal is a TypeError or ValueError that echoes the value cut."""
+    it is.  A string, or a Decimal through its string, is read by Fraction,
+    its exponent held first to ``digit_limit()`` in magnitude, as int() holds
+    digits (1e999999999 would build a ~400 MB integer), then its numerator and
+    denominator to that many digits.  A float, NaN and the infinities included,
+    is refused: its binary value would make 0.1 a fraction over 2**55.  So is a
+    bool, which Fraction would read as 1.  Every refusal is a TypeError or
+    ValueError that echoes the value cut."""
     if type(value) is int:
         return Fraction(value)
     if type(value) is Fraction:
         return value
     if isinstance(value, (str, Decimal)):
         text = str(value)
+        limit = digit_limit()
+        exponent = _EXPONENT.search(text)
+        if exponent and (len(exponent[1]) > limit or abs(int(exponent[1])) > limit):
+            raise ValueError(f"exponent out of range in {cut_repr(text)}: "
+                             f"its magnitude must be at most {limit}")
         try:
-            return bounded_fraction(text, f"{what} must be a number, got {{}}")
+            q = Fraction(text)
+        except ValueError:
+            raise ValueError(f"{what} must be a number, got {cut_repr(text)}") from None
         except ZeroDivisionError:
             raise ValueError(f"zero denominator: {cut_repr(text)}") from None
+        if not (_printable(q.numerator, limit) and _printable(q.denominator, limit)):
+            raise ValueError(f"too many digits in {cut_repr(text)}: its numerator and denominator "
+                             f"may have at most {limit} each")
+        return q
     if isinstance(value, float):
         raise TypeError(f"{what} must be exact, got {cut_repr(value)}")
     if isinstance(value, Rational) and not isinstance(value, bool):
@@ -143,33 +156,6 @@ def rational_row(row: Iterable, what: str) -> Tuple[List[int], List[int]]:
 def digit_limit() -> int:
     """int()'s limit on decimal digits, or its default where it is switched off."""
     return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
-
-
-def bounded_fraction(text: str, unreadable: str) -> Fraction:
-    """Fraction(text), with numerator and denominator of at most ``digit_limit()``
-    digits each and an exponent of at most that magnitude.
-
-    1e999999999 would build a ~400 MB integer, so the exponent is bounded
-    before Fraction reads it, as int() bounds digits; 1e4300 is inside that
-    bound, but its 4301 digits could not be printed.  A string Fraction cannot
-    read is a ValueError of ``unreadable`` formatted with the cut string (its
-    own message would echo the whole string); a zero denominator is
-    Fraction's ZeroDivisionError, which ``exact_rational`` words."""
-    limit = digit_limit()
-    exponent = _EXPONENT.search(text)
-    if exponent and (len(exponent[1]) > limit or abs(int(exponent[1])) > limit):
-        raise ValueError(f"exponent out of range in {cut_repr(text)}: "
-                         f"its magnitude must be at most {limit}")
-    try:
-        q = Fraction(text)
-    except ValueError:
-        raise ValueError(unreadable.format(cut_repr(text))) from None
-    if not (_printable(q.numerator, limit) and _printable(q.denominator, limit)):
-        raise ValueError(
-            f"too many digits in {cut_repr(text)}: its numerator and denominator may have "
-            f"at most {limit} each"
-        )
-    return q
 
 
 def _printable(n: int, limit: int) -> bool:

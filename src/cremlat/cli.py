@@ -49,12 +49,27 @@ def _positive(text: str) -> int:
     return value
 
 
+class _Unwritten(Exception):
+    """A failed write of the output: args[0] is its OSError, no fault of the input."""
+
+
 def _emit(text: str, out: Optional[str]) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as handle:
+    # a --out that cannot be opened is bad input
+    handle = sys.stdout if out is None else open(out, "w", encoding="utf-8", newline="")
+    try:
+        try:
             handle.write(text)
+        finally:
+            if out is not None:
+                handle.close()
+    except OSError as exc:
+        raise _Unwritten(exc) from None
+
+
+def _cannot_write(exc: OSError) -> int:
+    # the one line of a failed write, in main() or at run()'s flush
+    _fail(f"cremlat: cannot write output: {exc}")
+    return EXIT_INPUT
 
 
 def _flag(value: bool) -> str:
@@ -412,6 +427,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_OK
     try:
         return args.func(args)
+    except _Unwritten as exc:
+        return _cannot_write(exc.args[0])
     # JSONDecodeError is a ValueError; an undeclared point id is a fault of the files
     except (UnknownPoint, OSError, ValueError, KeyError, TypeError) as exc:
         if isinstance(exc, OSError) and isinstance(exc.filename, str):
@@ -427,14 +444,13 @@ def run() -> NoReturn:
     """The console entry (`cremlat`, `python -m cremlat`): main() on
     sys.argv, then the process ends with os._exit, skipping the interpreter's
     teardown, so atexit hooks do not run.  Stdout is flushed first; if that
-    fails, one stderr line says so and the exit code is 1.  An exception that
-    escapes main() propagates as usual."""
+    fails, one stderr line says so and the exit code is 1, as when main()'s
+    own write fails.  An exception that escapes main() propagates as usual."""
     code = main()
     try:
         sys.stdout.flush()
     except OSError as exc:  # a full disk, or a reader that closed the pipe
-        _fail(f"cremlat: cannot write output: {exc}")
-        code = EXIT_INPUT
+        code = _cannot_write(exc)
     sys.stderr.flush()
     os._exit(code)
 

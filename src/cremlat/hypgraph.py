@@ -164,15 +164,16 @@ class FiniteMetric:
     Invariant: d(i, j) == _ints[i][j] * _unit, where (_ints, _unit) is the pair
     _delta_py.scaled_rows returns and _delta_py.check_rows has checked: _unit
     is the largest rational of which every distance is an integer multiple,
-    and _ints the rows of Python ints of those multiples.  ``matrix`` is a
-    derived view.
+    and _ints the rows of Python ints of those multiples; _packing is what
+    check_rows returns, _ints packed once for the check and the scan alike.
+    ``matrix`` is a derived view.
 
     ``matrix`` is an iterable of rows of rationals: ints, Fractions, or
     anything ``exact_rational`` reads, such as the "num/den" strings of a
     CSV.  Every row is read by ``_exact.rational_row``.
     """
 
-    __slots__ = ("_labels", "_index", "_ints", "_unit")
+    __slots__ = ("_labels", "_index", "_ints", "_unit", "_packing")
 
     def __init__(self, matrix: Iterable[Iterable], labels: Optional[Sequence] = None) -> None:
         rows = [rational_row(row, "distance") for row in matrix]
@@ -189,7 +190,7 @@ class FiniteMetric:
         from . import _delta_py
 
         self._ints, self._unit = _delta_py.scaled_rows(numerators, denominators)
-        _delta_py.check_rows(self._ints, labels)
+        self._packing = _delta_py.check_rows(self._ints, labels)
         self._labels = labels
         self._index = {label: i for i, label in enumerate(labels)}
 
@@ -224,11 +225,11 @@ def four_point_delta(metric: FiniteMetric) -> Q:
 
     S1 >= S2 >= S3 are the three pair-sums of the quadruple.  0 on any
     tree metric; positive curvature-scale defects otherwise.  The scan runs
-    on the metric's primitive matrix, and the unit scales its result back.
+    on the metric's rows and their packing, and the unit scales its result back.
     """
     from . import _delta_py
 
-    return _delta_py.max_defect(metric._ints) * metric._unit / 2
+    return _delta_py.max_defect(metric._ints, *metric._packing) * metric._unit / 2
 
 
 # ---------------------------------------------------------------------------

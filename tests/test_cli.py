@@ -674,25 +674,38 @@ class TestEntryPoints:
         assert proc.returncode == expected.returncode == 0
         assert proc.stdout == expected.stdout
 
-    # stdout buffered, as a shell gives it, so the CSV is written as the
-    # process ends: a failure there exited 120 with two "Exception ignored"
-    # lines of Python's
-    @pytest.mark.parametrize("sink, number", [("full", errno.ENOSPC), ("closed-pipe", errno.EPIPE)])
+    # a failed write of the CSV, to stdout or to --out, is one line of its
+    # own, whatever the buffering.  With stdout buffered, as a shell gives
+    # it, a short CSV is written as the process ends, where a failure once
+    # exited 120 with two "Exception ignored" lines of Python's; a long CSV,
+    # an unbuffered stdout and --out fail inside the command, where a
+    # failure once read as the subcommand's bad input
+    @pytest.mark.parametrize("sink, number", [
+        ("full", errno.ENOSPC), ("closed-pipe", errno.EPIPE), ("out-full", errno.ENOSPC),
+    ])
     def test_output_failure_is_one_line(self, sink, number):
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-        argv = [sys.executable, "-m", "cremlat", "halphen-table", "--nmax", "3"]
-        if sink == "full":
-            with open("/dev/full", "wb") as full:
-                proc = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, text=True, env=env)
-        else:
-            read, write = os.pipe()
-            os.close(read)
-            try:
-                proc = subprocess.run(argv, stdout=write, stderr=subprocess.PIPE, text=True, env=env)
-            finally:
-                os.close(write)
-        assert proc.returncode == 1
-        assert proc.stderr == f"cremlat: cannot write output: [Errno {number}] {os.strerror(number)}\n"
+        for unbuffered in (False, True):
+            env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+            if unbuffered:
+                env["PYTHONUNBUFFERED"] = "1"
+            for nmax in ("3", "150"):
+                argv = [sys.executable, "-m", "cremlat", "halphen-table", "--nmax", nmax]
+                if sink == "out-full":
+                    argv += ["--out", "/dev/full"]
+                    proc = subprocess.run(argv, capture_output=True, text=True, env=env)
+                    assert proc.stdout == ""
+                elif sink == "full":
+                    with open("/dev/full", "wb") as full:
+                        proc = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, text=True, env=env)
+                else:
+                    read, write = os.pipe()
+                    os.close(read)
+                    try:
+                        proc = subprocess.run(argv, stdout=write, stderr=subprocess.PIPE, text=True, env=env)
+                    finally:
+                        os.close(write)
+                assert proc.returncode == 1, (unbuffered, nmax)
+                assert proc.stderr == f"cremlat: cannot write output: [Errno {number}] {os.strerror(number)}\n"
 
     def test_run_ends_the_process_with_the_exit_code(self, monkeypatch, capsys):
         ended = []

@@ -101,6 +101,11 @@ def band_matrix(n, rng, low):
     return d
 
 
+def kernel_defect(d):
+    """max_defect on rows of ints, with the packing check_rows returns for them."""
+    return _delta_py.max_defect(d, *_delta_py._packed(d))
+
+
 def quadruple_defect(d):
     """Brute-force oracle for max_defect: every quadruple's three pair-sums."""
     n = len(d)
@@ -446,6 +451,47 @@ class TestFiniteMetric:
             tracemalloc.stop()
         assert peak < 64 * 2**20
 
+    # the rows are scaled one at a time, with no flat copy of the matrix,
+    # and the metric keeps them with the check's packing: the peak of
+    # building a 600-point star or tree is ~21 B per cell, where two flat
+    # lists of every numerator and denominator took ~43
+    @pytest.mark.parametrize("shape", ["star", "tree"])
+    def test_metric_memory_per_cell(self, shape):
+        build = star_matrix if shape == "star" else tree_matrix
+        matrix = build(600, random.Random(600))
+        tracemalloc.start()
+        try:
+            FiniteMetric(matrix)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 600**2
+
+    # the check packs the metric once, and the scan reads that packing.  The
+    # check's near bound keeps no pair of a star, some of a grid, a tree or
+    # a near-tree; the last metric's rational entries pass 2**70 with gcd 1
+    @pytest.mark.parametrize("shape", ["star", "grid", "tree", "chord-tree", "rational-2**70+1"])
+    def test_metric_is_packed_once(self, monkeypatch, shape):
+        rng = random.Random(48)
+        if shape == "star":
+            d = star_matrix(48, rng)
+        elif shape == "grid":
+            cells = [divmod(i, 8) for i in range(48)]
+            d = [[abs(i - k) + abs(j - l) for k, l in cells] for i, j in cells]
+        elif shape == "tree":
+            d = tree_matrix(48, rng)
+        elif shape == "chord-tree":
+            d = chord_tree_matrix(48, rng, 4)
+        else:
+            d = [[x * (2**70 + 1) + Q(1, 3) if x else x for x in row] for row in star_matrix(48, rng, 3)]
+        calls = []
+        packed = _delta_py._packed
+        monkeypatch.setattr(_delta_py, "_packed", lambda rows: calls.append(len(rows)) or packed(rows))
+        metric = FiniteMetric(d)
+        delta = four_point_delta(metric)
+        assert calls == [48]
+        assert delta == kernel_defect(metric._ints) * metric._unit / 2
+
     def test_labels(self):
         m = FiniteMetric([[0, 1], [1, 0]], labels=["a", "b"])
         assert m.distance("a", "b") == 1
@@ -508,7 +554,7 @@ class TestFourPointDelta:
     @example(CHORD4, 1, 0)  # defect 1, the smallest a scan can miss
     def test_kernel_matches_quadruple_oracle(self, d, factor, offset):
         scaled = [[x * factor + offset if x else 0 for x in row] for row in d]
-        assert _delta_py.max_defect(scaled) == quadruple_defect(scaled)
+        assert kernel_defect(scaled) == quadruple_defect(scaled)
 
     # the scan tests a pair on packed rows of Gromov products, each field's top
     # bit above twice the peak, as _packed sets it for the triangle check.
@@ -527,7 +573,7 @@ class TestFourPointDelta:
             top = 2 ** (8 * k - 2) - (side == "under")
             factor, offset = divmod(top, peak)
         scaled = [[x * factor + offset if x else 0 for x in row] for row in d]
-        assert _delta_py.max_defect(scaled) == quadruple_defect(scaled)
+        assert kernel_defect(scaled) == quadruple_defect(scaled)
 
     # the pure scan takes every row maximum of P at once, as one fieldwise
     # maximum of packed rows: each field holds its top bit plus a value below
@@ -592,7 +638,7 @@ class TestFourPointDelta:
         assert _delta_py._packed(ints)[2].bit_length() == 128 * 7 * 8
         tracemalloc.start()
         try:
-            _delta_py.max_defect(ints)
+            kernel_defect(ints)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -610,7 +656,7 @@ class TestFourPointDelta:
             ints = [[int(x) * factor + offset if x else 0 for x in row] for row in d]
             tracemalloc.start()
             try:
-                _delta_py.max_defect(ints)
+                kernel_defect(ints)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -624,7 +670,7 @@ class TestFourPointDelta:
         calls = []
         rows_from = _delta_py._rows_from
         monkeypatch.setattr(_delta_py, "_rows_from", lambda *a: calls.append(a[1]) or rows_from(*a))
-        assert _delta_py.max_defect(d) == 0
+        assert kernel_defect(d) == 0
         assert calls == [0]
 
     @settings(max_examples=20, deadline=None)
@@ -746,10 +792,10 @@ def outcome(build, check, scan, numerators, denominators, labels):
     """What one path makes of a matrix: its entries, unit and defect, or its error."""
     try:
         matrix, unit = build(numerators, denominators)
-        check(matrix, labels)
+        packing = check(matrix, labels)
     except ValueError as error:
         return str(error)
-    return matrix, unit, scan(matrix)
+    return matrix, unit, scan(matrix, *packing)
 
 
 class TestPathsAgree:
@@ -824,7 +870,7 @@ class TestPathsAgree:
             d, big_unit = _delta_py.scaled_rows(huge, [[1] * n for _ in range(n)])
             _delta_py.check_rows(d, range(n))
             assert d == huge and big_unit == 1
-        assert _delta_py.max_defect(d) == factor * oracle
+        assert kernel_defect(d) == factor * oracle
 
     # the pure scan's row bound keeps most pairs of a tree, where best never
     # rises past 0, and few on the other shapes
@@ -836,7 +882,7 @@ class TestPathsAgree:
         d = build(n, random.Random(n))
         oracle = quadruple_defect(d)
         assert (oracle == 0) == (build is tree_matrix)
-        assert _delta_py.max_defect(d) == int64_defect(d) == oracle
+        assert kernel_defect(d) == int64_defect(d) == oracle
 
     # each hit of the pure scan raises best, and with it the cut on the rest
     # of the row
@@ -844,7 +890,7 @@ class TestPathsAgree:
     @given(star_metrics())
     @example(STAR5)
     def test_kernels_match_quadruple_oracle_as_best_rises(self, d):
-        assert _delta_py.max_defect(d) == int64_defect(d) == quadruple_defect(d)
+        assert kernel_defect(d) == int64_defect(d) == quadruple_defect(d)
 
     # the scan stops once best reaches twice D0, the first basepoint's best
     # (int64_defect does not stop): exact only if no quadruple scores more,
@@ -857,7 +903,7 @@ class TestPathsAgree:
     def test_kernels_stop_at_twice_the_first_basepoint(self, d):
         oracle = quadruple_defect(d)
         assert oracle <= 2 * first_basepoint_defect(d)
-        assert _delta_py.max_defect(d) == int64_defect(d) == oracle
+        assert kernel_defect(d) == int64_defect(d) == oracle
 
 
 class TestSubgraphFamily:
