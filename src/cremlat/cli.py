@@ -1,8 +1,10 @@
 """Batch front-end: six subcommands over the library, each writing a CSV.
 
 `_ABOUT` is the top-level help: the subcommands, the output and the exit
-codes.  `main` reads argv against the command table `_COMMANDS` and runs one
-subcommand; `run`, the console entry, then ends the process.
+codes.  `main` reads argv against the command table `_COMMANDS` with `_read`,
+one walk that follows argparse's algorithm and its nargs patterns for the
+top level and each subcommand, and runs one subcommand; `run`, the console
+entry, then ends the process.
 """
 
 from __future__ import annotations
@@ -276,110 +278,92 @@ def _option(token: str, flags: Sequence[str], prog: str):
     return None, None
 
 
-def _wants_help(flag: str, explicit: Optional[str], prog: str) -> bool:
-    if flag not in ("-h", "--help"):
-        return False
-    if explicit is not None:  # -hh is -h twice; any other value is refused
-        rest = explicit.lstrip("h") if flag == "-h" else explicit
-        if rest or not explicit:
-            raise _UsageError(prog, f"argument -h/--help: ignored explicit argument {cut_repr(rest)}")
-    return True
+def _read(argv: List[str], name: Optional[str] = None) -> Optional[SimpleNamespace]:
+    """The subcommand and fields argv names, or None once help is printed.
+    Raises _UsageError.  With a name, argv is that subcommand's arguments, and
+    the tokens it does not understand come back as the field ``extras``.
 
-
-def _read_command(name: str, args: List[str]):
-    """(fields, tokens not understood) of one subcommand's arguments, or None
-    once its help is printed."""
-    runner, _, options, positional = _COMMANDS[name]
-    prog = f"cremlat {name}"
+    This is argparse's parse_known_args: every token before the first "--"
+    is read by _option first, and argv is marked O (an option), A (a value)
+    or - (the first "--").  Options are read in order.  At the start of a run
+    of values a pending positional takes what its nargs pattern matches on
+    the marks: -*A-* for a subcommand's, whose value is the one A; -*A[-AO]*
+    for the command, which is its own token and hands every later one to the
+    subcommand's read.  The rest of a run is not understood."""
+    if name is None:
+        prog, options, positional, fields = "cremlat", [], ("command", "command"), {}
+    else:
+        runner, _, options, positional = _COMMANDS[name]
+        prog, fields = f"cremlat {name}", {"command": name, "func": runner}
     by_flag = {option[0]: option for option in options}
-    flags = ["--help", *by_flag]
-    end = args.index(_MARK) if _MARK in args else len(args)
-    kinds = [_option(token, flags, prog) for token in args[:end]]
-    if end < len(args):
-        kinds += [_MARK] + [None] * (len(args) - end - 1)
-    fields = {"command": name, "func": runner}
+    end = argv.index(_MARK) if _MARK in argv else len(argv)
+    kinds = [_option(token, ["--help", *by_flag], prog) for token in argv[:end]]
+    marks = "".join("A" if kind is None else "O" for kind in kinds)
+    if end < len(argv):
+        marks += "-" + "A" * (len(argv) - end - 1)
+    # an option given holds a str or an int, so one still None was not given
     fields.update((flag[2:], None) for flag in by_flag)
-    if positional is not None:
-        fields[positional[0]] = None
-    given = set()
     pending = positional is not None
+    if pending:
+        fields[positional[0]] = None
     extras = []
     i = 0
-    while i < len(args):
-        kind = kinds[i]
-        if kind is None or kind == _MARK:
-            # the positional takes the first value of a run, with a "--" just
-            # before or after it; any other value is not understood
-            start = i + (kind == _MARK)
-            if pending and start < len(args):
-                fields[positional[0]] = args[start]
-                pending = False
-                i = start + 1 + (start + 1 < len(args) and kinds[start + 1] == _MARK)
-            else:
-                extras.append(args[i])
+    while i < len(argv):
+        if marks[i] != "O":
+            taken = pending and re.match("-*A-*" if name else "-*A[-AO]*", marks[i:])
+            if not taken:
+                extras.append(argv[i])
                 i += 1
+            elif name:
+                fields[positional[0]] = argv[marks.index("A", i)]
+                pending = False
+                i += taken.end()
+            else:
+                if argv[i] not in _COMMANDS:
+                    raise _UsageError(
+                        prog, f"argument command: invalid choice: {cut_repr(argv[i])} (choose from {_CHOICES})"
+                    )
+                args = _read(argv[i + 1:], argv[i])
+                if args is None:
+                    return None
+                extras += vars(args).pop("extras")
+                if extras:
+                    shown = " ".join(cut(token) for token in extras[:_SHOWN_TOKENS])
+                    if len(extras) > _SHOWN_TOKENS:
+                        shown += f" … and {len(extras) - _SHOWN_TOKENS} more"
+                    raise _UsageError(prog, f"unrecognized arguments: {shown}")
+                return args
             continue
-        flag, explicit = kind
+        flag, explicit = kinds[i]
         i += 1
         if flag is None:
-            extras.append(args[i - 1])
-        elif _wants_help(flag, explicit, prog):
+            extras.append(argv[i - 1])
+        elif flag in ("-h", "--help"):
+            if explicit is not None:  # -hh is -h twice; any other value is refused
+                rest = explicit.lstrip("h") if flag == "-h" else explicit
+                if rest or not explicit:
+                    raise _UsageError(prog, f"argument -h/--help: ignored explicit argument {cut_repr(rest)}")
             sys.stdout.write(_help(name))
             return None
         else:
             if explicit is None:
-                if i == len(args) or kinds[i] is not None:
+                if marks[i:i + 1] != "A":
                     raise _UsageError(prog, f"argument {flag}: expected one argument")
-                explicit = args[i]
+                explicit = argv[i]
                 i += 1
-            value = explicit
             if by_flag[flag][1] == "N":
                 try:
-                    value = _positive(explicit)
+                    explicit = _positive(explicit)
                 except ValueError as exc:
                     raise _UsageError(prog, f"argument {flag}: {exc}") from None
-            fields[flag[2:]] = value
-            given.add(flag)
-    missing = [option[0] for option in options if option[2] and option[0] not in given]
+            fields[flag[2:]] = explicit
+    missing = [flag for flag, _, required, _ in options if required and fields[flag[2:]] is None]
     if pending:
         missing.append(positional[1])
     if missing:
         missing = ", ".join(missing)
         raise _UsageError(prog, f"the following arguments are required: {missing}")
-    return fields, extras
-
-
-def _read(argv: List[str]) -> Optional[SimpleNamespace]:
-    """The subcommand and fields argv names, read as argparse read them, or
-    None once help is printed.  Raises _UsageError."""
-    extras = []
-    for i, token in enumerate(argv):
-        kind = None if token == _MARK else _option(token, ["--help"], "cremlat")
-        if kind is None:
-            if token == _MARK and i + 1 == len(argv):
-                break
-            if token not in _COMMANDS:
-                raise _UsageError(
-                    "cremlat", f"argument command: invalid choice: {cut_repr(token)} (choose from {_CHOICES})"
-                )
-            read = _read_command(token, argv[i + 1:])
-            if read is None:
-                return None
-            fields, more = read
-            extras += more
-            if extras:
-                shown = " ".join(cut(extra) for extra in extras[:_SHOWN_TOKENS])
-                if len(extras) > _SHOWN_TOKENS:
-                    shown += f" … and {len(extras) - _SHOWN_TOKENS} more"
-                raise _UsageError("cremlat", f"unrecognized arguments: {shown}")
-            return SimpleNamespace(**fields)
-        flag, explicit = kind
-        if flag is None:
-            extras.append(token)
-        elif _wants_help(flag, explicit, "cremlat"):
-            sys.stdout.write(_help(None))
-            return None
-    raise _UsageError("cremlat", "the following arguments are required: command")
+    return SimpleNamespace(**fields, extras=extras)
 
 
 def _help(name: Optional[str]) -> str:
@@ -391,7 +375,6 @@ def _help(name: Optional[str]) -> str:
         usage = f"cremlat [-h] {choices} ..."
         about = _ABOUT + "\n\n"
         listed = [(2, choices, "")] + [(4, command, entry[1]) for command, entry in _COMMANDS.items()]
-        column = 24
     else:
         _, _, table, positional = _COMMANDS[name]
         words = [f"{flag} {metavar}" if required else f"[{flag} {metavar}]"
@@ -400,7 +383,8 @@ def _help(name: Optional[str]) -> str:
         usage = " ".join([f"cremlat {name} [-h]", *words] + [head for _, head, _ in listed])
         about = ""
         options += [(2, f"{flag} {metavar}", text) for flag, metavar, _, text in table]
-        column = 4 + max(len(head) for _, head, _ in listed + options)
+    # argparse's max_help_position
+    column = min(24, 2 + max(indent + len(head) for indent, head, _ in listed + options))
 
     def block(title, rows):
         lines = [title]

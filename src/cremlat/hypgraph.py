@@ -78,43 +78,32 @@ class Graph:
     def neighbors(self, v) -> Tuple:
         return self._neighbors[v]
 
-    def bfs_distances(self, source) -> Dict[object, int]:
+    def _reach(self, source, within=None) -> Dict[object, int]:
+        # distances from source by breadth-first search, through ``within`` alone if given
         dist = {source: 0}
         frontier = [source]
         while frontier:
             nxt = []
             for u in frontier:
                 for w in self._neighbors[u]:
-                    if w not in dist:
+                    if w not in dist and (within is None or w in within):
                         dist[w] = dist[u] + 1
                         nxt.append(w)
             frontier = nxt
         return dist
 
+    def bfs_distances(self, source) -> Dict[object, int]:
+        return self._reach(source)
+
     def all_distances(self) -> Dict[object, Dict[object, int]]:
         return {v: self.bfs_distances(v) for v in self._vertices}
 
     def is_connected(self) -> bool:
-        if not self._vertices:
-            return True
-        return len(self.bfs_distances(self._vertices[0])) == len(self._vertices)
+        return not self._vertices or len(self._reach(self._vertices[0])) == len(self._vertices)
 
     def induced_connected(self, subset: Iterable) -> bool:
         subset = set(subset)
-        if not subset:
-            return False
-        start = next(iter(subset))
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for w in self._neighbors[u]:
-                    if w in subset and w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-            frontier = nxt
-        return seen == subset
+        return bool(subset) and self._reach(next(iter(subset)), subset).keys() == subset
 
 
 def _size(value, what: str, least: int = 0) -> int:

@@ -13,6 +13,7 @@ Its words are argparse's as of Python 3.11.
 import argparse
 import contextlib
 import io
+import itertools
 import os
 import subprocess
 import sys
@@ -275,16 +276,17 @@ def oracle_parser() -> _Oracle:
     return parser
 
 
-def read_both(argv):
+def read_both(argv, parser=None):
     """(exit code or None, parsed fields, stdout, stderr) from the oracle and
-    from the reader; None means the command would run."""
+    from the reader; None means the command would run.  ``parser`` is the
+    oracle to read with, a new one by default."""
     results = []
     for oracle in (True, False):
         out, err = io.StringIO(), io.StringIO()
         code, fields = None, None
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
-                args = oracle_parser().parse_args(list(argv)) if oracle else cli._read(list(argv))
+                args = (parser or oracle_parser()).parse_args(list(argv)) if oracle else cli._read(list(argv))
             except SystemExit as exc:
                 code = exc.code
             except cli._UsageError as exc:
@@ -348,6 +350,25 @@ DEVIATIONS = [
     (["-h" + "x" * 100], (1, None, "", "cremlat: error: argument -h/--help: ignored explicit argument '"
                           + "x" * 78 + "…\n")),
 ]
+
+
+# every argv of at most three tokens from these, which sampling need not reach.
+# Of the six subcommands four cover each shape of the table: a required N,
+# a positional alone, a required PATH, and an optional PATH with a positional
+SHORT = ["halphen-table", "delta", "classify", "in-e", "a.csv", "2", "-1", "--", "-h", "-hh", "--h", "--out",
+         "--o=x", "--n", "--nmax=3", "--c", "--=x", "-x", "-a b"]
+
+
+def test_every_short_argv_matches_argparse():
+    parser = oracle_parser()
+    deviations = [argv for argv, _ in DEVIATIONS]
+    mismatched = []
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        for argv in itertools.chain.from_iterable(itertools.product(SHORT, repeat=k) for k in range(4)):
+            oracle, reader = read_both(argv, parser)
+            if reader != oracle and list(argv) not in deviations:
+                mismatched.append(argv)
+    assert mismatched == []
 
 
 @pytest.mark.parametrize("argv, expected", DEVIATIONS, ids=["out", "nmax", "help-letters"])
