@@ -455,19 +455,24 @@ def flat_growth(k_max: int) -> FlatTable:
     """Degree and length-bound table over |m| + |n| <= k_max, certified by its lower bounds.
 
     The twist rows follow the identity row, sorted by |m| + |n|, then m, then n.
+    Each row holds greedy_length's lower_deg and upper_greedy; the greedy walks
+    share one dict for the call, so each distinct state is stepped once.
     """
+    from .cremona import require_valid
     from .halphen import twist_characteristic
-    from .length import greedy_length
+    from .length import _lower_deg, _steps_left
 
     k_max = _size(k_max, "k_max", 1)
     rows = [FlatRow(m=0, n=0, degree=1, lower=0, upper=0)]
+    steps_left: Dict[Tuple[int, Tuple[int, ...]], int] = {}
     for k in range(1, k_max + 1):
         for m in range(-k, k + 1):
             r = k - abs(m)
             for n in (-r, r) if r else (0,):
                 char = twist_characteristic(n, m)
-                bounds = greedy_length(char)
-                rows.append(FlatRow(m, n, char.degree, bounds.lower_deg, bounds.upper_greedy))
+                require_valid(char)
+                degree, mults = char.degree, char.base_multiplicities()
+                rows.append(FlatRow(m, n, degree, _lower_deg(degree, mults), _steps_left(degree, mults, steps_left)))
     return FlatTable(k_max=k_max, rows=tuple(rows))
 
 

@@ -8,9 +8,10 @@ degree and the base multiset: it divides out the pencil-preserving factor
 that minimizes the composed degree and revalidates the leftover base side.
 A step is therefore a pure function of its state (degree, descending
 multiset), and walks from different maps meet the same states again and
-again (the flat-growth table up to k = 12 takes 4 556 steps through 204
-states).  ``_step``, a bounded LRU memo around ``_greedy_step``, does the
-work of each state once per process; a step that raises is not cached.
+again.  ``greedy_length`` walks one map from scratch; ``_steps_left`` counts
+a walk through a dict its caller owns, so the flat-growth table steps each
+distinct state once per call (~1.27 k^2 states beside its 2 k^2 rows) and
+frees the dict when it returns.
 The greedy model assumes generic positions: any center plus small-point
 choice is deemed feasible.  Its step count is a true upper bound in that
 model and a heuristic otherwise.
@@ -18,9 +19,8 @@ model and a heuristic otherwise.
 
 from __future__ import annotations
 
-import functools
 import math
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ._exact import cut_repr
 from .cremona import Characteristic, md, require_valid, side_violations
@@ -83,6 +83,11 @@ def _deg_bound(d: int) -> int:
     return math.isqrt(target - 1) + 1  # ceil of the square root
 
 
+def _lower_deg(degree: int, mults: Sequence[int]) -> Optional[int]:
+    # the degree bound is proven only for at most nine base points
+    return _deg_bound(degree) if len(mults) <= 9 else None
+
+
 class GreedyStep(NamedTuple):
     """One greedy factor and the map left after dividing it out.
 
@@ -129,9 +134,22 @@ def _greedy_step(d: int, mults: Sequence[int]) -> GreedyStep:
     return GreedyStep(k, new_degree, leftover)
 
 
-# Keyed on (degree, descending multiset tuple).  The bound keeps memory flat on
-# long tables: the flat-growth table up to k = 20 meets 540 states.
-_step = functools.lru_cache(maxsize=2048)(_greedy_step)
+def _steps_left(degree: int, mults: Tuple[int, ...], memo: Dict[Tuple[int, Tuple[int, ...]], int]) -> int:
+    """Greedy steps from the state (degree, mults) down to degree 1.
+
+    The walk stops at degree 1 or at the first state already in ``memo``,
+    then records the count of each state it stepped, so a memo shared by
+    many walks steps each state once.  A step that raises records nothing.
+    """
+    chain = []
+    while degree > 1 and (degree, mults) not in memo:
+        chain.append((degree, mults))
+        _, degree, mults = _greedy_step(degree, mults)
+    left = memo.get((degree, mults), 0)
+    for state in reversed(chain):
+        left += 1
+        memo[state] = left
+    return left
 
 
 def greedy_predecessor(char: Characteristic) -> GreedyStep:
@@ -141,7 +159,7 @@ def greedy_predecessor(char: Characteristic) -> GreedyStep:
     points are the next largest; k follows the greedy rule.
     """
     require_valid(char)
-    return _step(char.degree, char.base_multiplicities())
+    return _greedy_step(char.degree, char.base_multiplicities())
 
 
 def greedy_length(char: Characteristic) -> LengthBounds:
@@ -149,9 +167,9 @@ def greedy_length(char: Characteristic) -> LengthBounds:
     require_valid(char)
     degree, mults = char.degree, char.base_multiplicities()
     lower_md = _md_bound(len(set(mults)))
-    lower_deg = _deg_bound(degree) if len(mults) <= 9 else None
+    lower_deg = _lower_deg(degree, mults)
     steps: List[Tuple[int, int]] = []
     while degree > 1:
-        k, degree, mults = _step(degree, mults)
+        k, degree, mults = _greedy_step(degree, mults)
         steps.append((k, degree))
     return LengthBounds(lower_md=lower_md, lower_deg=lower_deg, decomposition=tuple(steps))

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from cremlat.cremona import Characteristic, validate
 from cremlat.errors import IdentityTwist, NotInKPerp
@@ -17,6 +17,8 @@ from cremlat.halphen import (
     twist_characteristic,
     twist_degree,
 )
+from cremlat.lattice import PicardManinClass, intersect, self_intersection
+from cremlat.voronoi import boundary_class
 
 
 def kperp_vectors():
@@ -244,3 +246,33 @@ class TestTwists:
         c = twist_characteristic(n, m)
         assert c.degree == twist_degree(n, m)
         assert validate(c).ok
+
+
+def orbit_class(n, m):
+    """c_u = t_u(l) for u = (n, m), as the Picard-Manin class of the twist's
+    degree and inverse-base multiplicities on the points 0..8."""
+    if (n, m) == (0, 0):
+        return PicardManinClass(1)
+    t = twist_characteristic(n, m)
+    return PicardManinClass(t.degree, dict(t.inverse_base))
+
+
+orbit_points = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+
+
+class TestOrbitClasses:
+    """The lattice leg and the Halphen leg agree on the twist orbit of the line."""
+
+    @given(orbit_points, orbit_points)
+    @example((0, 0), (1, 0))
+    @example((-4, 4), (4, -4))
+    def test_pairing_is_the_degree_of_the_difference(self, u, v):
+        # so the hyperbolic distance of two orbit points is argcosh of one twist degree
+        assert intersect(orbit_class(*u), orbit_class(*v)) == twist_degree(v[0] - u[0], v[1] - u[1])
+
+    @given(orbit_points)
+    @example((0, 0))
+    def test_classes_are_unit_and_fix_k(self, u):
+        c = orbit_class(*u)
+        assert self_intersection(c) == 1
+        assert intersect(c, boundary_class(range(9))) == 3  # the twists fix K

@@ -18,6 +18,7 @@ from cremlat.length import (
     GreedyStep,
     LengthBounds,
     _greedy_step,
+    _steps_left,
     greedy_length,
     greedy_predecessor,
     length_lower_deg,
@@ -245,33 +246,61 @@ def test_greedy_length_validates_once(monkeypatch):
 
 
 class TestStepMemo:
-    def test_bounded(self):
-        maxsize = length._step.cache_info().maxsize
-        assert maxsize is not None and 0 < maxsize < 10**5
+    """``_steps_left`` counts a greedy walk through a dict its caller owns."""
+
+    def test_counts_and_records_the_walk(self):
+        c = twist_characteristic(2, -3)
+        memo = {}
+        left = _steps_left(c.degree, c.base_multiplicities(), memo)
+        assert left == greedy_length(c).upper_greedy
+        degree, mults = c.degree, c.base_multiplicities()
+        for expected in range(left, 0, -1):  # every state of the walk, with its own count
+            assert memo.pop((degree, mults)) == expected
+            _, degree, mults = _greedy_step(degree, mults)
+        assert memo == {} and degree == 1
+        assert _steps_left(1, (), memo) == 0 and memo == {}  # degree 1 is never stepped
 
     @pytest.mark.parametrize(
         "state, error",
-        [((2, (1, 1, 1, 1)), InvalidCharacteristic), ((3, (1,) * 6), NoDecrease), ((1, ()), NoDecrease)],
+        [
+            ((2, (1, 1, 1, 1)), InvalidCharacteristic),
+            ((3, (1,) * 6), NoDecrease),
+            ((11, (5, 5, 5, 3, 3, 3, 3, 3)), InvalidCharacteristic),  # its second step fails
+        ],
     )
     def test_raising_state_raises_again(self, state, error):
-        with pytest.raises(error):
-            _greedy_step(*state)
-        before = length._step.cache_info()
-        for _ in range(3):  # an exception is never cached
+        memo = {(10, (3, 3)): 7}
+        for _ in range(3):  # a walk that raises records none of its states
             with pytest.raises(error):
-                length._step(*state)
-        after = length._step.cache_info()
-        assert after.misses - before.misses == 3 and after.hits == before.hits
+                _steps_left(*state, memo)
+            assert memo == {(10, (3, 3)): 7}
 
-    def test_cold_and_warm_agree(self):
+    def test_results_do_not_depend_on_call_order(self):
         from cremlat.hypgraph import flat_growth
 
         chars = [twist_characteristic(n, m) for n in range(-4, 5) for m in range(-4, 5) if n or m]
         chars += [tower(5), composed_jonquieres([5, 4, 3]), identity_characteristic()]
-        length._step.cache_clear()
-        cold = [greedy_length(c) for c in chars], flat_growth(12)
-        assert length._step.cache_info().hits > 0  # walks from different maps meet
-        warm = [greedy_length(c) for c in chars], flat_growth(12)
-        assert cold == warm
-        length._step.cache_clear()
-        assert [greedy_length(c) for c in reversed(chars)] == cold[0][::-1]
+        forward = [greedy_length(c) for c in chars]
+        assert [greedy_length(c) for c in reversed(chars)] == forward[::-1]
+        assert flat_growth(12) == flat_growth(12)
+
+    def test_flat_growth_steps_each_state_once(self, monkeypatch):
+        from cremlat.hypgraph import flat_growth
+
+        states = []
+
+        def counted(d, mults):
+            states.append((d, mults))
+            return _greedy_step(d, mults)
+
+        monkeypatch.setattr(length, "_greedy_step", counted)
+        flat_growth(80)
+        assert len(states) == len(set(states)) == 8160  # ~1.27 k^2 states for 2 k^2 rows
+
+    def test_flat_growth_rows_match_greedy_length(self):
+        from cremlat.hypgraph import flat_growth
+
+        for row in flat_growth(20).rows[1:]:
+            c = twist_characteristic(row.n, row.m)
+            bounds = greedy_length(c)
+            assert (row.degree, row.lower, row.upper) == (c.degree, bounds.lower_deg, bounds.upper_greedy), row
